@@ -16,8 +16,8 @@ import sys
 import tempfile
 
 from . import jsonio
-from .cocycles import (FiniteAbelianGroup, central_extension, h2_classes,
-                       is_cocycle, scale_bound, zeta)
+from .cocycles import (DEFAULT_SCALE_BOUND, FiniteAbelianGroup,
+                       central_extension, h2_classes, is_cocycle, zeta)
 from .errors import DomainError, MalformedInput
 from .liemodel import alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from .localseries import ascend, check_invariance, descend, residue_report
@@ -44,13 +44,13 @@ def cmd_cocycle_verify(payload, args):
 
 
 def cmd_cocycle_h2(payload, args):
+    m = jsonio.coeff_order_from_json(payload)
     group = FiniteAbelianGroup(jsonio._need(payload, "group", list))
-    m = jsonio._need(payload, "coeff_order", int)
     reps = h2_classes(group, m, args.scale_bound)
     return ({"classes": len(reps),
              "representatives": [jsonio.cochain_to_json(r) for r in reps]},
             _audit("cocycle h2", group=list(group.factors), coeff_order=m,
-                   scale_bound=scale_bound(args.scale_bound)))
+                   scale_bound=args.scale_bound))
 
 
 def cmd_cocycle_extend(payload, args):
@@ -222,8 +222,8 @@ def cmd_moduli_rh(payload, args):
 
 
 def cmd_moduli_strata(payload, args):
+    m = jsonio.coeff_order_from_json(payload)
     group = FiniteAbelianGroup(jsonio._need(payload, "group", list))
-    m = jsonio._need(payload, "coeff_order", int)
     covering = jsonio.covering_from_json(jsonio._need(payload, "covering"))
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     strata = enumerate_strata(group, m, covering, model, args.scale_bound)
@@ -231,7 +231,7 @@ def cmd_moduli_strata(payload, args):
              "strata": [jsonio.stratum_to_json(s) for s in strata]},
             _audit("moduli strata", group=list(group.factors), coeff_order=m,
                    model=jsonio.model_to_json(model),
-                   scale_bound=scale_bound(args.scale_bound)))
+                   scale_bound=args.scale_bound))
 
 
 def cmd_moduli_degree(payload, args):
@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
             leaf = verbs.add_parser(v)
             leaf.add_argument("input", help="input JSON file")
             leaf.add_argument("-o", "--out", help="output file (default stdout)")
-            leaf.add_argument("--scale-bound", type=int, default=None,
-                              help="override the enumeration bound")
+            leaf.add_argument("--scale-bound", type=int, default=DEFAULT_SCALE_BOUND,
+                              help="bound on the output size: classes or strata")
             leaf.add_argument("--working-order", type=int, default=None,
                               help="embed output cyclotomics in Q(zeta_M)")
             if (n, v) == ("local", "check"):
@@ -317,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> tuple[int, str]:
     """Execute one CLI invocation, returning (exit code, output text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(build_parser().parse_args(argv))
+
+
+def _execute(args) -> tuple[int, str]:
     if (args.noun, args.verb) == ("corpus", "run"):
         return run_corpus(args.directory)
     handler = HANDLERS[(args.noun, args.verb)]
@@ -337,15 +339,6 @@ def run_command(argv) -> tuple[int, str]:
         return 2, jsonio.dumps({"error": "malformed_input",
                                 "detail": f"{type(exc).__name__}: {exc}"})
     return 0, jsonio.dumps({"result": result, "audit": audit})
-
-
-def _out_path(argv) -> str | None:
-    for flag in ("-o", "--out"):
-        if flag in argv:
-            pos = argv.index(flag)
-            if pos + 1 < len(argv):
-                return argv[pos + 1]
-    return None
 
 
 def run_corpus(directory) -> tuple[int, str]:
@@ -384,11 +377,10 @@ def run_corpus(directory) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    code, text = run_command(argv)
-    out = _out_path(argv)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    args = build_parser().parse_args(argv)
+    code, text = _execute(args)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -7,18 +7,19 @@ exponents; the identities below are the multiplicative ones of the glossary:
     cocycle:     c(ab, d) + c(a, b) = c(a, bd) + c(b, d)        (mod m)
     coboundary:  (df)(a, b) = f(ab) - f(a) - f(b)               (mod m)
 
-H^2 is computed by honest enumeration: candidate tables are generated from
-their values on generator columns (which determine the rest through the
-cocycle identity), then every candidate is verified on all |G|^3 triples,
-and coboundary cosets are struck out to leave one lexicographically least
-representative per class.
+H^2 is computed by linear algebra over Z/m.  The coboundaries B^2 are the
+span of the d(e_g), put in Howell form; one cocycle per class comes from the
+universal coefficient theorem (carry cocycles and alternating bilinear
+forms), and reducing it against the Howell form gives the lexicographically
+least table of its class.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -27,16 +28,8 @@ from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
 from .scalars import Cyclotomic, FractionalWeight, root_of_unity
 
 DEFAULT_MAX_ORDER = 24
-DEFAULT_MAX_CANDIDATES = 2 ** 21  # covers cyclic groups up to |G| = m = 8
-
-SCALE_ENV_VAR = "ORBIPAR_SCALE_BOUND"
-
-
-def scale_bound(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(SCALE_ENV_VAR)
-    return int(env) if env else DEFAULT_MAX_CANDIDATES
+DEFAULT_SCALE_BOUND = 2 ** 21  # classes or strata in one output
+MAX_COEFF_ORDER = 2 ** 31  # keeps products of two residues inside int64
 
 
 class FiniteAbelianGroup:
@@ -215,8 +208,105 @@ def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
     return Cochain2(group, CoefficientGroup(m), table)
 
 
-def are_cohomologous(c1: Cochain2, c2: Cochain2, max_candidates: int | None = None):
-    """Search all m^(|G|-1) normalized f for c2 = (df) * c1; returns (bool, f|None)."""
+def _gcdex(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _howell_form(rows, m: int):
+    """Howell form of the span of `rows` over Z/m, as (pivot column, row) pairs.
+
+    The rows are in echelon form, each pivot d divides m, and (m/d) * row lies
+    in the span of the rows after it (Howell 1986; Storjohann 2000).  So the
+    members of the span that vanish before column k are spanned by the rows
+    pivoting at or after k, which is what makes `_reduce` lexicographic.
+    """
+    work = [r for r in rows % m if r.any()]
+    form = []
+    while work:
+        col = min(int(np.flatnonzero(r)[0]) for r in work)
+        piv, rest = None, []
+        for r in work:
+            if not r[col]:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:  # a unimodular pair of combinations: gcd pivot, zero below
+                a, b = int(piv[col]), int(r[col])
+                g, s, t = _gcdex(a, b)
+                piv, r = (s % m * piv + t % m * r) % m, (b // g * piv - a // g * r) % m
+                rest.append(r)
+        # s*piv has pivot d = gcd(a, m); it and (m/d)*piv span what piv did
+        d, s, _ = _gcdex(int(piv[col]), m)
+        form.append((col, s % m * piv % m))
+        rest.append(m // d * piv % m)
+        work = [r for r in rest if r.any()]
+    return form
+
+
+def _reduce(vectors, form, m: int):
+    """The lexicographically least member of each row's coset of the span."""
+    for col, row in form:
+        vectors = (vectors - (vectors[:, col] // row[col])[:, None] * row) % m
+    return vectors
+
+
+def _coboundary_form(group: FiniteAbelianGroup, m: int):
+    """Howell form of the rows [d(e_g) | e_g], g != 1: a table, then its f."""
+    if m > MAX_COEFF_ORDER:
+        raise ScaleExceeded(f"coefficient order {m} exceeds {MAX_COEFF_ORDER}")
+    n = group.order
+    f = np.eye(n, dtype=np.int64)[1:]
+    tables = f[:, group.prod] - f[:, :, None] - f[:, None, :]
+    return _howell_form(np.concatenate([tables.reshape(n - 1, n * n), f[:, 1:]], axis=1), m)
+
+
+def h2_count(group: FiniteAbelianGroup, m: int) -> int:
+    """|H^2(G, Z/m)| = prod gcd(n_i, m) * prod_{i<j} gcd(n_i, n_j, m) (UCT)."""
+    count = 1
+    for i, ni in enumerate(group.factors):
+        count *= gcd(ni, m)
+        for nj in group.factors[i + 1:]:
+            count *= gcd(ni, nj, m)
+    return count
+
+
+def h2_classes(group: FiniteAbelianGroup, m: int,
+               max_candidates: int = DEFAULT_SCALE_BOUND) -> list[Cochain2]:
+    """Lexicographically least representatives of H^2(G, Z/m), sorted.
+
+    One cocycle per class, by the universal coefficient theorem: k * carry_i
+    with k < gcd(n_i, m), plus (m/g) * l * a_i b_j with l < g = gcd(n_i, n_j, m)
+    for i < j.  `max_candidates` bounds the number of classes.
+    """
+    count = h2_count(group, m)
+    if count > max_candidates:
+        raise ScaleExceeded(f"{count} classes exceed bound {max_candidates}")
+    form = _coboundary_form(group, m)
+    n, factors = group.order, group.factors
+    el = np.array(group.elements, dtype=np.int64).reshape(n, len(factors))
+    orders, tables = [], []
+    for i, ni in enumerate(factors):
+        orders.append(gcd(ni, m))
+        tables.append((el[:, None, i] + el[None, :, i]) // ni)
+        for j in range(i + 1, len(factors)):
+            g = gcd(ni, factors[j], m)
+            orders.append(g)
+            tables.append(m // g * el[:, None, i] * el[None, :, j])
+    coeffs = np.array(list(product(*map(range, orders))), dtype=np.int64).reshape(count, -1)
+    basis = np.array(tables, dtype=np.int64).reshape(len(tables), n * n)
+    reps = _reduce(np.pad(coeffs @ basis % m, ((0, 0), (0, n - 1))), form, m)[:, :n * n]
+    reps = reps[np.lexsort(reps.T[::-1])]
+    coeff = CoefficientGroup(m)
+    return [Cochain2(group, coeff, row.reshape(n, n)) for row in reps]
+
+
+def are_cohomologous(c1: Cochain2, c2: Cochain2):
+    """Whether c2 = (df) * c1 for a normalized f; returns (bool, f|None)."""
     _check_compatible(c1, c2)
     for c in (c1, c2):
         v = is_cocycle(c)
@@ -224,127 +314,11 @@ def are_cohomologous(c1: Cochain2, c2: Cochain2, max_candidates: int | None = No
             raise NotACocycle(f"cocycle condition fails at {v.witness}")
     g, m = c1.group, c1.coefficients.order
     n = g.order
-    bound = scale_bound(max_candidates)
-    total = m ** (n - 1)
-    if total > bound:
-        raise ScaleExceeded(f"{total} candidate 1-cochains exceed bound {bound}")
-    diff = (c2.table - c1.table) % m
-    for fs, tables in _coboundary_batches(g, m):
-        hit = np.nonzero((tables == diff).all(axis=(1, 2)))[0]
-        if hit.size:
-            f = [0] + [int(x) for x in fs[hit[0]]]
-            return True, f
-    return False, None
-
-
-def _mixed_radix(count: int, digits: int, base: int, start: int):
-    """Rows start..start+count of all base^digits tuples, lexicographic."""
-    out = np.zeros((count, digits), dtype=np.int64)
-    idx = np.arange(start, start + count)
-    for d in range(digits - 1, -1, -1):
-        out[:, d] = idx % base
-        idx //= base
-    return out
-
-
-_CHUNK = 1 << 15
-
-
-def _coboundary_batches(g: FiniteAbelianGroup, m: int):
-    """Yield (f-values, coboundary tables) over all normalized f, in chunks."""
-    n = g.order
-    total = m ** (n - 1)
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        fs = _mixed_radix(count, n - 1, m, start)
-        f_full = np.concatenate([np.zeros((count, 1), dtype=np.int64), fs], axis=1)
-        tables = (f_full[:, g.prod] - f_full[:, :, None] - f_full[:, None, :]) % m
-        yield fs, tables
-
-
-def _cocycle_batches(g: FiniteAbelianGroup, m: int, max_candidates: int | None):
-    """Enumerate Z^2(G, Z/m) by seeding generator columns and verifying.
-
-    A normalized 2-cochain is determined by its generator columns through
-    c(a, p+g) = c(a+p, g) + c(a, p) - c(p, g); every derived table is then
-    checked against the full cocycle identity, so the output is exactly the
-    set of cocycles.
-    """
-    n = g.order
-    gens = g.generators()
-    t = len(gens)
-    seeds_total = m ** (t * (n - 1)) if n > 1 else 1
-    bound = scale_bound(max_candidates)
-    if seeds_total > bound:
-        raise ScaleExceeded(f"{seeds_total} candidate tables exceed bound {bound}")
-    if n == 1:
-        yield np.zeros((1, 1, 1), dtype=np.int64)
-        return
-
-    gen_idx = [g.index[x] for x in gens]
-    # fill order: by total exponent, so each element e = p + gen with p earlier
-    order = sorted(range(n), key=lambda i: (sum(g.elements[i]), g.elements[i]))
-    decomp = {}
-    for i in order:
-        e = g.elements[i]
-        if sum(e) < 2 or i in gen_idx:
-            continue
-        j = max(k for k, x in enumerate(e) if x)
-        gen = tuple(1 if k == j else 0 for k in range(len(e)))
-        p = tuple(x - (1 if k == j else 0) for k, x in enumerate(e))
-        decomp[i] = (g.index[p], g.index[gen])
-
-    p_tab = g.prod
-    I, J, K = [a.reshape(-1) for a in
-               np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")]
-    PIJ, PJK = p_tab[I, J], p_tab[J, K]
-
-    for start in range(0, seeds_total, _CHUNK):
-        count = min(_CHUNK, seeds_total - start)
-        seeds = _mixed_radix(count, t * (n - 1), m, start)
-        T = np.zeros((count, n, n), dtype=np.int64)
-        for jg, gi in enumerate(gen_idx):
-            T[:, 1:, gi] = seeds[:, jg * (n - 1):(jg + 1) * (n - 1)]
-        for i in order:
-            if i not in decomp:
-                continue
-            pi, gi = decomp[i]
-            T[:, :, i] = (T[np.arange(count)[:, None], p_tab[:, pi][None, :], gi]
-                          + T[:, :, pi] - T[:, pi, gi][:, None]) % m
-        lhs = (T[:, PIJ, K] + T[:, I, J] - T[:, I, PJK] - T[:, J, K]) % m
-        good = (lhs == 0).all(axis=1)
-        if good.any():
-            yield T[good]
-
-
-def h2_classes(group: FiniteAbelianGroup, m: int,
-               max_candidates: int | None = None) -> list[Cochain2]:
-    """Lexicographically least representatives of H^2(G, Z/m), brute force."""
-    coeff = CoefficientGroup(m)
-    n = group.order
-    flat = []
-    for batch in _cocycle_batches(group, m, max_candidates):
-        flat.append(batch.reshape(batch.shape[0], n * n))
-    cocycles = np.concatenate(flat, axis=0) if flat else np.zeros((0, n * n), dtype=np.int64)
-    cocycles = cocycles[np.lexsort(cocycles.T[::-1])]
-
-    bound = scale_bound(max_candidates)
-    if m ** (n - 1) > bound:
-        raise ScaleExceeded(f"{m ** (n - 1)} coboundaries exceed bound {bound}")
-    cob = np.concatenate([tab.reshape(tab.shape[0], n * n)
-                          for _, tab in _coboundary_batches(group, m)], axis=0)
-    cob = np.unique(cob, axis=0)
-
-    reps = []
-    seen = set()
-    for row in cocycles:
-        key = row.tobytes()
-        if key in seen:
-            continue
-        reps.append(Cochain2(group, coeff, row.reshape(n, n)))
-        coset = (row[None, :] + cob) % m
-        seen.update(r.tobytes() for r in coset)
-    return reps
+    diff = np.pad((c2.table - c1.table).reshape(1, n * n) % m, ((0, 0), (0, n - 1)))
+    rest = _reduce(diff, _coboundary_form(g, m), m)[0]
+    if rest[:n * n].any():
+        return False, None
+    return True, [0] + [int(x) for x in -rest[n * n:] % m]
 
 
 def zeta(c: Cochain2, gamma) -> FractionalWeight:
@@ -425,9 +399,6 @@ class ExtensionGroup:
         zs = [z * n for z in range(self.coeff_order)]
         return all(np.array_equal(self.table[z, :], self.table[:, z]) for z in zs)
 
-    def isomorphic_to(self, other: "ExtensionGroup") -> bool:
-        return tables_isomorphic(self.table, other.table)
-
 
 def table_is_associative(table) -> bool:
     table = np.asarray(table)
@@ -469,95 +440,3 @@ def central_extension(c: Cochain2) -> ExtensionGroup:
             raise AssertionError(f"no inverse for element {i}")
     assert ext.center_contains_coefficients()
     return ext
-
-
-def _table_identity(table) -> int:
-    n = len(table)
-    for e in range(n):
-        if np.array_equal(table[e, :], np.arange(n)):
-            return e
-    raise ValueError("table has no identity")
-
-
-def _table_orders(table):
-    n = len(table)
-    e = _table_identity(table)
-    orders = []
-    for i in range(n):
-        k, cur = 1, i
-        while cur != e:
-            cur = int(table[cur, i])
-            k += 1
-        orders.append(k)
-    return orders, e
-
-
-def tables_isomorphic(ta, tb) -> bool:
-    """Exhaustive isomorphism search between two Cayley tables (desk scale)."""
-    ta, tb = np.asarray(ta), np.asarray(tb)
-    n = len(ta)
-    if len(tb) != n:
-        return False
-    orders_a, ea = _table_orders(ta)
-    orders_b, eb = _table_orders(tb)
-    if sorted(orders_a) != sorted(orders_b):
-        return False
-
-    # greedy generating sequence for ta
-    gens = []
-    closure = {ea}
-    for x in range(n):
-        if x not in closure:
-            gens.append(x)
-            frontier = set(closure) | {x}
-            while True:
-                new = {int(ta[a, b]) for a in frontier for b in frontier} - frontier
-                if not new:
-                    break
-                frontier |= new
-            closure = frontier
-
-    # express every element as (parent, generator) via BFS
-    word = {ea: None}
-    queue = [ea]
-    while queue:
-        cur = queue.pop(0)
-        for gi in gens:
-            nxt = int(ta[cur, gi])
-            if nxt not in word:
-                word[nxt] = (cur, gi)
-                queue.append(nxt)
-    assert len(word) == n
-
-    by_order_b = {}
-    for i, o in enumerate(orders_b):
-        by_order_b.setdefault(o, []).append(i)
-
-    bfs_order = sorted(word, key=lambda x: 0 if word[x] is None else 1)
-
-    def extend(assignment):
-        if len(assignment) == len(gens):
-            phi = {ea: eb}
-            for x in bfs_order:
-                if word[x] is None:
-                    continue
-                parent, gi = word[x]
-                phi[x] = int(tb[phi[parent], assignment[gi]])
-            if len(set(phi.values())) != n:
-                return False
-            for a in range(n):
-                for b in range(n):
-                    if phi[int(ta[a, b])] != int(tb[phi[a], phi[b]]):
-                        return False
-            return True
-        gi = gens[len(assignment)]
-        for cand in by_order_b.get(orders_a[gi], []):
-            if cand in assignment.values():
-                continue
-            nxt = dict(assignment)
-            nxt[gi] = cand
-            if extend(nxt):
-                return True
-        return False
-
-    return extend({})

@@ -87,11 +87,16 @@ def cochain_to_json(c: Cochain2) -> dict:
     return {"group": list(c.group.factors), "coeff_order": m, "table": table}
 
 
+def coeff_order_from_json(data) -> int:
+    m = _need(data, "coeff_order", int)
+    if isinstance(m, bool) or m < 1:
+        raise MalformedInput("coeff_order must be a positive integer")
+    return m
+
+
 def cochain_from_json(data) -> Cochain2:
     factors = _need(data, "group", list)
-    m = _need(data, "coeff_order", int)
-    if m < 1:
-        raise MalformedInput("coeff_order must be positive")
+    m = coeff_order_from_json(data)
     group = FiniteAbelianGroup(factors)
     n = group.order
     table = np.zeros((n, n), dtype=np.int64)

@@ -68,31 +68,16 @@ class GroupModel:
         self.h_mask.flags.writeable = False
         self.m_mask.flags.writeable = False
 
-        # basis of m^C: matrix units, plus diagonal differences for sl
-        self.m_basis = []
-        for i in range(n):
-            for j in range(n):
-                if not self.m_mask[i, j]:
-                    continue
-                if i == j and self.kind == "sl":
-                    continue
-                self.m_basis.append(("unit", i, j))
-        if self.kind == "sl":
-            for i in range(n - 1):
-                self.m_basis.append(("diagdiff", i))
+        # bases of m^C and h^C: matrix units, plus diagonal differences for sl
+        bases = []
+        for mask in (self.m_mask, self.h_mask):
+            basis = [("unit", i, j) for i in range(n) for j in range(n)
+                     if mask[i, j] and not (i == j and self.kind == "sl")]
+            if self.kind == "sl":
+                basis += [("diagdiff", i) for i in range(n - 1)]
+            bases.append(basis)
+        self.m_basis, self.h_basis = bases
         self._basis_by_key = {self.basis_key(b): b for b in range(len(self.m_basis))}
-
-        self.h_basis = []
-        for i in range(n):
-            for j in range(n):
-                if not self.h_mask[i, j]:
-                    continue
-                if i == j and self.kind == "sl":
-                    continue
-                self.h_basis.append(("unit", i, j))
-        if self.kind == "sl":
-            for i in range(n - 1):
-                self.h_basis.append(("diagdiff", i))
 
     @property
     def dim_m(self) -> int:

@@ -180,10 +180,6 @@ class CycMatrix:
                 cof[j][i] = CycMatrix(minor).det() * sign * inv_d
         return CycMatrix(cof)
 
-    def conjugate_by(self, g: "CycMatrix") -> "CycMatrix":
-        """g^-1 * self * g."""
-        return g.inverse() @ self @ g
-
     def __repr__(self):
         return f"CycMatrix({self.size}x{self.size})"
 

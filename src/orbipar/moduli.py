@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cocycles import Cochain2, FiniteAbelianGroup, h2_classes, scale_bound
+from .cocycles import (DEFAULT_SCALE_BOUND, Cochain2, FiniteAbelianGroup,
+                       h2_classes)
 from .errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                      ScaleExceeded, UnsupportedModel)
 from .liemodel import GroupModel
@@ -69,9 +70,11 @@ class StratumIndex:
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
                      covering: CoveringData, model: GroupModel,
-                     max_candidates: int | None = None) -> list[StratumIndex]:
+                     max_candidates: int = DEFAULT_SCALE_BOUND) -> list[StratumIndex]:
     """Cartesian product of H^2 class representatives with, per branch orbit,
-    the center-projected classes of order-N_j diagonal pseudorepresentations."""
+    the center-projected classes of order-N_j diagonal pseudorepresentations.
+
+    `max_candidates` bounds the number of strata."""
     if not group.is_cyclic():
         raise MalformedInput("stratum enumeration expects a cyclic deck group")
     if group.order != covering.group_order:
@@ -93,9 +96,8 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
     total = len(cocycle_reps)
     for classes in per_orbit:
         total *= len(classes)
-    bound = scale_bound(max_candidates)
-    if total > bound:
-        raise ScaleExceeded(f"{total} strata exceed bound {bound}")
+    if total > max_candidates:
+        raise ScaleExceeded(f"{total} strata exceed bound {max_candidates}")
     out = []
     for combo in product(cocycle_reps, *per_orbit):
         out.append(StratumIndex(combo[0], tuple(combo[1:])))

@@ -1,12 +1,18 @@
-"""Shared generators for randomized suites: cocycles, pseudoreps, series."""
+"""Shared generators for randomized suites: cocycles, pseudoreps, series.
+
+Also the brute-force oracles the cohomology tests compare against: the
+exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
+coboundary cosets, and an exhaustive isomorphism search between Cayley
+tables.
+"""
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
-from orbipar.cocycles import (Cochain2, CoefficientGroup, FiniteAbelianGroup,
-                              is_cocycle, zeta)
+from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, CoefficientGroup,
+                              ExtensionGroup, FiniteAbelianGroup, is_cocycle, zeta)
 from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
@@ -135,3 +141,202 @@ def random_downstairs_series(rng, model, weight, N, trunc, density=0.5):
             if rng.random() < density:
                 terms[(b, k)] = random_nonzero_cyclotomic(rng)
     return GradedSeries(model, weight, N, DOWNSTAIRS, trunc, terms)
+
+
+# -- brute-force oracles ------------------------------------------------------
+
+def _mixed_radix(count: int, digits: int, base: int, start: int):
+    """Rows start..start+count of all base^digits tuples, lexicographic."""
+    out = np.zeros((count, digits), dtype=np.int64)
+    idx = np.arange(start, start + count)
+    for d in range(digits - 1, -1, -1):
+        out[:, d] = idx % base
+        idx //= base
+    return out
+
+
+_CHUNK = 1 << 15
+
+
+def _coboundary_batches(g: FiniteAbelianGroup, m: int):
+    """Yield (f-values, coboundary tables) over all normalized f, in chunks."""
+    n = g.order
+    total = m ** (n - 1)
+    for start in range(0, total, _CHUNK):
+        count = min(_CHUNK, total - start)
+        fs = _mixed_radix(count, n - 1, m, start)
+        f_full = np.concatenate([np.zeros((count, 1), dtype=np.int64), fs], axis=1)
+        tables = (f_full[:, g.prod] - f_full[:, :, None] - f_full[:, None, :]) % m
+        yield fs, tables
+
+
+def _cocycle_batches(g: FiniteAbelianGroup, m: int, max_candidates: int | None):
+    """Enumerate Z^2(G, Z/m) by seeding generator columns and verifying.
+
+    A normalized 2-cochain is determined by its generator columns through
+    c(a, p+g) = c(a+p, g) + c(a, p) - c(p, g); every derived table is then
+    checked against the full cocycle identity, so the output is exactly the
+    set of cocycles.
+    """
+    n = g.order
+    gens = g.generators()
+    t = len(gens)
+    seeds_total = m ** (t * (n - 1)) if n > 1 else 1
+    bound = DEFAULT_SCALE_BOUND if max_candidates is None else max_candidates
+    if seeds_total > bound:
+        raise ValueError(f"{seeds_total} candidate tables exceed bound {bound}")
+    if n == 1:
+        yield np.zeros((1, 1, 1), dtype=np.int64)
+        return
+
+    gen_idx = [g.index[x] for x in gens]
+    # fill order: by total exponent, so each element e = p + gen with p earlier
+    order = sorted(range(n), key=lambda i: (sum(g.elements[i]), g.elements[i]))
+    decomp = {}
+    for i in order:
+        e = g.elements[i]
+        if sum(e) < 2 or i in gen_idx:
+            continue
+        j = max(k for k, x in enumerate(e) if x)
+        gen = tuple(1 if k == j else 0 for k in range(len(e)))
+        p = tuple(x - (1 if k == j else 0) for k, x in enumerate(e))
+        decomp[i] = (g.index[p], g.index[gen])
+
+    p_tab = g.prod
+    I, J, K = [a.reshape(-1) for a in
+               np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")]
+    PIJ, PJK = p_tab[I, J], p_tab[J, K]
+
+    for start in range(0, seeds_total, _CHUNK):
+        count = min(_CHUNK, seeds_total - start)
+        seeds = _mixed_radix(count, t * (n - 1), m, start)
+        T = np.zeros((count, n, n), dtype=np.int64)
+        for jg, gi in enumerate(gen_idx):
+            T[:, 1:, gi] = seeds[:, jg * (n - 1):(jg + 1) * (n - 1)]
+        for i in order:
+            if i not in decomp:
+                continue
+            pi, gi = decomp[i]
+            T[:, :, i] = (T[np.arange(count)[:, None], p_tab[:, pi][None, :], gi]
+                          + T[:, :, pi] - T[:, pi, gi][:, None]) % m
+        lhs = (T[:, PIJ, K] + T[:, I, J] - T[:, I, PJK] - T[:, J, K]) % m
+        good = (lhs == 0).all(axis=1)
+        if good.any():
+            yield T[good]
+
+
+def brute_force_h2(group: FiniteAbelianGroup, m: int) -> list[Cochain2]:
+    """Lexicographically least table of each class: every cocycle, sorted,
+    with the coboundary coset of each new representative struck out."""
+    n = group.order
+    cocycles = np.concatenate([b.reshape(b.shape[0], n * n)
+                               for b in _cocycle_batches(group, m, None)])
+    cob = np.unique(np.concatenate([t.reshape(t.shape[0], n * n)
+                                    for _, t in _coboundary_batches(group, m)]), axis=0)
+    reps, seen = [], set()
+    for row in cocycles[np.lexsort(cocycles.T[::-1])]:
+        if row.tobytes() in seen:
+            continue
+        reps.append(Cochain2(group, CoefficientGroup(m), row.reshape(n, n)))
+        seen.update(r.tobytes() for r in (row[None, :] + cob) % m)
+    return reps
+
+
+def _table_identity(table) -> int:
+    n = len(table)
+    for e in range(n):
+        if np.array_equal(table[e, :], np.arange(n)):
+            return e
+    raise ValueError("table has no identity")
+
+
+def _table_orders(table):
+    n = len(table)
+    e = _table_identity(table)
+    orders = []
+    for i in range(n):
+        k, cur = 1, i
+        while cur != e:
+            cur = int(table[cur, i])
+            k += 1
+        orders.append(k)
+    return orders, e
+
+
+def tables_isomorphic(ta, tb) -> bool:
+    """Exhaustive isomorphism search between two Cayley tables (desk scale)."""
+    ta, tb = np.asarray(ta), np.asarray(tb)
+    n = len(ta)
+    if len(tb) != n:
+        return False
+    orders_a, ea = _table_orders(ta)
+    orders_b, eb = _table_orders(tb)
+    if sorted(orders_a) != sorted(orders_b):
+        return False
+
+    # greedy generating sequence for ta
+    gens = []
+    closure = {ea}
+    for x in range(n):
+        if x not in closure:
+            gens.append(x)
+            frontier = set(closure) | {x}
+            while True:
+                new = {int(ta[a, b]) for a in frontier for b in frontier} - frontier
+                if not new:
+                    break
+                frontier |= new
+            closure = frontier
+
+    # express every element as (parent, generator) via BFS
+    word = {ea: None}
+    queue = [ea]
+    while queue:
+        cur = queue.pop(0)
+        for gi in gens:
+            nxt = int(ta[cur, gi])
+            if nxt not in word:
+                word[nxt] = (cur, gi)
+                queue.append(nxt)
+    assert len(word) == n
+
+    by_order_b = {}
+    for i, o in enumerate(orders_b):
+        by_order_b.setdefault(o, []).append(i)
+
+    bfs_order = sorted(word, key=lambda x: 0 if word[x] is None else 1)
+
+    def extend(assignment):
+        if len(assignment) == len(gens):
+            phi = {ea: eb}
+            for x in bfs_order:
+                if word[x] is None:
+                    continue
+                parent, gi = word[x]
+                phi[x] = int(tb[phi[parent], assignment[gi]])
+            if len(set(phi.values())) != n:
+                return False
+            for a in range(n):
+                for b in range(n):
+                    if phi[int(ta[a, b])] != int(tb[phi[a], phi[b]]):
+                        return False
+            return True
+        gi = gens[len(assignment)]
+        for cand in by_order_b.get(orders_a[gi], []):
+            if cand in assignment.values():
+                continue
+            nxt = dict(assignment)
+            nxt[gi] = cand
+            if extend(nxt):
+                return True
+        return False
+
+    return extend({})
+
+
+def _isomorphic_to(self, other: ExtensionGroup) -> bool:
+    return tables_isomorphic(self.table, other.table)
+
+
+# the isomorphism search is a test oracle only; tests call it as a method
+ExtensionGroup.isomorphic_to = _isomorphic_to

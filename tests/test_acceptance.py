@@ -19,8 +19,7 @@ import pytest
 
 from orbipar.cli import run_command
 from orbipar.cocycles import (Cochain2, CoefficientGroup, ExtensionGroup,
-                              FiniteAbelianGroup, _cocycle_batches,
-                              _coboundary_batches, extension_table, h2_classes,
+                              FiniteAbelianGroup, extension_table, h2_classes,
                               is_cocycle, table_is_associative, zeta)
 from orbipar.errors import NegativeGenus, NonIntegralGenus
 from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
@@ -31,9 +30,10 @@ from orbipar.moduli import CoveringData, degree_scaling_check, riemann_hurwitz
 from orbipar.pseudoreps import enumerate_classes
 from orbipar.scalars import root_of_unity
 
-from helpers import (MODELS_GRID, N_GRID, interior_weights, random_cochain,
-                     random_downstairs_series, random_invariant_series,
-                     random_nonzero_cyclotomic, random_pseudorep)
+from helpers import (MODELS_GRID, N_GRID, _coboundary_batches, _cocycle_batches,
+                     interior_weights, random_cochain, random_downstairs_series,
+                     random_invariant_series, random_nonzero_cyclotomic,
+                     random_pseudorep)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -1,6 +1,8 @@
 import json
 
-from orbipar.cli import run_command
+import pytest
+
+from orbipar.cli import main, run_command
 from orbipar import jsonio
 from orbipar.cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup
 from orbipar.liemodel import GroupModel, alcove_normalize
@@ -27,6 +29,30 @@ def test_cocycle_h2(tmp_path):
     out = json.loads(text)
     assert out["result"]["classes"] == 2
     assert out["audit"]["command"] == "cocycle h2"
+
+
+STRATA_EXTRA = {"covering": {"genus_x": 2, "group_order": 2, "orbit_orders": [2]},
+                "model": {"kind": "gl", "r": 1}}
+
+
+@pytest.mark.parametrize("bad", [0, -3, True])
+@pytest.mark.parametrize("command,extra", [(["cocycle", "h2"], {}),
+                                           (["moduli", "strata"], STRATA_EXTRA)])
+def test_coeff_order_validated(tmp_path, command, extra, bad):
+    code, text = invoke(tmp_path, command, {"group": [2], "coeff_order": bad, **extra})
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert "coeff_order" in out["detail"]
+
+
+@pytest.mark.parametrize("flags", [["-o", "{}"], ["--out={}"]])
+def test_out_flag_writes_file(tmp_path, capsys, flags):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"group": [2], "coeff_order": 2}))
+    out = tmp_path / "out.json"
+    code = main(["cocycle", "h2", str(path), *[f.format(out) for f in flags]])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert out.read_text() == run_command(["cocycle", "h2", str(path)])[1]
 
 
 def test_cocycle_verify_and_zeta(tmp_path):
@@ -179,9 +205,9 @@ def test_error_exit_codes(tmp_path):
     # schema violation -> exit 2
     code, text = invoke(tmp_path, ["cocycle", "verify"], {"group": [2]})
     assert code == 2 and json.loads(text)["error"] == "malformed_input"
-    # scale exceeded -> exit 1
+    # scale exceeded (8 classes, bound 4) -> exit 1
     code, text = invoke(tmp_path, ["cocycle", "h2"],
-                        {"group": [8], "coeff_order": 8}, "--scale-bound", "10")
+                        {"group": [8], "coeff_order": 8}, "--scale-bound", "4")
     assert code == 1 and json.loads(text)["error"] == "scale_exceeded"
 
 

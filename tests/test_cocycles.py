@@ -4,14 +4,17 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbipar.cocycles import (Cochain2, CoefficientGroup, FiniteAbelianGroup,
-                              are_cohomologous, central_extension, coboundary,
-                              extension_table, h2_classes, is_cocycle, restrict,
+from orbipar.cocycles import (MAX_COEFF_ORDER, Cochain2, CoefficientGroup,
+                              FiniteAbelianGroup, are_cohomologous,
+                              central_extension, coboundary, extension_table,
+                              h2_classes, is_cocycle, restrict,
                               table_is_associative, zeta)
 from orbipar.errors import NotACocycle, NotASubgroup, NotNormalized, ScaleExceeded
 
-from helpers import random_cyclic_cochain, random_cyclic_cocycle
+from helpers import (_coboundary_batches, brute_force_h2, random_cyclic_cochain,
+                     random_cyclic_cocycle)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -107,8 +110,90 @@ def test_h2_representatives_are_cocycles_and_inequivalent():
 
 
 def test_scale_bound():
+    # the bound is on the output: Z/8 with m = 8 has 8 classes
     with pytest.raises(ScaleExceeded):
-        h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=100)
+        h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=4)
+    assert len(h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=8)) == 8
+    with pytest.raises(ScaleExceeded):
+        h2_classes(Z2, MAX_COEFF_ORDER + 1)
+
+
+ORACLE_CASES = ([([n], m) for n in range(1, 7) for m in range(1, 7)]
+                + [([2, 2], 2), ([2, 2], 3), ([2, 2], 4), ([2, 4], 2)])
+
+
+@pytest.mark.parametrize("factors,m", ORACLE_CASES)
+def test_h2_matches_brute_force(factors, m):
+    g = FiniteAbelianGroup(factors)
+    assert [r.key() for r in h2_classes(g, m)] == [r.key() for r in brute_force_h2(g, m)]
+
+
+def test_h2_matches_coset_oracle_on_z2_cubed():
+    # Enumerating every cocycle of (Z/2)^3 scans 2^21 tables (about a minute),
+    # so this checks the same list through the 2^7 coboundaries: the brute
+    # force emits, sorted, the least table of each coset of B^2 in Z^2, and
+    # there are |H^2| = 2^3 * 2^3 such cosets.
+    g = FiniteAbelianGroup([2, 2, 2])
+    reps = h2_classes(g, 2)
+    cob = np.concatenate([t.reshape(len(t), -1) for _, t in _coboundary_batches(g, 2)])
+    assert len(reps) == 64 and all(is_cocycle(r).ok for r in reps)
+    keys = [r.key() for r in reps]
+    assert keys == sorted(set(keys))
+    cosets = [{tuple(x) for x in (np.array(k) + cob) % 2} for k in keys]
+    assert all(min(coset) == key for coset, key in zip(cosets, keys))
+    assert len(set().union(*cosets)) == 64 * len({tuple(x) for x in cob})
+
+
+def abelian_groups(max_order):
+    """Invariant factors d_1 | d_2 | ... of every abelian group up to max_order."""
+    def chains(order, least):
+        if order == 1:
+            yield ()
+        for d in range(least, order + 1):
+            if order % d == 0:
+                for rest in chains(order // d, d):
+                    if not rest or rest[0] % d == 0:
+                        yield (d,) + rest
+    return [list(c) for order in range(1, max_order + 1) for c in chains(order, 2)]
+
+
+def uct_count(factors, m):
+    count = 1
+    for i, a in enumerate(factors):
+        count *= gcd(a, m)
+        for b in factors[i + 1:]:
+            count *= gcd(gcd(a, b), m)
+    return count
+
+
+def test_h2_sweep_matches_uct():
+    groups = abelian_groups(24)
+    assert len(groups) == 37
+    for factors in groups:
+        g = FiniteAbelianGroup(factors)
+        for m in (1, 2, 3, 4, 6, 12, 24):
+            reps = h2_classes(g, m)
+            assert len({r.key() for r in reps}) == uct_count(factors, m), (factors, m)
+            if m == 24:  # checking every m triples the sweep's time
+                assert all(is_cocycle(r).ok for r in reps), factors
+
+
+COHOMOLOGY_GROUPS = [[2], [3], [4], [6], [8], [12], [2, 2], [2, 4], [3, 3], [2, 2, 2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COHOMOLOGY_GROUPS), st.integers(1, 8), st.data())
+def test_are_cohomologous_finds_a_witness(factors, m, data):
+    g = FiniteAbelianGroup(factors)
+    reps = h2_classes(g, m)
+    c = reps[data.draw(st.integers(0, len(reps) - 1))]
+    f = [0] + data.draw(st.lists(st.integers(0, m - 1), min_size=g.order - 1,
+                                 max_size=g.order - 1))
+    shifted = c.mul(coboundary(g, m, f))
+    ok, witness = are_cohomologous(c, shifted)
+    assert ok and coboundary(g, m, witness).mul(c) == shifted
+    other = reps[data.draw(st.integers(0, len(reps) - 1))]
+    assert are_cohomologous(other, shifted)[0] == (other == c)
 
 
 def test_central_extension_examples():

@@ -23,7 +23,7 @@ from .pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass, classify,
                          deck_transport, enumerate_classes, induced_cocycle,
                          project_mod_center, verify_pseudorep)
 from .scalars import (Convention, Cyclotomic, FractionalWeight, Rational,
-                      cyclotomic_embed, normalize_weight, root_of_unity)
+                      normalize_weight, root_of_unity)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ def cmd_cocycle_verify(payload, args):
 
 def cmd_cocycle_h2(payload, args):
     m = jsonio.coeff_order_from_json(payload)
-    group = FiniteAbelianGroup(jsonio._need(payload, "group", list))
+    group = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "group"))
     reps = h2_classes(group, m, args.scale_bound)
     return ({"classes": len(reps),
              "representatives": [jsonio.cochain_to_json(r) for r in reps]},
@@ -103,7 +103,7 @@ def cmd_pseudorep_enumerate(payload, args):
 
 def cmd_pseudorep_transport(payload, args):
     sigma = jsonio.pseudorep_from_json(jsonio._need(payload, "pseudorep"))
-    ambient = FiniteAbelianGroup(jsonio._need(payload, "ambient_group", list))
+    ambient = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "ambient_group"))
     gamma0 = tuple(jsonio._need(payload, "gamma0", list))
     gen_image = tuple(jsonio._need(payload, "generator_image", list))
     out = deck_transport(sigma, gamma0, ambient, gen_image)
@@ -223,7 +223,7 @@ def cmd_moduli_rh(payload, args):
 
 def cmd_moduli_strata(payload, args):
     m = jsonio.coeff_order_from_json(payload)
-    group = FiniteAbelianGroup(jsonio._need(payload, "group", list))
+    group = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "group"))
     covering = jsonio.covering_from_json(jsonio._need(payload, "covering"))
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     strata = enumerate_strata(group, m, covering, model, args.scale_bound)

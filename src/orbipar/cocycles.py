@@ -281,8 +281,11 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
 
     One cocycle per class, by the universal coefficient theorem: k * carry_i
     with k < gcd(n_i, m), plus (m/g) * l * a_i b_j with l < g = gcd(n_i, n_j, m)
-    for i < j.  `max_candidates` bounds the number of classes.
+    for i < j.  `max_candidates` bounds the number of classes; below 1 it is
+    malformed.
     """
+    if max_candidates < 1:
+        raise MalformedInput(f"scale bound {max_candidates} is below 1")
     count = h2_count(group, m)
     if count > max_candidates:
         raise ScaleExceeded(f"{count} classes exceed bound {max_candidates}")

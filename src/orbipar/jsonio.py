@@ -94,8 +94,16 @@ def coeff_order_from_json(data) -> int:
     return m
 
 
+def int_list_from_json(data, key) -> list:
+    """Field `key` as a list of ints; bools, floats and strings are rejected."""
+    values = _need(data, key, list)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise MalformedInput(f"field {key!r} must be a list of integers")
+    return values
+
+
 def cochain_from_json(data) -> Cochain2:
-    factors = _need(data, "group", list)
+    factors = int_list_from_json(data, "group")
     m = coeff_order_from_json(data)
     group = FiniteAbelianGroup(factors)
     n = group.order

@@ -7,12 +7,20 @@ convention: residues in [0,1) for torus weights, signed representatives in
 Q[x]/(Phi_M(x)), so every root of unity, and hence every eigenvalue of a
 finite-order group element, is represented exactly and equality is a
 coefficient comparison.
+
+Every product, embedding and root of unity is an unreduced polynomial that
+``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
+degrees at or above M/2 (M even) or M (M odd) down by the sparse relation
+x^(M/2) = -1, resp. x^M = 1, then divides by Phi_M from the top degree,
+touching only the nonzero terms.  Memory stays O(M); phi(M) comes from a
+cached factorisation.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import DenominatorNotDividing, IncompatibleOrders, MalformedInput
@@ -110,11 +118,11 @@ def _poly_trim(p):
 
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+        if ai:
+            for j, bj in b_terms:
+                out[i + j] += ai * bj
     return _poly_trim(out)
 
 
@@ -156,55 +164,52 @@ def _poly_egcd_inverse(f, m):
     return [x / c for x in s0]
 
 
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    """phi(n) by trial-division factorisation, O(sqrt n); 0 for n < 1."""
+    out, m, p = max(n, 0), n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    return out - out // m if m > 1 else out
 
 
-_CYCLOTOMIC_POLY_CACHE: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple:
     """Coefficients of Phi_M, computed by dividing x^M - 1 by Phi_d for d|M, d<M."""
-    if M in _CYCLOTOMIC_POLY_CACHE:
-        return _CYCLOTOMIC_POLY_CACHE[M]
     p = [Fraction(-1)] + [Fraction(0)] * (M - 1) + [Fraction(1)]  # x^M - 1
-    for d in _divisors(M):
-        if d < M:
+    for d in range(1, M):
+        if M % d == 0:
             p, rem = _poly_divmod(p, list(cyclotomic_poly(d)))
             assert not rem
     out = tuple(p)
     assert len(out) == euler_phi(M) + 1 and out[-1] == 1
-    _CYCLOTOMIC_POLY_CACHE[M] = out
     return out
 
 
-_POWER_TABLE_CACHE: dict[int, list] = {}
+@lru_cache(maxsize=None)
+def _phi_tail(M: int) -> tuple:
+    """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M."""
+    return tuple((j, -c) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
 
 
-def _power_table(M: int):
-    """x^k mod Phi_M for 0 <= k < 2*phi(M), as coefficient tuples."""
-    if M in _POWER_TABLE_CACHE:
-        return _POWER_TABLE_CACHE[M]
+def _reduce(M: int, poly) -> tuple:
+    """The phi(M) coefficients of poly(x) mod Phi_M, for a list of any length."""
     phi = euler_phi(M)
-    mod = list(cyclotomic_poly(M))
-    table = []
-    cur = [Fraction(1)]
-    for _ in range(2 * phi):
-        row = cur + [Fraction(0)] * (phi - len(cur))
-        table.append(tuple(row[:phi]))
-        cur = [Fraction(0)] + cur
-        _, cur = _poly_divmod(cur, mod)
-    _POWER_TABLE_CACHE[M] = table
-    return table
+    p = list(poly) + [Fraction(0)] * (phi - len(poly))
+    h, sign = (M // 2, -1) if M % 2 == 0 else (M, 1)  # x^h = sign mod Phi_M
+    for i in range(len(p) - 1, h - 1, -1):
+        if p[i]:
+            p[i - h] += sign * p[i]
+    for i in range(min(len(p), h) - 1, phi - 1, -1):
+        c = p[i]
+        if c:
+            for j, t in _phi_tail(M):
+                p[i - phi + j] += c * t
+    return tuple(p[:phi])
 
 
 class Cyclotomic:
@@ -248,7 +253,7 @@ class Cyclotomic:
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k, reduced."""
-        return cls(order, _reduce_exponent(order, k))
+        return cls(order, _reduce(order, [Fraction(0)] * (k % order) + [Fraction(1)]))
 
     # -- promotion ------------------------------------------------------
 
@@ -259,16 +264,9 @@ class Cyclotomic:
         if new_order == self.order:
             return self
         step = new_order // self.order
-        phi = euler_phi(new_order)
-        acc = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = _reduce_exponent(new_order, i * step)
-            for j, r in enumerate(row):
-                if r != 0:
-                    acc[j] += c * r
-        return Cyclotomic(new_order, acc)
+        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        poly[::step] = self.coeffs
+        return Cyclotomic(new_order, _reduce(new_order, poly))
 
     def _common(self, other):
         if not isinstance(other, Cyclotomic):
@@ -298,21 +296,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.order, [c * other for c in self.coeffs])
         a, b = self._common(other)
-        phi = len(a.coeffs)
-        table = _power_table(a.order)
-        acc = [Fraction(0)] * phi
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                xy = x * y
-                row = table[i + j]
-                for k, r in enumerate(row):
-                    if r != 0:
-                        acc[k] += xy * r
-        return Cyclotomic(a.order, acc)
+        return Cyclotomic(a.order, _reduce(a.order, _poly_mul(a.coeffs, b.coeffs)))
 
     __rmul__ = __mul__
 
@@ -320,9 +304,7 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a cyclotomic field")
         inv = _poly_egcd_inverse(list(self.coeffs), list(cyclotomic_poly(self.order)))
-        phi = euler_phi(self.order)
-        inv = list(inv) + [Fraction(0)] * (phi - len(inv))
-        return Cyclotomic(self.order, inv[:phi])
+        return Cyclotomic(self.order, _reduce(self.order, inv))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -364,37 +346,8 @@ class Cyclotomic:
     def __bool__(self):
         return not self.is_zero()
 
-    def multiplicative_order(self):
-        """Order as a root of unity, or None if the element is not one.
-
-        Roots of unity in Q(zeta_M) form the cyclic group of order lcm(2, M),
-        so trial exponentiation up to that bound is exhaustive.
-        """
-        L = self.order if self.order % 2 == 0 else 2 * self.order
-        acc = self
-        for d in range(1, L + 1):
-            if acc.is_one():
-                return d
-            acc = acc * self
-        return None
-
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def _reduce_exponent(M: int, k: int):
-    """Coefficients of x^k mod Phi_M."""
-    k %= M
-    table = _power_table(M)
-    if k < len(table):
-        return table[k]
-    # k < M always, but phi(M) can be much smaller than M
-    phi = euler_phi(M)
-    mod = list(cyclotomic_poly(M))
-    cur = [Fraction(0)] * k + [Fraction(1)]
-    _, cur = _poly_divmod(cur, mod)
-    cur = list(cur) + [Fraction(0)] * (phi - len(cur))
-    return tuple(cur[:phi])
 
 
 _ROOT_CACHE: dict[tuple, Cyclotomic] = {}
@@ -412,13 +365,8 @@ def root_of_unity(q, M: int | None = None) -> Cyclotomic:
     k = int(M * q) % M
     key = (M, k)
     if key not in _ROOT_CACHE:
-        _ROOT_CACHE[key] = Cyclotomic(M, _reduce_exponent(M, k))
+        _ROOT_CACHE[key] = Cyclotomic.zeta_power(M, k)
     return _ROOT_CACHE[key]
-
-
-def cyclotomic_embed(c: Cyclotomic, new_order: int) -> Cyclotomic:
-    """Promote c along Q(zeta_M) -> Q(zeta_M'); requires M | M'."""
-    return c.embed(new_order)
 
 
 def working_order(*denominators: int) -> int:

@@ -1,9 +1,9 @@
 """Shared generators for randomized suites: cocycles, pseudoreps, series.
 
-Also the brute-force oracles the cohomology tests compare against: the
+Also the brute-force oracles the tests compare against: the
 exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
-coboundary cosets, and an exhaustive isomorphism search between Cayley
-tables.
+coboundary cosets, an exhaustive isomorphism search between Cayley tables,
+and the order of a root of unity by trial exponentiation.
 """
 
 from fractions import Fraction
@@ -340,3 +340,22 @@ def _isomorphic_to(self, other: ExtensionGroup) -> bool:
 
 # the isomorphism search is a test oracle only; tests call it as a method
 ExtensionGroup.isomorphic_to = _isomorphic_to
+
+
+def _multiplicative_order(self: Cyclotomic):
+    """Order as a root of unity, or None if the element is not one.
+
+    Roots of unity in Q(zeta_M) form the cyclic group of order lcm(2, M),
+    so trial exponentiation up to that bound is exhaustive.
+    """
+    L = self.order if self.order % 2 == 0 else 2 * self.order
+    acc = self
+    for d in range(1, L + 1):
+        if acc.is_one():
+            return d
+        acc = acc * self
+    return None
+
+
+# trial exponentiation is a test oracle only; tests call it as a method
+Cyclotomic.multiplicative_order = _multiplicative_order

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,39 @@ def test_coeff_order_validated(tmp_path, command, extra, bad):
     out = json.loads(text)
     assert code == 2 and out["error"] == "malformed_input"
     assert "coeff_order" in out["detail"]
+
+
+TRANSPORT = {"ambient_group": [6], "gamma0": [3], "generator_image": [3],
+             "pseudorep": {"order": 2, "cocycle": {"group": [2], "coeff_order": 1, "table": []},
+                           "images": {"0": {"size": 1, "entries": [["1"]]},
+                                      "1": {"size": 1, "entries": [["-1"]]}}}}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"])
+@pytest.mark.parametrize("command,payload,key", [
+    (["cocycle", "h2"], {"group": [2], "coeff_order": 2}, "group"),
+    (["moduli", "strata"], {"group": [2], "coeff_order": 2, **STRATA_EXTRA}, "group"),
+    (["cocycle", "verify"], {"group": [2], "coeff_order": 2, "table": []}, "group"),
+    (["pseudorep", "transport"], TRANSPORT, "ambient_group"),
+])
+def test_group_items_must_be_ints(tmp_path, command, payload, key, bad):
+    code, _ = invoke(tmp_path, command, payload)
+    assert code == 0
+    code, text = invoke(tmp_path, command, {**payload, key: [bad, *payload[key]]})
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert repr(key) in out["detail"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("command,extra", [(["cocycle", "h2"], {}),
+                                           (["moduli", "strata"], STRATA_EXTRA)])
+def test_scale_bound_below_one_is_malformed(tmp_path, command, extra, bound):
+    code, text = invoke(tmp_path, command, {"group": [2], "coeff_order": 2, **extra},
+                        "--scale-bound", bound)
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert "scale bound" in out["detail"]
 
 
 @pytest.mark.parametrize("flags", [["-o", "{}"], ["--out={}"]])
@@ -155,6 +189,32 @@ def test_local_twist_flag(tmp_path):
     code, text = invoke(tmp_path, ["local", "check"], payload, "--twist", "2/3")
     assert code == 0 and result_of(text)["invariant"]
     assert json.loads(text)["audit"]["twist"] == "2/3"
+
+
+def test_local_check_large_prime_order(tmp_path):
+    # gl(1) at N = 4001: invariant terms sit at k = -1 (mod N); k = 7 is not
+    N = 4001
+    payload = {"model": {"kind": "gl", "r": 1}, "alpha": ["0"], "N": N,
+               "variable": "z", "trunc": 3 * N,
+               "terms": [{"basis": [0, 0], "k": k, "coeff": c}
+                         for k, c in [(N - 1, "1"), (2 * N - 1, "-2/3"),
+                                      (3 * N - 1, "5"), (7, "1/2")]]}
+    code, text = invoke(tmp_path, ["local", "check"], payload)
+    assert code == 0
+    out = json.loads(text)
+    assert out["audit"]["M"] == N
+    assert out["result"] == {"invariant": False, "by_index": False,
+                             "by_substitution": False, "twist": "0",
+                             "violations": [{"beta": "0", "k": 7, "basis": [0, 0]}]}
+
+
+def test_huge_cyclotomic_order_fails_fast(tmp_path):
+    payload = make_series_payload()
+    payload["terms"][0]["coeff"] = {"order": 10 ** 12, "coeffs": []}
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["local", "check"], payload)
+    assert code == 2 and json.loads(text)["error"] == "malformed_input"
+    assert time.perf_counter() - start < 5
 
 
 def test_moduli_commands(tmp_path):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from orbipar.errors import DenominatorNotDividing, IncompatibleOrders
 from orbipar.scalars import (Convention, Cyclotomic, FractionalWeight,
-                             cyclotomic_embed, cyclotomic_poly, euler_phi,
-                             normalize_weight, root_of_unity, working_order)
+                             cyclotomic_poly, euler_phi, normalize_weight,
+                             root_of_unity, working_order)
+
+import helpers  # noqa: F401  (attaches Cyclotomic.multiplicative_order)
 
 
 def test_cyclotomic_polynomials():
@@ -90,15 +93,15 @@ def test_field_axioms_random():
 
 def test_embedding_examples():
     one = Cyclotomic.one(2)
-    assert cyclotomic_embed(one, 6).is_one()
+    assert one.embed(6).is_one()
     minus = root_of_unity(Fraction(1, 2), 2)
-    lifted = cyclotomic_embed(minus, 4)
+    lifted = minus.embed(4)
     assert (lifted * lifted).is_one() and not lifted.is_one()
     assert lifted == Cyclotomic.zeta_power(4, 2)
     z3 = root_of_unity(Fraction(1, 3), 3)
-    assert cyclotomic_embed(z3, 12).multiplicative_order() == 3
+    assert z3.embed(12).multiplicative_order() == 3
     with pytest.raises(IncompatibleOrders):
-        cyclotomic_embed(z3, 8)
+        z3.embed(8)
 
 
 def test_embedding_commutes_with_comparison():
@@ -106,7 +109,7 @@ def test_embedding_commutes_with_comparison():
     for _ in range(50):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(6))]
         x = Cyclotomic(6, coeffs)
-        assert cyclotomic_embed(x, 12) == x
+        assert x.embed(12) == x
 
 
 def test_mixed_order_arithmetic_promotes():
@@ -122,3 +125,42 @@ def test_weight_range_validation():
     with pytest.raises(Exception):
         FractionalWeight(Fraction(-1, 2))  # zero_one convention
     FractionalWeight(Fraction(-1, 2), Convention.SIGNED)
+
+
+# -- sympy as an independent oracle for the reduction kernel -----------------
+
+X = sympy.Symbol("x")
+
+
+def test_euler_phi_matches_sympy():
+    for n in range(1, 300):
+        assert euler_phi(n) == sympy.totient(n), n
+    for n in (4001, 10 ** 12, 999999999989):
+        assert euler_phi(n) == sympy.totient(n), n
+
+
+def test_cyclotomic_poly_matches_sympy():
+    for M in range(1, 121):
+        expected = sympy.Poly(sympy.cyclotomic_poly(M, X), X).all_coeffs()[::-1]
+        assert cyclotomic_poly(M) == tuple(Fraction(int(c)) for c in expected), M
+
+
+def _as_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], X, domain="QQ")
+
+
+@pytest.mark.parametrize("M", [18, 64, 101, 218, 226])
+def test_sparse_times_dense_matches_sympy_remainder(M):
+    rng = random.Random(M)
+    phi = euler_phi(M)
+    modulus = sympy.Poly(sympy.cyclotomic_poly(M, X), X, domain="QQ")
+    for _ in range(3):
+        sparse = [Fraction(0)] * phi
+        for i in rng.sample(range(phi), 3):
+            sparse[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        dense = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(phi)]
+        product = Cyclotomic(M, sparse) * Cyclotomic(M, dense)
+        expected = (_as_poly(sparse) * _as_poly(dense)).rem(modulus).all_coeffs()[::-1]
+        expected = [Fraction(int(c.p), int(c.q)) for c in expected]
+        assert list(product.coeffs) == expected + [Fraction(0)] * (phi - len(expected))

@@ -63,7 +63,7 @@ def cmd_cocycle_extend(payload, args):
 
 def cmd_cocycle_zeta(payload, args):
     c = jsonio.cochain_from_json(payload.get("cochain"))
-    element = tuple(jsonio._need(payload, "element", list))
+    element = tuple(jsonio.int_list_from_json(payload, "element"))
     if element not in c.group.index:
         raise MalformedInput(f"{list(element)} is not an element of the group")
     value = zeta(c, element)
@@ -104,8 +104,8 @@ def cmd_pseudorep_enumerate(payload, args):
 def cmd_pseudorep_transport(payload, args):
     sigma = jsonio.pseudorep_from_json(jsonio._need(payload, "pseudorep"))
     ambient = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "ambient_group"))
-    gamma0 = tuple(jsonio._need(payload, "gamma0", list))
-    gen_image = tuple(jsonio._need(payload, "generator_image", list))
+    gamma0 = tuple(jsonio.int_list_from_json(payload, "gamma0"))
+    gen_image = tuple(jsonio.int_list_from_json(payload, "generator_image"))
     out = deck_transport(sigma, gamma0, ambient, gen_image)
     return (jsonio.pseudorep_to_json(out),
             _audit("pseudorep transport", order=sigma.order,

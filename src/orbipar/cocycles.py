@@ -21,15 +21,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-import numpy as np
-
 from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
                      ScaleExceeded)
 from .scalars import Cyclotomic, FractionalWeight, root_of_unity
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_SCALE_BOUND = 2 ** 21  # classes or strata in one output
-MAX_COEFF_ORDER = 2 ** 31  # keeps products of two residues inside int64
+MAX_EXTENSION_ORDER = 64  # m * |G|; the extension table has its square entries
 
 
 class FiniteAbelianGroup:
@@ -50,14 +48,10 @@ class FiniteAbelianGroup:
             raise ScaleExceeded(f"group order {order} exceeds bound {max_order}")
         self.factors = factors
         self.order = order
-        self.elements = [tuple(idx) for idx in np.ndindex(*factors)] if factors else [()]
+        self.elements = list(product(*map(range, factors)))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        n = self.order
-        self.prod = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                self.prod[i, j] = self.index[self.add(a, b)]
-        self.prod.flags.writeable = False
+        self.prod = tuple(tuple(self.index[self.add(a, b)] for b in self.elements)
+                          for a in self.elements)
 
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
@@ -96,14 +90,6 @@ class FiniteAbelianGroup:
     def is_cyclic(self) -> bool:
         return any(self.element_order(e) == self.order for e in self.elements)
 
-    def cyclic_subgroup_elements(self, d: int):
-        """Elements of the unique order-d subgroup of a cyclic group."""
-        if self.order % d != 0:
-            raise MalformedInput(f"{d} does not divide {self.order}")
-        gen = next(e for e in self.elements if self.element_order(e) == self.order)
-        step = tuple((x * (self.order // d)) % n for x, n in zip(gen, self.factors))
-        return self.powers(step)
-
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
 
@@ -117,9 +103,6 @@ class CoefficientGroup:
 
     order: int
 
-    def weight(self, k: int) -> FractionalWeight:
-        return FractionalWeight(Fraction(k % self.order, self.order))
-
     def value(self, k: int) -> Cyclotomic:
         return root_of_unity(Fraction(k % self.order, self.order), self.order)
 
@@ -132,35 +115,34 @@ class Cochain2:
     """
 
     def __init__(self, group: FiniteAbelianGroup, coefficients: CoefficientGroup, table):
-        table = np.asarray(table, dtype=np.int64) % coefficients.order
-        n = group.order
-        if table.shape != (n, n):
-            raise MalformedInput(f"table shape {table.shape}, expected {(n, n)}")
-        if table[0, :].any() or table[:, 0].any():
+        m, n = coefficients.order, group.order
+        table = tuple(tuple([x % m for x in row]) for row in table)
+        if len(table) != n or any(len(row) != n for row in table):
+            raise MalformedInput(f"table is not {n} x {n}")
+        if any(table[0]) or any(row[0] for row in table):
             raise NotNormalized("c(gamma, 1) and c(1, gamma) must equal 1")
         self.group = group
         self.coefficients = coefficients
         self.table = table
-        self.table.flags.writeable = False
 
     @classmethod
     def trivial(cls, group, m: int):
-        return cls(group, CoefficientGroup(m), np.zeros((group.order, group.order), dtype=np.int64))
+        return cls(group, CoefficientGroup(m), [[0] * group.order] * group.order)
 
     def value(self, a, b) -> int:
-        return int(self.table[self.group.index[a], self.group.index[b]])
+        return self.table[self.group.index[a]][self.group.index[b]]
 
     def mul(self, other: "Cochain2") -> "Cochain2":
         _check_compatible(self, other)
-        return Cochain2(self.group, self.coefficients, (self.table + other.table))
+        return Cochain2(self.group, self.coefficients,
+                        [[x + y for x, y in zip(r, s)] for r, s in zip(self.table, other.table)])
 
     def __eq__(self, other):
         return (isinstance(other, Cochain2) and self.group == other.group
-                and self.coefficients == other.coefficients
-                and np.array_equal(self.table, other.table))
+                and self.coefficients == other.coefficients and self.table == other.table)
 
     def key(self):
-        return tuple(int(x) for x in self.table.reshape(-1))
+        return tuple(x for row in self.table for x in row)
 
     def __repr__(self):
         return f"Cochain2({self.group}, m={self.coefficients.order})"
@@ -181,16 +163,21 @@ class CocycleVerdict:
 
 
 def is_cocycle(c: Cochain2) -> CocycleVerdict:
-    """Check c(ab,d) c(a,b) = c(a,bd) c(b,d) on every triple."""
+    """Check c(ab,d) c(a,b) = c(a,bd) c(b,d) on every triple.
+
+    The witness is the first failing triple in row-major order.  Triples
+    holding the identity pass for any normalized cochain and are skipped.
+    """
     g, t, m = c.group, c.table, c.coefficients.order
-    n = g.order
-    p = g.prod
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    lhs = (t[p[i, j], k] + t[i, j] - t[i, p[j, k]] - t[j, k]) % m
-    bad = np.argwhere(lhs != 0)
-    if bad.size:
-        a, b, d = bad[0]
-        return CocycleVerdict(False, (g.elements[a], g.elements[b], g.elements[d]))
+    p, span = g.prod, range(1, g.order)
+    for a in span:
+        ta, pa = t[a], p[a]
+        for b in span:
+            tab, tb, pb = t[pa[b]], t[b], p[b]
+            cab = ta[b]
+            for d in span:
+                if (tab[d] + cab - ta[pb[d]] - tb[d]) % m:
+                    return CocycleVerdict(False, (g.elements[a], g.elements[b], g.elements[d]))
     return CocycleVerdict(True, None)
 
 
@@ -199,12 +186,12 @@ def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
 
     f is given as exponents in Z/m, one per element in canonical order.
     """
-    f = np.asarray(f, dtype=np.int64) % m
-    if f.shape != (group.order,):
+    f = [x % m for x in f]
+    if len(f) != group.order:
         raise MalformedInput(f"need {group.order} values for f")
     if f[0] != 0:
         raise MalformedInput("f(1) must equal 1")
-    table = (f[group.prod] - f[:, None] - f[None, :]) % m
+    table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
     return Cochain2(group, CoefficientGroup(m), table)
 
 
@@ -225,10 +212,10 @@ def _howell_form(rows, m: int):
     members of the span that vanish before column k are spanned by the rows
     pivoting at or after k, which is what makes `_reduce` lexicographic.
     """
-    work = [r for r in rows % m if r.any()]
+    work = [r for r in ([x % m for x in r] for r in rows) if any(r)]
     form = []
     while work:
-        col = min(int(np.flatnonzero(r)[0]) for r in work)
+        col = min(next(i for i, x in enumerate(r) if x) for r in work)
         piv, rest = None, []
         for r in work:
             if not r[col]:
@@ -236,33 +223,41 @@ def _howell_form(rows, m: int):
             elif piv is None:
                 piv = r
             else:  # a unimodular pair of combinations: gcd pivot, zero below
-                a, b = int(piv[col]), int(r[col])
+                a, b = piv[col], r[col]
                 g, s, t = _gcdex(a, b)
-                piv, r = (s % m * piv + t % m * r) % m, (b // g * piv - a // g * r) % m
+                piv, r = _combine(s, piv, t, r, m), _combine(b // g, piv, -(a // g), r, m)
                 rest.append(r)
         # s*piv has pivot d = gcd(a, m); it and (m/d)*piv span what piv did
-        d, s, _ = _gcdex(int(piv[col]), m)
-        form.append((col, s % m * piv % m))
-        rest.append(m // d * piv % m)
-        work = [r for r in rest if r.any()]
+        d, s, _ = _gcdex(piv[col], m)
+        form.append((col, [s * x % m for x in piv]))
+        rest.append([m // d * x % m for x in piv])
+        work = [r for r in rest if any(r)]
     return form
 
 
-def _reduce(vectors, form, m: int):
-    """The lexicographically least member of each row's coset of the span."""
+def _combine(s: int, u, t: int, v, m: int):
+    return [(s * x + t * y) % m for x, y in zip(u, v)]
+
+
+def _reduce(vector, form, m: int):
+    """The lexicographically least member of the vector's coset of the span."""
     for col, row in form:
-        vectors = (vectors - (vectors[:, col] // row[col])[:, None] * row) % m
-    return vectors
+        q = vector[col] // row[col]
+        if q:
+            vector = _combine(1, vector, -q, row, m)
+    return vector
 
 
 def _coboundary_form(group: FiniteAbelianGroup, m: int):
     """Howell form of the rows [d(e_g) | e_g], g != 1: a table, then its f."""
-    if m > MAX_COEFF_ORDER:
-        raise ScaleExceeded(f"coefficient order {m} exceeds {MAX_COEFF_ORDER}")
-    n = group.order
-    f = np.eye(n, dtype=np.int64)[1:]
-    tables = f[:, group.prod] - f[:, :, None] - f[:, None, :]
-    return _howell_form(np.concatenate([tables.reshape(n - 1, n * n), f[:, 1:]], axis=1), m)
+    n, prod = group.order, group.prod
+    rows = []
+    for g in range(1, n):
+        # d(e_g)(a, b) = [ab = g] - [a = g] - [b = g]
+        table = [(p == g) - (a == g) - (b == g)
+                 for a, row in enumerate(prod) for b, p in enumerate(row)]
+        rows.append(table + [int(h == g) for h in range(1, n)])
+    return _howell_form(rows, m)
 
 
 def h2_count(group: FiniteAbelianGroup, m: int) -> int:
@@ -290,22 +285,21 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
     if count > max_candidates:
         raise ScaleExceeded(f"{count} classes exceed bound {max_candidates}")
     form = _coboundary_form(group, m)
-    n, factors = group.order, group.factors
-    el = np.array(group.elements, dtype=np.int64).reshape(n, len(factors))
+    n, factors, el = group.order, group.factors, group.elements
     orders, tables = [], []
     for i, ni in enumerate(factors):
         orders.append(gcd(ni, m))
-        tables.append((el[:, None, i] + el[None, :, i]) // ni)
+        tables.append([(a[i] + b[i]) // ni for a in el for b in el])
         for j in range(i + 1, len(factors)):
             g = gcd(ni, factors[j], m)
             orders.append(g)
-            tables.append(m // g * el[:, None, i] * el[None, :, j])
-    coeffs = np.array(list(product(*map(range, orders))), dtype=np.int64).reshape(count, -1)
-    basis = np.array(tables, dtype=np.int64).reshape(len(tables), n * n)
-    reps = _reduce(np.pad(coeffs @ basis % m, ((0, 0), (0, n - 1))), form, m)[:, :n * n]
-    reps = reps[np.lexsort(reps.T[::-1])]
+            tables.append([m // g * a[i] * b[j] for a in el for b in el])
+    rows = [[0] * (n * n)]
+    for order, t in zip(orders, tables):
+        rows = [[(x + k * y) % m for x, y in zip(row, t)] for row in rows for k in range(order)]
+    reps = sorted(_reduce(row + [0] * (n - 1), form, m)[:n * n] for row in rows)
     coeff = CoefficientGroup(m)
-    return [Cochain2(group, coeff, row.reshape(n, n)) for row in reps]
+    return [Cochain2(group, coeff, [row[i:i + n] for i in range(0, n * n, n)]) for row in reps]
 
 
 def are_cohomologous(c1: Cochain2, c2: Cochain2):
@@ -317,11 +311,11 @@ def are_cohomologous(c1: Cochain2, c2: Cochain2):
             raise NotACocycle(f"cocycle condition fails at {v.witness}")
     g, m = c1.group, c1.coefficients.order
     n = g.order
-    diff = np.pad((c2.table - c1.table).reshape(1, n * n) % m, ((0, 0), (0, n - 1)))
-    rest = _reduce(diff, _coboundary_form(g, m), m)[0]
-    if rest[:n * n].any():
+    diff = [(y - x) % m for r1, r2 in zip(c1.table, c2.table) for x, y in zip(r1, r2)]
+    rest = _reduce(diff + [0] * (n - 1), _coboundary_form(g, m), m)
+    if any(rest[:n * n]):
         return False, None
-    return True, [0] + [int(x) for x in -rest[n * n:] % m]
+    return True, [0] + [-x % m for x in rest[n * n:]]
 
 
 def zeta(c: Cochain2, gamma) -> FractionalWeight:
@@ -357,10 +351,8 @@ def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
             raise NotASubgroup(f"generator image orders do not match at {h}")
     if len(set(embed.values())) != subgroup.order:
         raise NotASubgroup("embedding is not injective")
-    table = np.zeros((subgroup.order, subgroup.order), dtype=np.int64)
-    for i, a in enumerate(subgroup.elements):
-        for j, b in enumerate(subgroup.elements):
-            table[i, j] = c.value(embed[a], embed[b])
+    table = [[c.value(embed[a], embed[b]) for b in subgroup.elements]
+             for a in subgroup.elements]
     return Cochain2(subgroup, c.coefficients, table)
 
 
@@ -376,18 +368,13 @@ class ExtensionGroup:
         self.cochain = cochain
         self.coeff_order = cochain.coefficients.order
         self.group = cochain.group
-        m, n = self.coeff_order, self.group.order
-        self.order = m * n
+        self.order = self.coeff_order * self.group.order
         self.table = extension_table(cochain)
-        self.table.flags.writeable = False
-
-    def label(self, i: int):
-        return (i // self.group.order, self.group.elements[i % self.group.order])
 
     def element_order(self, i: int) -> int:
         k, cur = 1, i
         while cur != 0:
-            cur = int(self.table[cur, i])
+            cur = self.table[cur][i]
             k += 1
         return k
 
@@ -395,30 +382,27 @@ class ExtensionGroup:
         return tuple(sorted(self.element_order(i) for i in range(self.order)))
 
     def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
+        return self.table == tuple(zip(*self.table))
 
     def center_contains_coefficients(self) -> bool:
-        n = self.group.order
-        zs = [z * n for z in range(self.coeff_order)]
-        return all(np.array_equal(self.table[z, :], self.table[:, z]) for z in zs)
+        n, t = self.group.order, self.table
+        return all(t[z] == tuple(row[z] for row in t) for z in range(0, self.order, n))
 
 
 def table_is_associative(table) -> bool:
-    table = np.asarray(table)
-    n = len(table)
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    return bool(np.array_equal(table[table[i, j], k], table[i, table[j, k]]))
+    """(ij)k = i(jk) on every triple, for a table of tuples as `extension_table` builds."""
+    return all(table[ti[j]] == tuple(map(ti.__getitem__, tj))
+               for ti in table for j, tj in enumerate(table))
 
 
 def extension_table(c: Cochain2):
     """Raw Cayley table of Z' x G without any group-axiom checks."""
     m, n = c.coefficients.order, c.group.order
-    table = np.zeros((m * n, m * n), dtype=np.int64)
-    for z1 in range(m):
-        for z2 in range(m):
-            zsum = (z1 + z2 + c.table) % m
-            table[z1 * n:(z1 + 1) * n, z2 * n:(z2 + 1) * n] = zsum * n + c.group.prod
-    return table
+    if m * n > MAX_EXTENSION_ORDER:
+        raise ScaleExceeded(f"extension order {m * n} exceeds bound {MAX_EXTENSION_ORDER}")
+    t, p = c.table, c.group.prod
+    return tuple(tuple((z1 + z2 + t[a][b]) % m * n + p[a][b] for z2 in range(m) for b in range(n))
+                 for z1 in range(m) for a in range(n))
 
 
 def central_extension(c: Cochain2) -> ExtensionGroup:
@@ -427,19 +411,19 @@ def central_extension(c: Cochain2) -> ExtensionGroup:
     Associativity of the table and the cocycle condition are checked
     independently; they must agree, and both fail together on non-cocycles.
     """
+    ext = ExtensionGroup(c)
     verdict = is_cocycle(c)
-    assoc = table_is_associative(extension_table(c))
-    if assoc != verdict.ok:
+    if table_is_associative(ext.table) != verdict.ok:
         raise AssertionError("associativity and cocycle verdicts disagree")
     if not verdict.ok:
         raise NotACocycle(f"cocycle condition fails at {verdict.witness}")
-    ext = ExtensionGroup(c)
-    n = ext.order
-    t = ext.table
     # identity, inverses, centrality of the coefficient copy
-    assert np.array_equal(t[0, :], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))
-    for i in range(n):
-        if not (t[i, :] == 0).any():
+    t, identity = ext.table, tuple(range(ext.order))
+    if t[0] != identity or tuple(row[0] for row in t) != identity:
+        raise AssertionError("index 0 is not the identity")
+    for i, row in enumerate(t):
+        if 0 not in row:
             raise AssertionError(f"no inverse for element {i}")
-    assert ext.center_contains_coefficients()
+    if not ext.center_contains_coefficients():
+        raise AssertionError("the coefficient copy is not central")
     return ext

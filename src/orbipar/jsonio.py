@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .cocycles import Cochain2, CoefficientGroup, ExtensionGroup, FiniteAbelianGroup
 from .errors import MalformedInput
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
@@ -34,6 +32,10 @@ def _need(data, key, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise MalformedInput(f"field {key!r} has wrong type")
     return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # -- scalars -----------------------------------------------------------------
@@ -83,13 +85,13 @@ def cochain_to_json(c: Cochain2) -> dict:
     table = []
     for i in range(c.group.order):
         for j in range(c.group.order):
-            table.append([i, j, str(Fraction(int(c.table[i, j]), m))])
+            table.append([i, j, str(Fraction(c.table[i][j], m))])
     return {"group": list(c.group.factors), "coeff_order": m, "table": table}
 
 
 def coeff_order_from_json(data) -> int:
-    m = _need(data, "coeff_order", int)
-    if isinstance(m, bool) or m < 1:
+    m = _need(data, "coeff_order")
+    if not _is_int(m) or m < 1:
         raise MalformedInput("coeff_order must be a positive integer")
     return m
 
@@ -97,7 +99,7 @@ def coeff_order_from_json(data) -> int:
 def int_list_from_json(data, key) -> list:
     """Field `key` as a list of ints; bools, floats and strings are rejected."""
     values = _need(data, key, list)
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+    if not all(map(_is_int, values)):
         raise MalformedInput(f"field {key!r} must be a list of integers")
     return values
 
@@ -107,13 +109,13 @@ def cochain_from_json(data) -> Cochain2:
     m = coeff_order_from_json(data)
     group = FiniteAbelianGroup(factors)
     n = group.order
-    table = np.zeros((n, n), dtype=np.int64)
+    table = [[0] * n for _ in range(n)]
     seen = set()
     for row in _need(data, "table", list):
         if not isinstance(row, list) or len(row) != 3:
             raise MalformedInput(f"bad table entry {row!r}")
         i, j, value = row
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
             raise MalformedInput(f"bad table index in {row!r}")
         frac = rational_from_json(value) % 1
         k = frac * m
@@ -122,7 +124,7 @@ def cochain_from_json(data) -> Cochain2:
         if (i, j) in seen:
             raise MalformedInput(f"duplicate table entry ({i}, {j})")
         seen.add((i, j))
-        table[i, j] = int(k) % m
+        table[i][j] = k.numerator
     return Cochain2(group, CoefficientGroup(m), table)
 
 
@@ -131,7 +133,7 @@ def extension_to_json(ext: ExtensionGroup) -> dict:
         "order": ext.order,
         "is_abelian": ext.is_abelian(),
         "order_profile": list(ext.order_profile()),
-        "table": [[int(x) for x in row] for row in ext.table],
+        "table": [list(row) for row in ext.table],
     }
 
 
@@ -223,7 +225,7 @@ def weight_vector_from_json(model: GroupModel, data) -> WeightVector:
 
 
 def mask_to_json(mask) -> list:
-    return [[int(bool(x)) for x in row] for row in np.asarray(mask)]
+    return [[int(x) for x in row] for row in mask]
 
 
 def parabolic_to_json(p: ParabolicData) -> dict:

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
 from .matrices import CycMatrix
 from .scalars import Convention, FractionalWeight, normalize_weight, rational
@@ -54,25 +52,18 @@ class GroupModel:
             raise MalformedInput(f"model size {self.size} exceeds {MAX_MODEL_SIZE}")
 
         n = self.size
-        self._block_of = np.zeros(n, dtype=int)
-        for bi, blk in enumerate(self.blocks):
-            for i in blk:
-                self._block_of[i] = bi
-        same_block = self._block_of[:, None] == self._block_of[None, :]
+        self._block_of = tuple(bi for bi, blk in enumerate(self.blocks) for _ in blk)
         if kind == "upq":
-            self.h_mask = same_block.copy()
-            self.m_mask = ~same_block
+            self.h_mask = tuple(tuple(x == y for y in self._block_of) for x in self._block_of)
+            self.m_mask = tuple(tuple(not x for x in row) for row in self.h_mask)
         else:
-            self.h_mask = np.ones((n, n), dtype=bool)
-            self.m_mask = np.ones((n, n), dtype=bool)
-        self.h_mask.flags.writeable = False
-        self.m_mask.flags.writeable = False
+            self.h_mask = self.m_mask = ((True,) * n,) * n
 
         # bases of m^C and h^C: matrix units, plus diagonal differences for sl
         bases = []
         for mask in (self.m_mask, self.h_mask):
             basis = [("unit", i, j) for i in range(n) for j in range(n)
-                     if mask[i, j] and not (i == j and self.kind == "sl")]
+                     if mask[i][j] and not (i == j and self.kind == "sl")]
             if self.kind == "sl":
                 basis += [("diagdiff", i) for i in range(n - 1)]
             bases.append(basis)
@@ -96,19 +87,18 @@ class GroupModel:
             raise MalformedInput(f"{key} is not a basis key of this model")
         return self._basis_by_key[key]
 
-    def basis_array(self, elem) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=np.int64)
+    def basis_array(self, elem) -> list:
+        out = [[0] * self.size for _ in range(self.size)]
         if elem[0] == "unit":
-            out[elem[1], elem[2]] = 1
+            out[elem[1]][elem[2]] = 1
         else:
             i = elem[1]
-            out[i, i] = 1
-            out[i + 1, i + 1] = -1
+            out[i][i] = 1
+            out[i + 1][i + 1] = -1
         return out
 
     def basis_matrix(self, idx: int) -> CycMatrix:
-        arr = self.basis_array(self.m_basis[idx])
-        return CycMatrix([[int(x) for x in row] for row in arr])
+        return CycMatrix(self.basis_array(self.m_basis[idx]))
 
     def weight_convention(self) -> Convention:
         return Convention.SIGNED if self.kind == "sl" else Convention.ZERO_ONE
@@ -177,7 +167,8 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
         if total.denominator != 1:
             raise NotInIH(f"sl exponents must have integral sum, got {total}")
         shift = int(total)
-        assert 0 <= shift < model.size  # entries lie in [0,1) after reduction
+        if not 0 <= shift < model.size:  # entries lie in [0,1) after reduction
+            raise AssertionError(f"integral sum {shift} outside [0, {model.size})")
         # subtract 1 from the `shift` largest entries: the result is the
         # zero-sum representative inside the affine wall, first - last <= 1
         out = out[shift:] + [v - 1 for v in out[:shift]]
@@ -235,36 +226,37 @@ class ParabolicData:
             raise NotInIH("sl requires a traceless diagonal s")
         self.model = model
         self.s = tuple(s)
-        n = model.size
-        le = np.array([[s[i] <= s[j] for j in range(n)] for i in range(n)])
-        eq = np.array([[s[i] == s[j] for j in range(n)] for i in range(n)])
-        self.p_mask = le & model.h_mask
-        self.l_mask = eq & model.h_mask
-        self.ms_mask = le & model.m_mask
-        self.m0_mask = eq & model.m_mask
-        for mask in (self.p_mask, self.l_mask, self.ms_mask, self.m0_mask):
-            mask.flags.writeable = False
+        le = [[x <= y for y in s] for x in s]
+        eq = [[x == y for y in s] for x in s]
+        self.p_mask = _mask_and(le, model.h_mask)
+        self.l_mask = _mask_and(eq, model.h_mask)
+        self.ms_mask = _mask_and(le, model.m_mask)
+        self.m0_mask = _mask_and(eq, model.m_mask)
 
     def _subspace_basis(self, mask, ambient):
         """Basis elements of the ambient list whose support fits inside mask."""
-        out = []
-        for elem in ambient:
-            arr = self.model.basis_array(elem)
-            if not ((arr != 0) & ~mask).any():
-                out.append(arr)
-        return out
+        arrays = (self.model.basis_array(elem) for elem in ambient)
+        return [arr for arr in arrays if self._supported(arr, mask)]
 
     def levi_is_intersection(self) -> bool:
         opposite = ParabolicData(self.model, [-x for x in self.s])
-        return bool(np.array_equal(self.l_mask, self.p_mask & opposite.p_mask))
+        return self.l_mask == _mask_and(self.p_mask, opposite.p_mask)
 
     @staticmethod
     def _bracket(a, b):
-        return a @ b - b @ a
+        """ab - ba, skipping zero entries: basis elements have one or two."""
+        out = [[0] * len(a) for _ in a]
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            for i, row in enumerate(x):
+                for k, v in enumerate(row):
+                    if v:
+                        for j, w in enumerate(y[k]):
+                            out[i][j] += sign * v * w
+        return out
 
     @staticmethod
     def _supported(arr, mask) -> bool:
-        return not ((arr != 0) & ~np.asarray(mask)).any()
+        return all(ok or not x for row, mrow in zip(arr, mask) for x, ok in zip(row, mrow))
 
     def bracket_closed(self) -> bool:
         """[p_s, p_s] inside p_s, exhaustively on basis pairs."""
@@ -287,6 +279,10 @@ class ParabolicData:
     def verify(self) -> bool:
         return (self.levi_is_intersection() and self.bracket_closed()
                 and self.p_preserves_m() and self.levi_preserves_m0())
+
+
+def _mask_and(a, b):
+    return tuple(tuple(x and y for x, y in zip(r, q)) for r, q in zip(a, b))
 
 
 def parabolic_from_s(model: GroupModel, s) -> ParabolicData:

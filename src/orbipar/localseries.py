@@ -241,7 +241,7 @@ def residue_report(series: GradedSeries) -> ResidueReport:
     levi_zero = True
     for i in range(n):
         for j in range(n):
-            if para.m0_mask[i, j] and not residue.entry(i, j).is_zero():
+            if para.m0_mask[i][j] and not residue.entry(i, j).is_zero():
                 levi_zero = False
     return ResidueReport(residue, support_ok, nilpotency_index is not None,
                          nilpotency_index, levi_zero)
@@ -294,7 +294,8 @@ def descend(series: GradedSeries):
     terms = {}
     for (b, k), coeff in series.terms.items():
         nl = k + 1 + N * series.beta_of(b).value  # = N*l, integral by invariance
-        assert nl.denominator == 1 and int(nl) % N == 0
+        if nl.denominator != 1 or int(nl) % N:
+            raise AssertionError(f"k + 1 + N*beta = {nl} is not a multiple of N")
         j = int(nl) // N - 1
         if j > out_trunc:
             continue
@@ -321,12 +322,14 @@ def ascend(series: GradedSeries, verify: bool = True) -> GradedSeries:
     terms = {}
     for (b, j), coeff in series.terms.items():
         k = N * (j + 1) - int(N * series.beta_of(b).value) - 1
-        assert k >= 0, "support precondition guarantees holomorphy"
+        if k < 0:
+            raise AssertionError("support precondition guarantees holomorphy")
         if k > out_trunc:
             continue
         terms[(b, k)] = coeff * N
     up = GradedSeries(series.model, series.weight, N, UPSTAIRS, out_trunc, terms)
     if verify:
         report = check_invariance(up)
-        assert report.invariant, "ascended series must be invariant"
+        if not report.invariant:
+            raise AssertionError("ascended series must be invariant")
     return up

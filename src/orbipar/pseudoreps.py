@@ -172,7 +172,8 @@ def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[Pse
         exps = tuple(FractionalWeight(q) for q in sorted(combo, reverse=True))
         classes.append(PseudoRepClass(n, z, exps))
     if model == "gl":
-        assert len(classes) == comb(n + r - 1, r)
+        if len(classes) != comb(n + r - 1, r):
+            raise AssertionError(f"{len(classes)} classes, expected C({n + r - 1}, {r})")
     classes.sort(key=lambda c: c.exponent_values())
     return classes
 
@@ -231,8 +232,8 @@ def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Coc
     if m2 < 1 or (t * m) % m2 != 0:
         raise NotAHomomorphism(
             f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")
-    table = (c.table * t) % m2
-    out = Cochain2(c.group, CoefficientGroup(m2), table)
+    out = Cochain2(c.group, CoefficientGroup(m2), [[x * t for x in row] for row in c.table])
     verdict = is_cocycle(out)
-    assert verdict.ok, "homomorphic image of a cocycle must be a cocycle"
+    if not verdict.ok:
+        raise AssertionError("homomorphic image of a cocycle must be a cocycle")
     return out

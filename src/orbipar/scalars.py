@@ -159,7 +159,8 @@ def _poly_egcd_inverse(f, m):
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    assert len(r0) == 1, "gcd with an irreducible modulus must be constant"
+    if len(r0) != 1:
+        raise AssertionError("gcd with an irreducible modulus must be constant")
     c = r0[0]
     return [x / c for x in s0]
 
@@ -184,9 +185,11 @@ def cyclotomic_poly(M: int) -> tuple:
     for d in range(1, M):
         if M % d == 0:
             p, rem = _poly_divmod(p, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise AssertionError(f"Phi_{d} does not divide x^{M} - 1")
     out = tuple(p)
-    assert len(out) == euler_phi(M) + 1 and out[-1] == 1
+    if len(out) != euler_phi(M) + 1 or out[-1] != 1:
+        raise AssertionError(f"Phi_{M} is not monic of degree phi({M})")
     return out
 
 

@@ -52,7 +52,7 @@ def random_cochain(rng, factors, m):
     n = g.order
     table = np.zeros((n, n), dtype=np.int64)
     table[1:, 1:] = [[rng.randrange(m) for _ in range(n - 1)] for _ in range(n - 1)]
-    return Cochain2(g, CoefficientGroup(m), table)
+    return Cochain2(g, CoefficientGroup(m), table.tolist())
 
 
 def random_cyclic_cochain(rng, n, m):
@@ -73,7 +73,7 @@ def random_cyclic_cocycle(rng, n, m):
         # c(a, g^{b+1}) = c(a + g^b, g) + c(a, g^b) - c(g^b, g)
         for a in range(n):
             table[a, b + 1] = (table[(a + b) % n, 1] + table[a, b] - table[b, 1]) % m
-    c = Cochain2(g, CoefficientGroup(m), table)
+    c = Cochain2(g, CoefficientGroup(m), table.tolist())
     assert is_cocycle(c).ok
     return c
 
@@ -166,7 +166,7 @@ def _coboundary_batches(g: FiniteAbelianGroup, m: int):
         count = min(_CHUNK, total - start)
         fs = _mixed_radix(count, n - 1, m, start)
         f_full = np.concatenate([np.zeros((count, 1), dtype=np.int64), fs], axis=1)
-        tables = (f_full[:, g.prod] - f_full[:, :, None] - f_full[:, None, :]) % m
+        tables = (f_full[:, np.asarray(g.prod)] - f_full[:, :, None] - f_full[:, None, :]) % m
         yield fs, tables
 
 
@@ -202,7 +202,7 @@ def _cocycle_batches(g: FiniteAbelianGroup, m: int, max_candidates: int | None):
         p = tuple(x - (1 if k == j else 0) for k, x in enumerate(e))
         decomp[i] = (g.index[p], g.index[gen])
 
-    p_tab = g.prod
+    p_tab = np.asarray(g.prod)
     I, J, K = [a.reshape(-1) for a in
                np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")]
     PIJ, PJK = p_tab[I, J], p_tab[J, K]
@@ -237,7 +237,7 @@ def brute_force_h2(group: FiniteAbelianGroup, m: int) -> list[Cochain2]:
     for row in cocycles[np.lexsort(cocycles.T[::-1])]:
         if row.tobytes() in seen:
             continue
-        reps.append(Cochain2(group, CoefficientGroup(m), row.reshape(n, n)))
+        reps.append(Cochain2(group, CoefficientGroup(m), row.reshape(n, n).tolist()))
         seen.update(r.tobytes() for r in (row[None, :] + cob) % m)
     return reps
 

@@ -90,11 +90,11 @@ def test_criterion_02_extension_soundness():
             for row in cocycles[np.lexsort(cocycles.T[::-1])]:
                 key = row.tobytes()
                 if key not in seen:
-                    rep = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n)))
+                    rep = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n).tolist()))
                     for member in (row[None, :] + cob) % m:
                         seen[member.tobytes()] = rep
                     continue
-                ext = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n)))
+                ext = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n).tolist()))
                 assert ext.isomorphic_to(seen[key]), (factors, m)
                 pairs_checked += 1
         assert pairs_checked > 0

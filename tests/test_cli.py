@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from orbipar.cli import main, run_command
 from orbipar import jsonio
-from orbipar.cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup
+from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, CoefficientGroup,
+                              FiniteAbelianGroup)
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
@@ -58,6 +62,10 @@ TRANSPORT = {"ambient_group": [6], "gamma0": [3], "generator_image": [3],
     (["moduli", "strata"], {"group": [2], "coeff_order": 2, **STRATA_EXTRA}, "group"),
     (["cocycle", "verify"], {"group": [2], "coeff_order": 2, "table": []}, "group"),
     (["pseudorep", "transport"], TRANSPORT, "ambient_group"),
+    (["cocycle", "zeta"], {"cochain": {"group": [2], "coeff_order": 2, "table": []},
+                           "element": [1]}, "element"),
+    (["pseudorep", "transport"], TRANSPORT, "gamma0"),
+    (["pseudorep", "transport"], TRANSPORT, "generator_image"),
 ])
 def test_group_items_must_be_ints(tmp_path, command, payload, key, bad):
     code, _ = invoke(tmp_path, command, payload)
@@ -106,6 +114,64 @@ def test_cocycle_extend(tmp_path):
     code, text = invoke(tmp_path, ["cocycle", "extend"], cochain)
     assert code == 0
     assert result_of(text)["order_profile"] == [1, 2, 4, 4]
+
+
+@pytest.mark.parametrize("index", [[True, True], [True, 1], [1, False]])
+def test_table_indices_must_be_ints(tmp_path, index):
+    # a bool index is not an element index, even where it compares equal to one
+    cochain = {"group": [3], "coeff_order": 3, "table": [[*index, "1/3"]]}
+    for command in (["cocycle", "verify"], ["cocycle", "extend"]):
+        code, text = invoke(tmp_path, command, cochain)
+        out = json.loads(text)
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "bad table index" in out["detail"]
+
+
+def test_extension_order_capped_before_any_table(tmp_path):
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["cocycle", "extend"],
+                        {"group": [24], "coeff_order": 1000000, "table": []})
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded"
+    assert str(MAX_EXTENSION_ORDER) in out["detail"]
+
+
+def test_extension_at_the_cap_is_fast_in_a_fresh_process(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"group": [16], "coeff_order": MAX_EXTENSION_ORDER // 16,
+                                "table": []}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "orbipar.cli", "cocycle", "extend", str(path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["result"]["order"] == MAX_EXTENSION_ORDER
+    assert elapsed < 1, f"took {elapsed:.2f} s"
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("table", [[], [[1, 1, "1/2"]]])
+def test_huge_coefficient_order(tmp_path, table):
+    cochain = {"group": [2], "coeff_order": HUGE, "table": table}
+    code, text = invoke(tmp_path, ["cocycle", "verify"], cochain)
+    assert code == 0 and result_of(text)["is_cocycle"]
+    code, text = invoke(tmp_path, ["cocycle", "zeta"], {"cochain": cochain, "element": [1]})
+    assert code == 0 and result_of(text)["zeta"] == ("1/2" if table else "0")
+    code, text = invoke(tmp_path, ["cocycle", "extend"], cochain)
+    assert code == 1 and json.loads(text)["error"] == "scale_exceeded"
+
+
+def test_h2_huge_coefficient_order(tmp_path):
+    code, text = invoke(tmp_path, ["cocycle", "h2"], {"group": [2], "coeff_order": 2 ** 40})
+    assert code == 0
+    reps = result_of(text)["representatives"]
+    assert result_of(text)["classes"] == 2
+    # c(g, g) moves by 2 f(g) under coboundaries: the classes are its parity
+    assert [r["table"][3][2] for r in reps] == ["0", f"1/{2 ** 40}"]
 
 
 def test_pseudorep_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.cocycles import (MAX_COEFF_ORDER, Cochain2, CoefficientGroup,
+from orbipar.cocycles import (Cochain2, CoefficientGroup,
                               FiniteAbelianGroup, are_cohomologous,
                               central_extension, coboundary, extension_table,
                               h2_classes, is_cocycle, restrict,
@@ -45,7 +45,7 @@ def test_normalization_enforced():
 
 
 def test_coboundary_examples():
-    assert not coboundary(Z3, 3, [0, 0, 0]).table.any()
+    assert not np.asarray(coboundary(Z3, 3, [0, 0, 0]).table).any()
     # f(gamma) = i in Z/4 coefficients: c(g,g) = f(1) f(g)^-2 = -1
     cb = coboundary(Z2, 4, [0, 1])
     assert cb.value((1,), (1,)) == 2
@@ -114,8 +114,8 @@ def test_scale_bound():
     with pytest.raises(ScaleExceeded):
         h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=4)
     assert len(h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=8)) == 8
-    with pytest.raises(ScaleExceeded):
-        h2_classes(Z2, MAX_COEFF_ORDER + 1)
+    # no cap on the coefficient order: residues are Python ints
+    assert len(h2_classes(Z2, 2 ** 40)) == 2
 
 
 ORACLE_CASES = ([([n], m) for n in range(1, 7) for m in range(1, 7)]
@@ -203,7 +203,7 @@ def test_central_extension_examples():
     assert ext2.order_profile() == (1, 2, 4, 4)  # Z/4
     ext3 = central_extension(Cochain2.trivial(Z3, 2))
     assert ext3.order_profile() == (1, 2, 3, 3, 6, 6)  # Z/6
-    assert ext3.element_order(ext3.table[Z3.order, 1]) in (2, 3, 6)
+    assert ext3.element_order(np.asarray(ext3.table)[Z3.order, 1]) in (2, 3, 6)
 
 
 def test_central_extension_rejects_noncocycles():
@@ -264,7 +264,7 @@ def test_restrict_examples():
     assert is_cocycle(r).ok and r.group.order == 2
     assert restrict(c, Z4, [(1,)]) == c
     triv_sub = FiniteAbelianGroup([1])
-    assert not restrict(c, triv_sub, []).table.any()
+    assert not np.asarray(restrict(c, triv_sub, []).table).any()
     with pytest.raises(NotASubgroup):
         restrict(c, FiniteAbelianGroup([3]), [(1,)])
 
@@ -272,7 +272,7 @@ def test_restrict_examples():
 def test_extension_table_layout():
     # (z, a)(z', b) = (z + z' + c(a,b), ab) with index z*|G| + a
     c = neg_cocycle()
-    t = extension_table(c)
+    t = np.asarray(extension_table(c))
     n = 2
     assert t[0 * n + 1, 0 * n + 1] == 1 * n + 0  # (1,g)(1,g) = (-1, 1)
     assert np.array_equal(t[0], np.arange(4))

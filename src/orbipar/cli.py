@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 from . import jsonio
 from .cocycles import (DEFAULT_SCALE_BOUND, FiniteAbelianGroup,
@@ -285,7 +286,10 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones;
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="orbipar",
         description="Exact local models for equivariant Higgs fields: cocycles, "

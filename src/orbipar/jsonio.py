@@ -26,10 +26,11 @@ def dumps(obj) -> str:
 
 
 def _need(data, key, kind=None):
+    """data[key], checked against kind; a JSON boolean is not an int."""
     if not isinstance(data, dict) or key not in data:
         raise MalformedInput(f"missing field {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise MalformedInput(f"field {key!r} has wrong type")
     return value
 
@@ -45,7 +46,7 @@ def rational_to_json(x) -> str:
 
 
 def rational_from_json(data) -> Fraction:
-    if not isinstance(data, (str, int)):
+    if not (isinstance(data, str) or _is_int(data)):
         raise MalformedInput(f"expected a rational string, got {data!r}")
     return rational(data)
 
@@ -69,7 +70,7 @@ def cyclotomic_to_json(c: Cyclotomic) -> dict:
 
 
 def cyclotomic_from_json(data) -> Cyclotomic:
-    if isinstance(data, (str, int)):
+    if isinstance(data, str) or _is_int(data):
         return Cyclotomic.from_rational(rational(data))
     order = _need(data, "order", int)
     coeffs = _need(data, "coeffs", list)

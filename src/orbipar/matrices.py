@@ -5,15 +5,23 @@ expansion, inverses through the adjugate, and characteristic polynomials
 through Faddeev-LeVerrier, all exact.  Eigenvalues of finite-order elements
 are roots of unity and are extracted by trial evaluation over divisor orders
 followed by synthetic division.
+
+A product is fused: each nonzero entry is written once as integer numerators
+in the field of the entries it meets, each output entry sum_k a_ik b_kj is
+one integer polynomial over the lcm of its denominators, reduced once by
+``scalars.dot``, and zero entries cost nothing.  An output entry lies in the
+lcm field of the orders of its nonzero terms, and is the order-1 zero when
+it has none, as if it were summed term by term from 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .errors import MalformedInput, SizeMismatch
-from .scalars import Cyclotomic, rational, root_of_unity
+from .scalars import Cyclotomic, dot, rational, root_of_unity
 
 MAX_SIZE = 4
 
@@ -79,27 +87,26 @@ class CycMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        r = self.size
+        cols = tuple(zip(*other.rows))
+        cache = {}
         out = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                acc = Cyclotomic.zero()
-                for k in range(r):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            new = []
+            for col in cols:
+                pairs = [(a, b) for a, b in zip(row, col) if a and b]
+                if not pairs:
+                    new.append(Cyclotomic.zero())
+                    continue
+                M = lcm(*[a.order for a, _ in pairs], *[b.order for _, b in pairs])
+                new.append(dot(M, pairs, cache))
+            out.append(new)
         return CycMatrix(out)
 
     def scale(self, c) -> "CycMatrix":
         c = _as_cyclotomic(c)
-        return CycMatrix([[c * x for x in row] for row in self.rows])
+        cache = {}
+        return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
+                          for row in self.rows])
 
     def __pow__(self, n: int) -> "CycMatrix":
         if n < 0:
@@ -126,41 +133,40 @@ class CycMatrix:
         return self == CycMatrix.identity(self.size)
 
     def trace(self) -> Cyclotomic:
-        acc = Cyclotomic.zero()
-        for i in range(self.size):
+        acc = self.rows[0][0]
+        for i in range(1, self.size):
             acc = acc + self.rows[i][i]
         return acc
 
     def det(self) -> Cyclotomic:
-        acc = Cyclotomic.zero()
+        """Leibniz sum over the permutations whose entries are all nonzero; it
+        lies in the lcm field of their orders."""
+        acc = None
         for perm in permutations(range(self.size)):
-            sign = 1
-            seen = list(perm)
-            for i in range(len(seen)):  # parity by counting inversions
-                for j in range(i + 1, len(seen)):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = Cyclotomic.from_rational(sign)
-            for i, j in enumerate(perm):
-                x = self.rows[i][j]
-                if x.is_zero():
-                    term = Cyclotomic.zero()
-                    break
+            factors = [self.rows[i][j] for i, j in enumerate(perm)]
+            if not all(factors):
+                continue
+            term = factors[0]
+            for x in factors[1:]:
                 term = term * x
-            acc = acc + term
-        return acc
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            if inversions % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        return Cyclotomic.zero() if acc is None else acc
 
     def charpoly(self) -> list[Cyclotomic]:
         """Coefficients of det(xI - A), lowest degree first, leading coeff 1."""
         r = self.size
-        coeffs = [Cyclotomic.zero() for _ in range(r + 1)]
-        coeffs[r] = Cyclotomic.one()
-        M = CycMatrix.identity(r)
+        coeffs = [None] * r + [Cyclotomic.one()]
+        M = self
         for k in range(1, r + 1):
-            M = self @ M
+            if k > 1:
+                M = self @ M
             c = M.trace() * Fraction(-1, k)
             coeffs[r - k] = c
-            M = M + CycMatrix.scalar(r, c)
+            M = CycMatrix([[x + c if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(M.rows)])
         return coeffs
 
     def inverse(self) -> "CycMatrix":
@@ -185,7 +191,7 @@ class CycMatrix:
 
 
 def poly_eval(coeffs, x: Cyclotomic) -> Cyclotomic:
-    acc = Cyclotomic.zero()
+    acc = Cyclotomic.zero(x.order)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -194,7 +200,7 @@ def poly_eval(coeffs, x: Cyclotomic) -> Cyclotomic:
 def poly_deflate(coeffs, root: Cyclotomic):
     """Divide a monic-led polynomial by (x - root); remainder must be zero."""
     out = []
-    carry = Cyclotomic.zero()
+    carry = Cyclotomic.zero(root.order)
     for c in reversed(coeffs):
         carry = c + carry * root
         out.append(carry)

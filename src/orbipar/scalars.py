@@ -1,12 +1,21 @@
 """Exact scalar arithmetic: rationals, rationals mod 1, and cyclotomic fields.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  A ``FractionalWeight`` is a rational carrying a mod-1
-convention: residues in [0,1) for torus weights, signed representatives in
-(-1,1) for eigenvalue exponents.  ``Cyclotomic`` models Q(zeta_M) as
-Q[x]/(Phi_M(x)), so every root of unity, and hence every eigenvalue of a
-finite-order group element, is represented exactly and equality is a
-coefficient comparison.
+denominator) read from ``p/q`` strings or ints only.  A ``FractionalWeight``
+is a rational carrying a mod-1 convention: residues in [0,1) for torus
+weights, signed representatives in (-1,1) for eigenvalue exponents.
+``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every root of unity,
+and hence every eigenvalue of a finite-order group element, is represented
+exactly and equality is a coefficient comparison.
+
+A ``Cyclotomic`` stores its phi(M) coefficients as Fractions, but products
+run on Python ints: each operand is written as its nonzero integer numerators
+over the lcm of its denominators, ``dot`` sums the products of any number of
+pairs as one unreduced integer polynomial over the lcm of their
+denominators, and a Fraction is built once per nonzero output coefficient.
+``CycMatrix.__matmul__`` uses the same ``dot`` for each output entry, so
+every entry is reduced once.  Internal results go through the private
+``Cyclotomic._new``, which skips the validation of ``__init__``.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -19,22 +28,32 @@ cached factorisation.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DenominatorNotDividing, IncompatibleOrders, MalformedInput
 
 Rational = Fraction
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ZERO = Fraction(0)
+
 
 def rational(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions, and 'p/q' strings to an exact rational.
+
+    Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
+    so a short string cannot ask Fraction() for a huge power of ten.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise MalformedInput(f"bad rational {x!r}: expected p/q")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -195,14 +214,18 @@ def cyclotomic_poly(M: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _phi_tail(M: int) -> tuple:
-    """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M."""
-    return tuple((j, -c) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
+    """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M.
+
+    Phi_M has integer coefficients, so c is an int.
+    """
+    return tuple((j, -c.numerator) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
 
 
-def _reduce(M: int, poly) -> tuple:
-    """The phi(M) coefficients of poly(x) mod Phi_M, for a list of any length."""
+def _reduce(M: int, poly) -> list:
+    """The phi(M) coefficients of poly(x) mod Phi_M, for a list of any length
+    of ints or Fractions."""
     phi = euler_phi(M)
-    p = list(poly) + [Fraction(0)] * (phi - len(poly))
+    p = list(poly) + [0] * (phi - len(poly))
     h, sign = (M // 2, -1) if M % 2 == 0 else (M, 1)  # x^h = sign mod Phi_M
     for i in range(len(p) - 1, h - 1, -1):
         if p[i]:
@@ -212,7 +235,78 @@ def _reduce(M: int, poly) -> tuple:
         if c:
             for j, t in _phi_tail(M):
                 p[i - phi + j] += c * t
-    return tuple(p[:phi])
+    del p[phi:]
+    return p
+
+
+# -- integer numerators -------------------------------------------------------
+
+def _terms(coeffs):
+    """The nonzero coefficients as integer numerators [(i, n)] over their lcm d."""
+    nonzero = [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
+    d = lcm(*[den for _, _, den in nonzero])
+    return [(i, n * (d // den)) for i, n, den in nonzero], d
+
+
+def _spread(terms, step: int, M: int) -> list:
+    """The reduced integer numerators of sum n x^(i*step) in Q(zeta_M)."""
+    poly = [0] * (terms[-1][0] * step + 1 if terms else 0)
+    for i, n in terms:
+        poly[i * step] = n
+    return _reduce(M, poly)
+
+
+def _cyclotomic(M: int, numerators, d: int) -> "Cyclotomic":
+    """The element sum (n_i / d) x^i of Q(zeta_M); one Fraction per nonzero n_i."""
+    if d == 1:
+        coeffs = tuple(Fraction(n) if n else _ZERO for n in numerators)
+    else:
+        coeffs = tuple(Fraction(n, d) if n else _ZERO for n in numerators)
+    return Cyclotomic._new(M, coeffs)
+
+
+def _embedded(x: "Cyclotomic", M: int, cache: dict):
+    """The integer terms of x in Q(zeta_M), computed once per (x, M) in cache."""
+    key = (id(x), M)
+    found = cache.get(key)
+    if found is None:
+        terms, d = _terms(x.coeffs)
+        if M != x.order:
+            spread = _spread(terms, M // x.order, M)
+            terms = [(i, n) for i, n in enumerate(spread) if n]
+        found = cache[key] = terms, d
+    return found
+
+
+def dot(M: int, pairs, cache: dict | None = None) -> "Cyclotomic":
+    """sum a*b over the (a, b) pairs, an element of Q(zeta_M).
+
+    Every order must divide M.  The products are summed as one unreduced
+    integer polynomial over the lcm of their denominators and reduced once.
+    A zero operand costs nothing.  ``cache`` keeps each operand's embedding
+    into Q(zeta_M) across calls; it is keyed by identity, so it must not
+    outlive the operands.
+    """
+    if cache is None:
+        cache = {}
+    products = []
+    for a, b in pairs:
+        at, ad = _embedded(a, M, cache)
+        bt, bd = _embedded(b, M, cache)
+        if at and bt:
+            products.append((at, bt, ad * bd))
+    if not products:
+        return Cyclotomic.zero(M)
+    D = lcm(*[d for _, _, d in products])
+    acc = [0] * (max(at[-1][0] + bt[-1][0] for at, bt, _ in products) + 1)
+    for at, bt, d in products:
+        s = D // d
+        if s != 1:
+            at = [(i, a * s) for i, a in at]
+        for i, a in at:
+            for j, b in bt:
+                acc[i + j] += a * b
+    return _cyclotomic(M, _reduce(M, acc), D)
 
 
 class Cyclotomic:
@@ -234,6 +328,14 @@ class Cyclotomic:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _new(cls, order: int, coeffs: tuple) -> "Cyclotomic":
+        """An internal result: coeffs is already a tuple of phi(order) Fractions."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, val):
         raise AttributeError("Cyclotomic is immutable")
 
@@ -241,13 +343,11 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x, order: int = 1) -> "Cyclotomic":
-        x = rational(x)
-        coeffs = [x] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, coeffs)
+        return cls._new(order, (rational(x),) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
-        return cls.from_rational(0, order)
+        return _zero(order)
 
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
@@ -256,7 +356,7 @@ class Cyclotomic:
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k, reduced."""
-        return cls(order, _reduce(order, [Fraction(0)] * (k % order) + [Fraction(1)]))
+        return _cyclotomic(order, _reduce(order, [0] * (k % order) + [1]), 1)
 
     # -- promotion ------------------------------------------------------
 
@@ -266,40 +366,45 @@ class Cyclotomic:
             raise IncompatibleOrders(f"{self.order} does not divide {new_order}")
         if new_order == self.order:
             return self
-        step = new_order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        poly[::step] = self.coeffs
-        return Cyclotomic(new_order, _reduce(new_order, poly))
+        terms, d = _terms(self.coeffs)
+        return _cyclotomic(new_order, _spread(terms, new_order // self.order, new_order), d)
 
     def _common(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rational(other)
-        M = self.order * other.order // gcd(self.order, other.order)
+        if self.order == other.order:
+            return self, other
+        M = lcm(self.order, other.order)
         return self.embed(M), other.embed(M)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         a, b = self._common(other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic._new(a.order, tuple(x + y if y else x
+                                              for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-x for x in self.coeffs])
+        return Cyclotomic._new(self.order, tuple(-x if x else x for x in self.coeffs))
 
     def __sub__(self, other):
         a, b = self._common(other)
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic._new(a.order, tuple(x - y if y else x
+                                              for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
-        a, b = self._common(other)
-        return Cyclotomic(a.order, _reduce(a.order, _poly_mul(a.coeffs, b.coeffs)))
+            other = rational(other)
+            return Cyclotomic._new(self.order, tuple(c * other if c else _ZERO
+                                                     for c in self.coeffs))
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.from_rational(other)
+        return dot(lcm(self.order, other.order), [(self, other)])
 
     __rmul__ = __mul__
 
@@ -307,7 +412,8 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a cyclotomic field")
         inv = _poly_egcd_inverse(list(self.coeffs), list(cyclotomic_poly(self.order)))
-        return Cyclotomic(self.order, _reduce(self.order, inv))
+        return Cyclotomic._new(self.order, tuple(Fraction(c) if c else _ZERO
+                                                 for c in _reduce(self.order, inv)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -330,7 +436,7 @@ class Cyclotomic:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
@@ -351,6 +457,11 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
+
+
+@lru_cache(maxsize=64)
+def _zero(order: int) -> Cyclotomic:
+    return Cyclotomic._new(order, (_ZERO,) * euler_phi(order))
 
 
 _ROOT_CACHE: dict[tuple, Cyclotomic] = {}

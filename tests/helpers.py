@@ -3,11 +3,13 @@
 Also the brute-force oracles the tests compare against: the
 exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
 coboundary cosets, an exhaustive isomorphism search between Cayley tables,
-and the order of a root of unity by trial exponentiation.
+the order of a root of unity by trial exponentiation, and cyclotomic and
+matrix products computed with a Fraction for every term.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.pseudoreps import PseudoRep
-from orbipar.scalars import Cyclotomic, euler_phi, root_of_unity
+from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -359,3 +361,55 @@ def _multiplicative_order(self: Cyclotomic):
 
 # trial exponentiation is a test oracle only; tests call it as a method
 Cyclotomic.multiplicative_order = _multiplicative_order
+
+
+# -- the per-term Fraction product: an oracle for the integer-numerator kernel --
+
+def _fraction_reduce(M: int, poly) -> list:
+    """poly mod Phi_M by schoolbook long division, one Fraction per term."""
+    modulus = cyclotomic_poly(M)
+    phi = len(modulus) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * (phi - len(poly))
+    for i in range(len(p) - 1, phi - 1, -1):
+        c = p[i]
+        if c:
+            for j, t in enumerate(modulus):
+                p[i - phi + j] -= c * t
+    return p[:phi]
+
+
+def fraction_embed(x: Cyclotomic, L: int) -> list:
+    """The coefficients of x in Q(zeta_L), through zeta_M -> zeta_L^(L/M)."""
+    step = L // x.order
+    poly = [Fraction(0)] * ((len(x.coeffs) - 1) * step + 1)
+    poly[::step] = x.coeffs
+    return _fraction_reduce(L, poly)
+
+
+def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """a*b in the lcm field, with a Fraction built for every term."""
+    L = lcm(a.order, b.order)
+    x, y = fraction_embed(a, L), fraction_embed(b, L)
+    poly = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            poly[i + j] += xi * yj
+    return Cyclotomic(L, _fraction_reduce(L, poly))
+
+
+def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
+    """A @ B summed term by term from 0: entry ij lies in the lcm field of the
+    orders of its nonzero terms a_ik b_kj, and is the order-1 zero without one."""
+    rows = []
+    for i in range(A.size):
+        row = []
+        for j in range(A.size):
+            terms = [fraction_product(A.rows[i][k], B.rows[k][j]) for k in range(A.size)
+                     if not A.rows[i][k].is_zero() and not B.rows[k][j].is_zero()]
+            L = lcm(*[t.order for t in terms])
+            acc = [Fraction(0)] * euler_phi(L)
+            for t in terms:
+                acc = [u + v for u, v in zip(acc, fraction_embed(t, L))]
+            row.append(Cyclotomic(L, acc))
+        rows.append(row)
+    return CycMatrix(rows)

@@ -358,3 +358,84 @@ def test_determinism(tmp_path):
         assert code == 0
         outs.add(text)
     assert len(outs) == 1
+
+
+def _set(payload, path, value):
+    """A deep copy of payload with the field at path (keys and indices) set."""
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+PSEUDOREP = TRANSPORT["pseudorep"]
+PROJECT = {"class": {"order": 2, "zeta": "0", "exponents": ["1/2", "1/2"]},
+           "scalar_order": 2}
+SCALE = {"parabolic_degree_y": "1/2", "group_order": 2, "claimed_degree_x": "1"}
+
+
+@pytest.mark.parametrize("command,payload,path", [
+    (["cocycle", "verify"], {"group": [2], "coeff_order": 2, "table": [[1, 1, "1"]]},
+     ["table", 0, 2]),
+    (["pseudorep", "enumerate"], {"order": 4, "rank": 2, "zeta": "0"}, ["zeta"]),
+    (["pseudorep", "enumerate"], {"order": 4, "rank": 2, "zeta": "0"}, ["order"]),
+    (["pseudorep", "enumerate"], {"order": 4, "rank": 2, "zeta": "0"}, ["rank"]),
+    (["pseudorep", "verify"], PSEUDOREP, ["order"]),
+    (["pseudorep", "verify"], _set(PSEUDOREP, ["images", "0", "size"], 1),
+     ["images", "0", "size"]),
+    (["pseudorep", "verify"], PSEUDOREP, ["images", "0", "entries", 0, 0]),
+    (["pseudorep", "verify"],
+     _set(PSEUDOREP, ["images", "0", "entries", 0, 0], {"order": 1, "coeffs": ["1"]}),
+     ["images", "0", "entries", 0, 0, "order"]),
+    (["pseudorep", "project"], PROJECT, ["scalar_order"]),
+    (["pseudorep", "project"], PROJECT, ["class", "order"]),
+    (["local", "check"], make_series_payload(), ["N"]),
+    (["local", "check"], make_series_payload(), ["trunc"]),
+    (["local", "check"], make_series_payload(), ["terms", 0, "k"]),
+    (["local", "check"], make_series_payload(), ["terms", 0, "coeff"]),
+    (["moduli", "scale"], SCALE, ["group_order"]),
+    (["moduli", "rh"], {"genus_x": 2, "group_order": 2, "orbit_orders": [2, 2]},
+     ["group_order"]),
+])
+def test_json_booleans_are_not_numbers(tmp_path, command, payload, path):
+    code, text = invoke(tmp_path, command, payload)
+    assert code == 0, text
+    code, text = invoke(tmp_path, command, _set(payload, path, True))
+    assert code == 2 and json.loads(text)["error"] == "malformed_input", text
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1.5", " 1/2", "1/2 ", "1_000", "+-1",
+                                   "1/-2", "0x10", "١"])
+def test_rationals_follow_the_p_q_grammar(tmp_path, value):
+    cochain = {"group": [2], "coeff_order": 2, "table": [[1, 1, value]]}
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["cocycle", "verify"], cochain)
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert "p/q" in out["detail"]
+
+
+def test_twist_follows_the_p_q_grammar(tmp_path):
+    code, text = invoke(tmp_path, ["local", "check"], make_series_payload(), "--twist", "1e9")
+    assert code == 2 and json.loads(text)["error"] == "malformed_input"
+
+
+def test_calls_in_one_process_share_no_state(tmp_path):
+    # the parser is built once per process; a flag given to one call must not
+    # leak into the next
+    payload = make_series_payload()
+    payload["alpha"] = ["1/3", "0"]
+    payload["N"] = 3
+    payload["terms"] = [{"basis": [0, 1], "k": 0, "coeff": "1"}]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for flags in (["--twist", "2/3"], []):
+        argv = ["local", "check", str(path), *flags]
+        fresh = subprocess.run([sys.executable, "-m", "orbipar.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert run_command(argv) == (fresh.returncode, fresh.stdout)
+    assert json.loads(fresh.stdout)["result"]["twist"] == "0"

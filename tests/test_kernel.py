@@ -1,0 +1,153 @@
+"""The integer-numerator product kernel against the per-term Fraction oracle
+in helpers, against sympy, and for the invariants of its internal results."""
+
+import random
+from fractions import Fraction
+from math import lcm
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from orbipar.cli import run_command
+from orbipar.matrices import CycMatrix
+from orbipar.scalars import Cyclotomic, euler_phi
+
+from helpers import fraction_embed, fraction_matmul, fraction_product
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+ORDERS = (1, 2, 3, 4, 6, 9, 12, 18, 36, 101, 218)
+# each field with the listed orders that embed in it, so mixed-order products
+# stay in fields of at most 218
+SUBFIELDS = {M: tuple(d for d in ORDERS if M % d == 0) for M in ORDERS}
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 7, 12]))
+
+
+@st.composite
+def cyclotomics(draw, orders=ORDERS, dense_up_to=None):
+    """Zero, a sparse q*x^k monomial, q*zeta^k, up to three terms, or dense."""
+    M = draw(st.sampled_from(orders))
+    phi = euler_phi(M)
+    kinds = ["zero", "monomial", "root", "sparse"]
+    if dense_up_to is None or phi <= dense_up_to:
+        kinds.append("dense")
+    kind = draw(st.sampled_from(kinds))
+    coeffs = [Fraction(0)] * phi
+    if kind == "dense":
+        coeffs = draw(st.lists(FRACTIONS, min_size=phi, max_size=phi))
+    elif kind == "root":
+        q = draw(FRACTIONS.filter(bool))
+        return Cyclotomic.zeta_power(M, draw(st.integers(0, M - 1))) * q
+    elif kind != "zero":
+        count = 1 if kind == "monomial" else draw(st.integers(1, 3))
+        for i in draw(st.lists(st.integers(0, phi - 1), min_size=count, max_size=count)):
+            coeffs[i] = draw(FRACTIONS)
+    return Cyclotomic(M, coeffs)
+
+
+@st.composite
+def scalar_pairs(draw):
+    M = draw(st.sampled_from(ORDERS))
+    return draw(cyclotomics(SUBFIELDS[M])), draw(cyclotomics(SUBFIELDS[M]))
+
+
+@st.composite
+def matrix_pairs(draw):
+    M = draw(st.sampled_from(ORDERS))
+    r = draw(st.integers(1, 4))
+    entries = cyclotomics(SUBFIELDS[M], dense_up_to=12)
+    grid = st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r)
+    return CycMatrix(draw(grid)), CycMatrix(draw(grid))
+
+
+def same(x: Cyclotomic, y: Cyclotomic) -> bool:
+    """Equal as stored: the same order and the same coefficient tuple."""
+    return (x.order, x.coeffs) == (y.order, y.coeffs)
+
+
+def all_fractions(x: Cyclotomic) -> bool:
+    return (isinstance(x.coeffs, tuple) and len(x.coeffs) == euler_phi(x.order)
+            and all(type(c) is Fraction for c in x.coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=scalar_pairs())
+def test_product_matches_fraction_oracle(pair):
+    a, b = pair
+    got = a * b
+    assert same(got, fraction_product(a, b)) and all_fractions(got)
+    L = lcm(a.order, b.order)
+    assert same(a.embed(L), Cyclotomic(L, fraction_embed(a, L)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=matrix_pairs())
+def test_matmul_matches_fraction_oracle(pair):
+    A, B = pair
+    got, expected = A @ B, fraction_matmul(A, B)
+    for row, exp_row in zip(got.rows, expected.rows):
+        for x, y in zip(row, exp_row):
+            assert same(x, y) and all_fractions(x)
+
+
+X = sympy.Symbol("x")
+
+
+def _sympy(x: Cyclotomic, M: int):
+    coeffs = fraction_embed(x, M)
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      X, domain="QQ")
+
+
+@pytest.mark.parametrize("M", [12, 36, 101, 218])
+def test_matmul_matches_sympy_remainder(M):
+    rng = random.Random(M)
+    phi = euler_phi(M)
+    modulus = sympy.Poly(sympy.cyclotomic_poly(M, X), X, domain="QQ")
+
+    def entry():
+        coeffs = [Fraction(0)] * phi
+        for i in rng.sample(range(phi), min(phi, rng.choice([0, 1, 3, phi]))):
+            coeffs[i] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return Cyclotomic(M, coeffs)
+
+    A = CycMatrix([[entry() for _ in range(3)] for _ in range(3)])
+    B = CycMatrix([[entry() for _ in range(3)] for _ in range(3)])
+    C = A @ B
+    for i in range(3):
+        for j in range(3):
+            total = sum((_sympy(A.rows[i][k], M) * _sympy(B.rows[k][j], M) for k in range(3)),
+                        sympy.Poly(0, X, domain="QQ"))
+            expected = total.rem(modulus).all_coeffs()[::-1]
+            expected = [Fraction(int(c.p), int(c.q)) for c in expected]
+            expected += [Fraction(0)] * (phi - len(expected))
+            assert list(C.rows[i][j].embed(M).coeffs) == expected
+
+
+def test_internal_results_keep_the_constructor_invariants(monkeypatch):
+    built = []
+    new = Cyclotomic._new.__func__
+
+    def recording_new(cls, order, coeffs):
+        x = new(cls, order, coeffs)
+        built.append(x)
+        return x
+
+    monkeypatch.setattr(Cyclotomic, "_new", classmethod(recording_new))
+    rng = random.Random(5)
+    for M in (1, 4, 6, 9, 12, 36):
+        x = Cyclotomic(M, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                           for _ in range(euler_phi(M))])
+        y = Cyclotomic.zeta_power(M, 5) + Cyclotomic.from_rational(Fraction(1, 3), M)
+        z = Cyclotomic.zeta_power(M, 1)
+        for value in (x * y, x + y, x - y, -x, x * 3, x / 2, x.embed(2 * M), y.inverse(),
+                      y ** 3, y ** -2, Cyclotomic.zero(M), Cyclotomic.one(M), z * 0):
+            assert isinstance(value, Cyclotomic)
+        A = CycMatrix([[x, y], [z, 0]])
+        A.det(), A.trace(), A.charpoly(), A.scale(y), A @ A, A.inverse(), A ** 4
+    assert run_command(["corpus", "run", str(CORPUS)])[0] == 0
+    assert len(built) > 500
+    bad = [x for x in built if not (type(x.order) is int and x.order >= 1 and all_fractions(x))]
+    assert bad == []

@@ -26,7 +26,7 @@ from .moduli import (degree_pairing, degree_scaling_check, enumerate_strata,
                      riemann_hurwitz, stability_verdict)
 from .pseudoreps import (classify, deck_transport, enumerate_classes,
                          project_mod_center, verify_pseudorep)
-from .scalars import rational
+from .scalars import check_order, rational
 
 
 # -- command handlers ---------------------------------------------------------
@@ -156,14 +156,14 @@ def cmd_lie_parabolic(payload, args):
 
 
 def _resolve_order(native: int, override) -> int:
-    """The working cyclotomic order: the natural lcm, or a forced multiple."""
+    """The working cyclotomic order: the natural lcm, or a forced positive
+    multiple of it, capped before any work."""
     if override is None:
         return native
-    M = int(override)
-    if M % native != 0:
+    if override < 1 or override % native != 0:
         raise MalformedInput(
-            f"working order {M} is not a multiple of the natural order {native}")
-    return M
+            f"working order {override} is not a positive multiple of the natural order {native}")
+    return check_order(override)
 
 
 def _series_with_order(series, override):
@@ -187,7 +187,7 @@ def cmd_local_check(payload, args):
     series = jsonio.series_from_json(payload)
     twist = rational(args.twist) if args.twist is not None else None
     report = check_invariance(series, twist)
-    M = _resolve_order(series.working_field_order(report.twist), args.working_order)
+    M = _resolve_order(series.working_field_order(), args.working_order)
     return (jsonio.invariance_to_json(report),
             _local_audit("local check", series, M, twist=report.twist))
 
@@ -304,10 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
             leaf = verbs.add_parser(v)
             leaf.add_argument("input", help="input JSON file")
             leaf.add_argument("-o", "--out", help="output file (default stdout)")
-            leaf.add_argument("--scale-bound", type=int, default=DEFAULT_SCALE_BOUND,
-                              help="bound on the output size: classes or strata")
-            leaf.add_argument("--working-order", type=int, default=None,
-                              help="embed output cyclotomics in Q(zeta_M)")
+            # every other flag exists only on the verbs whose handlers read it
+            if (n, v) in (("cocycle", "h2"), ("moduli", "strata")):
+                leaf.add_argument("--scale-bound", type=int, default=DEFAULT_SCALE_BOUND,
+                                  help="bound on the output size: classes or strata")
+            if n == "local" and v != "residue":
+                leaf.add_argument("--working-order", type=int, default=None,
+                                  help="embed output cyclotomics in Q(zeta_M)")
             if (n, v) == ("local", "check"):
                 leaf.add_argument("--twist", default=None,
                                   help="character twist as a rational p/q")
@@ -331,7 +334,7 @@ def _execute(args) -> tuple[int, str]:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an int past the digit limit
         return 2, jsonio.dumps({"error": "malformed_input", "detail": str(exc)})
     try:
         result, audit = handler(payload, args)
@@ -376,6 +379,9 @@ def run_corpus(directory) -> tuple[int, str]:
         except (KeyError, TypeError, ValueError, OSError) as exc:
             failures += 1
             lines.append(f"FAIL {name} (bad case file: {exc})")
+        except SystemExit:  # argparse rejected the case's args and printed why to stderr
+            failures += 1
+            lines.append(f"FAIL {name} (bad args {extra})")
     lines.append(f"{len(names) - failures}/{len(names)} cases passed")
     return (0 if failures == 0 and names else 1), "\n".join(lines) + "\n"
 

@@ -125,32 +125,15 @@ class Cochain2:
         self.coefficients = coefficients
         self.table = table
 
-    @classmethod
-    def trivial(cls, group, m: int):
-        return cls(group, CoefficientGroup(m), [[0] * group.order] * group.order)
-
     def value(self, a, b) -> int:
         return self.table[self.group.index[a]][self.group.index[b]]
-
-    def mul(self, other: "Cochain2") -> "Cochain2":
-        _check_compatible(self, other)
-        return Cochain2(self.group, self.coefficients,
-                        [[x + y for x, y in zip(r, s)] for r, s in zip(self.table, other.table)])
 
     def __eq__(self, other):
         return (isinstance(other, Cochain2) and self.group == other.group
                 and self.coefficients == other.coefficients and self.table == other.table)
 
-    def key(self):
-        return tuple(x for row in self.table for x in row)
-
     def __repr__(self):
         return f"Cochain2({self.group}, m={self.coefficients.order})"
-
-
-def _check_compatible(c1: Cochain2, c2: Cochain2):
-    if c1.group != c2.group or c1.coefficients.order != c2.coefficients.order:
-        raise MalformedInput("cochains live over different (group, coefficients)")
 
 
 @dataclass(frozen=True)
@@ -304,7 +287,8 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
 
 def are_cohomologous(c1: Cochain2, c2: Cochain2):
     """Whether c2 = (df) * c1 for a normalized f; returns (bool, f|None)."""
-    _check_compatible(c1, c2)
+    if c1.group != c2.group or c1.coefficients.order != c2.coefficients.order:
+        raise MalformedInput("cochains live over different (group, coefficients)")
     for c in (c1, c2):
         v = is_cocycle(c)
         if not v:

@@ -17,8 +17,7 @@ from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, StratumIndex
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from .scalars import (Convention, Cyclotomic, FractionalWeight, euler_phi,
-                      rational)
+from .scalars import Cyclotomic, FractionalWeight, euler_phi, rational
 
 
 def dumps(obj) -> str:
@@ -41,28 +40,10 @@ def _is_int(v) -> bool:
 
 # -- scalars -----------------------------------------------------------------
 
-def rational_to_json(x) -> str:
-    return str(rational(x))
-
-
 def rational_from_json(data) -> Fraction:
     if not (isinstance(data, str) or _is_int(data)):
         raise MalformedInput(f"expected a rational string, got {data!r}")
     return rational(data)
-
-
-def weight_to_json(w: FractionalWeight) -> dict:
-    return {"value": str(w.value), "convention": w.convention.value}
-
-
-def weight_from_json(data) -> FractionalWeight:
-    value = rational_from_json(_need(data, "value"))
-    conv = _need(data, "convention", str)
-    try:
-        convention = Convention(conv)
-    except ValueError:
-        raise MalformedInput(f"unknown convention {conv!r}") from None
-    return FractionalWeight(value, convention)
 
 
 def cyclotomic_to_json(c: Cyclotomic) -> dict:
@@ -74,7 +55,8 @@ def cyclotomic_from_json(data) -> Cyclotomic:
         return Cyclotomic.from_rational(rational(data))
     order = _need(data, "order", int)
     coeffs = _need(data, "coeffs", list)
-    if order < 1 or len(coeffs) != euler_phi(order):
+    # phi(n) >= sqrt(n/2), so past 2 len^2 no factorisation is needed to reject
+    if order < 1 or order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise MalformedInput(f"cyclotomic of order {order} needs phi(order) coefficients")
     return Cyclotomic(order, [rational_from_json(x) for x in coeffs])
 
@@ -320,15 +302,6 @@ def flag_from_json(data) -> FlagDegreeData:
                        "degree": _need(p, "degree", int)})
     corrections = [rational_from_json(x) for x in data.get("corrections", [])]
     return FlagDegreeData(s, pieces, corrections)
-
-
-def flag_to_json(flag: FlagDegreeData) -> dict:
-    return {
-        "s": [str(x) for x in flag.s],
-        "pieces": [{"value": str(p.value), "rank": p.rank, "degree": p.degree}
-                   for p in flag.pieces],
-        "corrections": [str(c) for c in flag.corrections],
-    }
 
 
 def stratum_to_json(stratum: StratumIndex) -> dict:

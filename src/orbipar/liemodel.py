@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
 from .matrices import CycMatrix
 from .scalars import Convention, FractionalWeight, normalize_weight, rational
@@ -138,12 +136,6 @@ class WeightVector:
             if b and b[0] - b[-1] >= 1:
                 return False
         return True
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for v in self.values():
-            out = out * v.denominator // gcd(out, v.denominator)
-        return out
 
 
 def alcove_normalize(model: GroupModel, exponents) -> WeightVector:

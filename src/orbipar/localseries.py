@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
                      NonIntegralGauge, TwistDenominator, WeightOnWall)
 from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
                        parabolic_from_s, s_from_weight)
 from .matrices import CycMatrix
-from .scalars import (Cyclotomic, FractionalWeight, rational, root_of_unity,
-                      working_order)
+from .scalars import (Cyclotomic, FractionalWeight, check_order, rational,
+                      root_of_unity)
 
 UPSTAIRS = "z"
 DOWNSTAIRS = "w"
@@ -86,13 +87,11 @@ class GradedSeries:
         self.variable = variable
         self.trunc = trunc
         self.terms = clean
+        check_order(self.working_field_order())
         self.beta = beta_of_basis(model, weight)
 
     def beta_of(self, basis_idx: int) -> FractionalWeight:
         return self.beta[basis_idx]
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -103,35 +102,13 @@ class GradedSeries:
                             variable or self.variable,
                             self.trunc if trunc is None else trunc, terms)
 
-    def scale(self, c) -> "GradedSeries":
-        return self.with_terms({key: coeff * c for key, coeff in self.terms.items()})
+    def working_field_order(self) -> int:
+        """The lcm of N, the weight denominators and the coefficient orders.
 
-    def add(self, other: "GradedSeries") -> "GradedSeries":
-        if (self.model != other.model or self.weight.values() != other.weight.values()
-                or self.N != other.N or self.variable != other.variable):
-            raise MalformedInput("series live on different local models")
-        trunc = min(self.trunc, other.trunc)
-        terms = {}
-        for (b, k), c in list(self.terms.items()) + list(other.terms.items()):
-            if k <= trunc:
-                terms[(b, k)] = terms.get((b, k), Cyclotomic.zero()) + c
-        return GradedSeries(self.model, self.weight, self.N, self.variable, trunc, terms)
-
-    def equal_on_common_range(self, other: "GradedSeries") -> bool:
-        """Exact term equality on exponents valid for both series."""
-        t = min(self.trunc, other.trunc)
-        mine = {k: v for k, v in self.terms.items() if k[1] <= t}
-        theirs = {k: v for k, v in other.terms.items() if k[1] <= t}
-        if set(mine) != set(theirs):
-            return False
-        return all(mine[k] == theirs[k] for k in mine)
-
-    def working_field_order(self, twist: Fraction | None = None) -> int:
-        orders = [self.N, self.weight.denominator_lcm()]
-        orders += [c.order for c in self.terms.values()]
-        if twist is not None:
-            orders.append(twist.denominator)
-        return working_order(*orders)
+        A twist that check_invariance accepts has a denominator dividing N.
+        """
+        return lcm(self.N, *(v.denominator for v in self.weight.values()),
+                   *(c.order for c in self.terms.values()))
 
 
 def decompose_by_beta(series: GradedSeries):

@@ -1,10 +1,10 @@
 """Small exact matrices over cyclotomic fields.
 
-Sizes are desk scale (at most 4), so determinants go through Leibniz
-expansion, inverses through the adjugate, and characteristic polynomials
-through Faddeev-LeVerrier, all exact.  Eigenvalues of finite-order elements
-are roots of unity and are extracted by trial evaluation over divisor orders
-followed by synthetic division.
+Sizes are desk scale (at most 4), so characteristic polynomials go through
+Faddeev-LeVerrier, exactly.  Eigenvalues of finite-order elements are roots
+of unity and are extracted by trial evaluation over divisor orders followed
+by synthetic division.  No verb reaches ``det`` (Leibniz expansion) or
+``inverse`` (the adjugate); perfbench's tracer still wraps them by name.
 
 A product is fused: each nonzero entry is written once as integer numerators
 in the field of the entries it meets, each output entry sum_k a_ik b_kj is
@@ -62,10 +62,6 @@ class CycMatrix:
         r = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
 
-    @classmethod
-    def scalar(cls, r: int, value) -> "CycMatrix":
-        return cls.diagonal([value] * r)
-
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.rows[i][j]
 
@@ -107,18 +103,6 @@ class CycMatrix:
         cache = {}
         return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
                           for row in self.rows])
-
-    def __pow__(self, n: int) -> "CycMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycMatrix.identity(self.size)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix) or other.size != self.size:

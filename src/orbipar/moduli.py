@@ -63,10 +63,6 @@ class StratumIndex:
     cocycle: Cochain2
     orbit_classes: tuple  # QuotientClass per orbit
 
-    def canonical_key(self):
-        return (self.cocycle.key(),
-                tuple(c.exponent_values() for c in self.orbit_classes))
-
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
                      covering: CoveringData, model: GroupModel,

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
 from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle, zeta
 from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                      NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from .matrices import CycMatrix, root_of_unity_eigenvalues
-from .scalars import FractionalWeight, normalize_weight, rational, working_order
+from .scalars import FractionalWeight, check_order, normalize_weight, rational
 
 MAX_ENUMERATION = 24  # bound on n * r for class enumeration
 
@@ -40,6 +40,8 @@ class PseudoRep:
         sizes = {im.size for im in images}
         if len(sizes) != 1:
             raise SizeMismatch(f"inhomogeneous matrix sizes {sorted(sizes)}")
+        check_order(lcm(group.order * cochain.coefficients.order,
+                        *(x.order for im in images for row in im.rows for x in row)))
         self.cochain = cochain
         self.group = group
         self.images = images
@@ -51,26 +53,6 @@ class PseudoRep:
 
     def image(self, element) -> CycMatrix:
         return self.images[self.group.index[tuple(element)]]
-
-    @classmethod
-    def from_generator(cls, cochain: Cochain2, gen_image: CycMatrix) -> "PseudoRep":
-        """Extend an image of the canonical generator along the composition rule."""
-        group = cochain.group
-        n = group.order
-        coeff = cochain.coefficients
-        images = [CycMatrix.identity(gen_image.size)]
-        gen = (1,)
-        cur_elt = group.identity
-        for _ in range(n - 1):
-            # sigma(g) sigma(g^k) = c(g, g^k) sigma(g^{k+1})
-            nxt = (gen_image @ images[-1]).scale(coeff.value(-cochain.value(gen, cur_elt)))
-            images.append(nxt)
-            cur_elt = group.add(cur_elt, gen)
-        return cls(cochain, images)
-
-    def conjugate(self, g: CycMatrix) -> "PseudoRep":
-        g_inv = g.inverse()
-        return PseudoRep(self.cochain, [g_inv @ im @ g for im in self.images])
 
 
 @dataclass(frozen=True)
@@ -116,10 +98,6 @@ class PseudoRepClass:
                 raise MalformedInput(
                     f"exponent {q.value} does not satisfy lambda^{self.order} = zeta")
 
-    @property
-    def rank(self) -> int:
-        return len(self.exponents)
-
     def exponent_values(self):
         return tuple(q.value for q in self.exponents)
 
@@ -143,7 +121,7 @@ def classify(sigma: PseudoRep) -> PseudoRepClass:
     n = sigma.order
     m = sigma.cochain.coefficients.order
     z = zeta(sigma.cochain, (1,))
-    bound = working_order(n * m, 2)
+    bound = lcm(n * m, 2)
     exps = root_of_unity_eigenvalues(sigma.image((1,)), bound)
     return PseudoRepClass(n, z, tuple(FractionalWeight(q) for q in exps))
 

@@ -23,6 +23,13 @@ degrees at or above M/2 (M even) or M (M odd) down by the sparse relation
 x^(M/2) = -1, resp. x^M = 1, then divides by Phi_M from the top degree,
 touching only the nonzero terms.  Memory stays O(M); phi(M) comes from a
 cached factorisation.
+
+Phi_M is built once per M over the ints, with no polynomial long division:
+Phi_M(x) = Phi_R(x^(M/R)) for the radical R of M, and Phi_R is the Moebius
+product of the binomials y^(R/e) - 1 over the divisors e of R, each a
+multiplication or an exact division by a sparse binomial in O(R) steps.  The
+orders an input asks for are capped at MAX_CYCLOTOMIC_ORDER before any
+coefficient list of that length is built.
 """
 
 from __future__ import annotations
@@ -31,14 +38,17 @@ import enum
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import lcm, prod
 
-from .errors import DenominatorNotDividing, IncompatibleOrders, MalformedInput
+from .errors import (DenominatorNotDividing, IncompatibleOrders, MalformedInput,
+                     ScaleExceeded)
 
 Rational = Fraction
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _ZERO = Fraction(0)
+MAX_CYCLOTOMIC_ORDER = 2 ** 13  # working order of a series or a pseudorepresentation
 
 
 def rational(x) -> Fraction:
@@ -59,10 +69,6 @@ def rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad rational {x!r}: {exc}") from None
     raise MalformedInput(f"bad rational {x!r}")
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 class Convention(enum.Enum):
@@ -184,29 +190,61 @@ def _poly_egcd_inverse(f, m):
     return [x / c for x in s0]
 
 
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes dividing n, by trial division, O(sqrt n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return (*primes, n) if n > 1 else tuple(primes)
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """phi(n) by trial-division factorisation, O(sqrt n); 0 for n < 1."""
-    out, m, p = max(n, 0), n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    return out - out // m if m > 1 else out
+    """phi(n) from the distinct primes of n, O(sqrt n); 0 for n < 1."""
+    out = max(n, 0)
+    for p in _prime_factors(n):
+        out -= out // p
+    return out
+
+
+def check_order(M: int) -> int:
+    """M, if it is at most MAX_CYCLOTOMIC_ORDER; inputs are checked before any
+    work builds coefficient lists of length M."""
+    if M > MAX_CYCLOTOMIC_ORDER:
+        raise ScaleExceeded(f"cyclotomic order {M} exceeds bound {MAX_CYCLOTOMIC_ORDER}")
+    return M
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple:
-    """Coefficients of Phi_M, computed by dividing x^M - 1 by Phi_d for d|M, d<M."""
-    p = [Fraction(-1)] + [Fraction(0)] * (M - 1) + [Fraction(1)]  # x^M - 1
-    for d in range(1, M):
-        if M % d == 0:
-            p, rem = _poly_divmod(p, list(cyclotomic_poly(d)))
-            if rem:
-                raise AssertionError(f"Phi_{d} does not divide x^{M} - 1")
-    out = tuple(p)
+    """Coefficients of Phi_M, lowest degree first, as Fractions.
+
+    Phi_M(x) = Phi_R(x^(M/R)) for R = rad M, and Phi_R is the Moebius product
+    prod_{e | R} (y^(R/e) - 1)^mu(e) over the ints: multiply by the binomials
+    with mu(e) = 1 first, so that every division by one with mu(e) = -1 is exact.
+    """
+    primes = _prime_factors(M)
+    R = prod(primes)
+    p = [1]
+    for r in (*range(0, len(primes) + 1, 2), *range(1, len(primes) + 1, 2)):
+        for subset in combinations(primes, r):
+            a = R // prod(subset)
+            if r % 2 == 0:  # times y^a - 1
+                q = [0] * a + p
+                for i, c in enumerate(p):
+                    q[i] -= c
+            else:  # over y^a - 1: p_i = q_(i-a) - q_i
+                q = [0] * (len(p) - a)
+                for i in range(len(q)):
+                    q[i] = (q[i - a] if i >= a else 0) - p[i]
+            p = q
+    spread = [0] * ((len(p) - 1) * (M // R) + 1)
+    spread[::M // R] = p
+    out = tuple(Fraction(c) for c in spread)
     if len(out) != euler_phi(M) + 1 or out[-1] != 1:
         raise AssertionError(f"Phi_{M} is not monic of degree phi({M})")
     return out
@@ -415,34 +453,10 @@ class Cyclotomic:
         return Cyclotomic._new(self.order, tuple(Fraction(c) if c else _ZERO
                                                  for c in _reduce(self.order, inv)))
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / rational(other))
-        a, b = self._common(other)
-        return a * b.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyclotomic.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -481,13 +495,3 @@ def root_of_unity(q, M: int | None = None) -> Cyclotomic:
     if key not in _ROOT_CACHE:
         _ROOT_CACHE[key] = Cyclotomic.zeta_power(M, k)
     return _ROOT_CACHE[key]
-
-
-def working_order(*denominators: int) -> int:
-    """lcm of the given orders/denominators; the ambient field for a computation."""
-    M = 1
-    for d in denominators:
-        d = int(d)
-        if d:
-            M = M * d // gcd(M, d)
-    return M

@@ -5,8 +5,14 @@ exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
 coboundary cosets, an exhaustive isomorphism search between Cayley tables,
 the order of a root of unity by trial exponentiation, and cyclotomic and
 matrix products computed with a Fraction for every term.
+
+And the conveniences that only tests call, attached to the library classes
+as methods: powers, division and is_one on cyclotomics, matrix powers and
+scalar matrices, pseudorepresentations from a generator image and their
+conjugates, cochain keys and products, and series sums and comparisons.
 """
 
+import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -15,9 +21,11 @@ import numpy as np
 
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, CoefficientGroup,
                               ExtensionGroup, FiniteAbelianGroup, is_cocycle, zeta)
+from orbipar.errors import MalformedInput
 from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
+from orbipar.moduli import StratumIndex
 from orbipar.pseudoreps import PseudoRep
 from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
 
@@ -361,6 +369,116 @@ def _multiplicative_order(self: Cyclotomic):
 
 # trial exponentiation is a test oracle only; tests call it as a method
 Cyclotomic.multiplicative_order = _multiplicative_order
+
+
+# -- arithmetic that no verb reaches; the tests call it as methods -------------
+
+def _is_one(self: Cyclotomic) -> bool:
+    return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+
+
+def _truediv(self: Cyclotomic, other):
+    if isinstance(other, (int, Fraction)):
+        return self * (Fraction(1) / Fraction(other))
+    a, b = self._common(other)
+    return a * b.inverse()
+
+
+def _power(identity, mul):
+    """x ** n by repeated squaring from identity(x); n < 0 goes through inverse()."""
+    def power(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out, base = identity(self), self
+        while n:
+            if n & 1:
+                out = mul(out, base)
+            base = mul(base, base)
+            n >>= 1
+        return out
+    return power
+
+
+Cyclotomic.is_one = _is_one
+Cyclotomic.__truediv__ = _truediv
+Cyclotomic.__pow__ = _power(lambda x: Cyclotomic.one(x.order), operator.mul)
+CycMatrix.__pow__ = _power(lambda A: CycMatrix.identity(A.size), operator.matmul)
+CycMatrix.scalar = classmethod(lambda cls, r, value: cls.diagonal([value] * r))
+
+
+def _from_generator(cls, cochain: Cochain2, gen_image: CycMatrix) -> PseudoRep:
+    """Extend an image of the canonical generator along the composition rule."""
+    group = cochain.group
+    coeff = cochain.coefficients
+    images = [CycMatrix.identity(gen_image.size)]
+    gen = (1,)
+    cur_elt = group.identity
+    for _ in range(group.order - 1):
+        # sigma(g) sigma(g^k) = c(g, g^k) sigma(g^{k+1})
+        nxt = (gen_image @ images[-1]).scale(coeff.value(-cochain.value(gen, cur_elt)))
+        images.append(nxt)
+        cur_elt = group.add(cur_elt, gen)
+    return cls(cochain, images)
+
+
+def _conjugate(self: PseudoRep, g: CycMatrix) -> PseudoRep:
+    g_inv = g.inverse()
+    return PseudoRep(self.cochain, [g_inv @ im @ g for im in self.images])
+
+
+PseudoRep.from_generator = classmethod(_from_generator)
+PseudoRep.conjugate = _conjugate
+
+
+def _cochain_key(self: Cochain2):
+    return tuple(x for row in self.table for x in row)
+
+
+def _cochain_mul(self: Cochain2, other: Cochain2) -> Cochain2:
+    if self.group != other.group or self.coefficients.order != other.coefficients.order:
+        raise MalformedInput("cochains live over different (group, coefficients)")
+    return Cochain2(self.group, self.coefficients,
+                    [[x + y for x, y in zip(r, s)] for r, s in zip(self.table, other.table)])
+
+
+Cochain2.trivial = classmethod(
+    lambda cls, group, m: cls(group, CoefficientGroup(m), [[0] * group.order] * group.order))
+Cochain2.key = _cochain_key
+Cochain2.mul = _cochain_mul
+StratumIndex.canonical_key = lambda self: (
+    self.cocycle.key(), tuple(c.exponent_values() for c in self.orbit_classes))
+
+
+def _series_scale(self: GradedSeries, c) -> GradedSeries:
+    return self.with_terms({key: coeff * c for key, coeff in self.terms.items()})
+
+
+def _series_add(self: GradedSeries, other: GradedSeries) -> GradedSeries:
+    if (self.model != other.model or self.weight.values() != other.weight.values()
+            or self.N != other.N or self.variable != other.variable):
+        raise MalformedInput("series live on different local models")
+    trunc = min(self.trunc, other.trunc)
+    terms = {}
+    for (b, k), c in list(self.terms.items()) + list(other.terms.items()):
+        if k <= trunc:
+            terms[(b, k)] = terms.get((b, k), Cyclotomic.zero()) + c
+    return GradedSeries(self.model, self.weight, self.N, self.variable, trunc, terms)
+
+
+def _equal_on_common_range(self: GradedSeries, other: GradedSeries) -> bool:
+    """Exact term equality on exponents valid for both series."""
+    t = min(self.trunc, other.trunc)
+    mine = {k: v for k, v in self.terms.items() if k[1] <= t}
+    theirs = {k: v for k, v in other.terms.items() if k[1] <= t}
+    if set(mine) != set(theirs):
+        return False
+    return all(mine[k] == theirs[k] for k in mine)
+
+
+GradedSeries.is_zero = lambda self: not self.terms
+GradedSeries.scale = _series_scale
+GradedSeries.add = _series_add
+GradedSeries.equal_on_common_range = _equal_on_common_range
 
 
 # -- the per-term Fraction product: an oracle for the integer-numerator kernel --

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from orbipar.cli import main, run_command
+from orbipar.cli import HANDLERS, build_parser, main, run_command
 from orbipar import jsonio
 from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, CoefficientGroup,
                               FiniteAbelianGroup)
@@ -14,8 +16,10 @@ from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
-from orbipar.scalars import root_of_unity
+from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, root_of_unity
 from fractions import Fraction
+
+import helpers  # noqa: F401  (attaches PseudoRep.from_generator, equal_on_common_range)
 
 
 def invoke(tmp_path, command, payload, *extra):
@@ -275,12 +279,13 @@ def test_local_check_large_prime_order(tmp_path):
 
 
 def test_huge_cyclotomic_order_fails_fast(tmp_path):
-    payload = make_series_payload()
-    payload["terms"][0]["coeff"] = {"order": 10 ** 12, "coeffs": []}
-    start = time.perf_counter()
-    code, text = invoke(tmp_path, ["local", "check"], payload)
-    assert code == 2 and json.loads(text)["error"] == "malformed_input"
-    assert time.perf_counter() - start < 5
+    for order in (10 ** 12, 2 ** 61 - 1):  # the second is prime: no factor below 1.5e9
+        payload = make_series_payload()
+        payload["terms"][0]["coeff"] = {"order": order, "coeffs": []}
+        start = time.perf_counter()
+        code, text = invoke(tmp_path, ["local", "check"], payload)
+        assert code == 2 and json.loads(text)["error"] == "malformed_input"
+        assert time.perf_counter() - start < 5
 
 
 def test_moduli_commands(tmp_path):
@@ -439,3 +444,140 @@ def test_calls_in_one_process_share_no_state(tmp_path):
                                capture_output=True, text=True, env=env, timeout=60)
         assert run_command(argv) == (fresh.returncode, fresh.stdout)
     assert json.loads(fresh.stdout)["result"]["twist"] == "0"
+
+
+def test_oversized_json_integer_is_malformed(tmp_path):
+    # past Python's int-string digit limit json.load raises a plain ValueError
+    path = tmp_path / "in.json"
+    path.write_text('{"group": [2], "coeff_order": ' + "7" * 5000 + ', "table": []}')
+    code, text = run_command(["cocycle", "verify", str(path)])
+    assert code == 2 and json.loads(text)["error"] == "malformed_input"
+
+
+def fresh_cli(*argv, timeout=60):
+    """(exit code, stdout, stderr, seconds) of a new `python -m orbipar.cli` process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "orbipar.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def gl1_payload(N):
+    # gl(1) at alpha = 0: the term at k = N - 2 is not invariant
+    return {"model": {"kind": "gl", "r": 1}, "alpha": ["0"], "N": N, "variable": "z",
+            "trunc": N, "terms": [{"basis": [0, 0], "k": N - 2, "coeff": "1"}]}
+
+
+def test_local_check_at_order_2520_is_fast(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(gl1_payload(2520)))
+    code, out, err, elapsed = fresh_cli("local", "check", path)
+    assert code == 0, out + err
+    assert json.loads(out)["result"]["violations"] == [{"beta": "0", "k": 2518,
+                                                        "basis": [0, 0]}]
+    assert elapsed < 2, f"took {elapsed:.2f} s"
+
+
+def test_series_order_capped_before_any_work(tmp_path):
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["local", "check"], gl1_payload(10 ** 9))
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded"
+    assert str(MAX_CYCLOTOMIC_ORDER) in out["detail"]
+
+
+def test_working_order_capped_before_any_work(tmp_path):
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["local", "descend"], make_series_payload(),
+                        "--working-order", "1000000000")
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded"
+    assert str(MAX_CYCLOTOMIC_ORDER) in out["detail"]
+
+
+def test_pseudorep_order_capped_at_n_times_m(tmp_path):
+    # n * m = 2 * (cap / 2) is allowed, one more coefficient order step is not
+    for m, expected in ((MAX_CYCLOTOMIC_ORDER // 2, 0), (MAX_CYCLOTOMIC_ORDER, 1)):
+        payload = _set(PSEUDOREP, ["cocycle", "coeff_order"], m)
+        code, text = invoke(tmp_path, ["pseudorep", "verify"], payload)
+        assert code == expected, text
+    assert json.loads(text)["error"] == "scale_exceeded"
+    assert str(MAX_CYCLOTOMIC_ORDER) in json.loads(text)["detail"]
+
+
+def test_working_order_embeds_the_natural_output(tmp_path):
+    payload = make_series_payload()
+    payload["terms"][0]["coeff"] = {"order": 3, "coeffs": ["1", "1/2"]}
+    code, text = invoke(tmp_path, ["local", "descend"], payload)
+    assert code == 0
+    natural = json.loads(text)
+    M = natural["audit"]["M"]
+    assert M == 6
+    code, text = invoke(tmp_path, ["local", "descend"], payload, "--working-order", str(2 * M))
+    assert code == 0
+    forced = json.loads(text)
+    assert forced["audit"]["M"] == 2 * M
+    expected = natural["result"]["series"]["terms"]
+    for term in expected:
+        coeff = jsonio.cyclotomic_from_json(term["coeff"])
+        term["coeff"] = jsonio.cyclotomic_to_json(coeff.embed(2 * M))
+    assert forced["result"]["series"]["terms"] == expected
+    assert forced["result"]["residue"] == natural["result"]["residue"]
+
+
+@pytest.mark.parametrize("order", ["9", "0", "-6"])
+def test_working_order_must_be_a_positive_multiple(tmp_path, order):
+    payload = make_series_payload()
+    payload["terms"][0]["coeff"] = {"order": 3, "coeffs": ["1", "1/2"]}
+    for verb in ("check", "descend"):
+        code, text = invoke(tmp_path, ["local", verb], payload, "--working-order", order)
+        out = json.loads(text)
+        assert code == 2 and out["error"] == "malformed_input"
+        assert "natural order 6" in out["detail"]
+
+
+@pytest.mark.parametrize("command,payload,flag", [
+    (["local", "residue"], None, ["--working-order", "4"]),
+    (["pseudorep", "verify"], PSEUDOREP, ["--scale-bound", "4"]),
+])
+def test_flags_of_other_verbs_are_argv_errors(tmp_path, command, payload, flag):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload or make_series_payload()))
+    code, out, err, _ = fresh_cli(*command, path)
+    assert code in (0, 1, 2) and out
+    code, out, err, _ = fresh_cli(*command, path, *flag)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: orbipar") and f"unrecognized arguments: {flag[0]}" in err
+
+
+def verbs_accepting(option):
+    """The "noun verb" leaves of the parser that declare the option."""
+    def subcommands(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices.items()
+
+    return sorted(f"{noun} {verb}" for noun, sub in subcommands(build_parser())
+                  for verb, leaf in subcommands(sub)
+                  if any(option in a.option_strings for a in leaf._actions))
+
+
+def test_flags_exist_only_on_the_verbs_that_read_them():
+    assert verbs_accepting("--scale-bound") == ["cocycle h2", "moduli strata"]
+    assert verbs_accepting("--working-order") == ["local ascend", "local check",
+                                                  "local descend"]
+    assert verbs_accepting("--twist") == ["local check"]
+    assert len(verbs_accepting("--out")) == len(HANDLERS) + 1  # corpus run too
+
+
+def test_corpus_run_reports_a_case_with_bad_args(tmp_path):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    case = json.loads((corpus / "local_residue_mixed.json").read_text())
+    (tmp_path / "a.json").write_text(json.dumps({**case, "args": ["--working-order", "4"]}))
+    (tmp_path / "b.json").write_text((corpus / "moduli_rh_elliptic_quotient.json").read_text())
+    code, text = run_command(["corpus", "run", str(tmp_path)])
+    assert code == 1
+    assert text.splitlines() == ["FAIL a.json (bad args ['--working-order', '4'])",
+                                 "ok b.json", "1/2 cases passed"]

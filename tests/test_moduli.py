@@ -11,6 +11,8 @@ from orbipar.moduli import (CoveringData, FlagDegreeData, degree_pairing,
                             degree_scaling_check, enumerate_strata,
                             riemann_hurwitz, stability_verdict)
 
+import helpers  # noqa: F401  (attaches StratumIndex.canonical_key)
+
 
 def test_riemann_hurwitz_examples():
     assert riemann_hurwitz(CoveringData(2, 2, (2, 2))) == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -7,9 +8,9 @@ import sympy
 from orbipar.errors import DenominatorNotDividing, IncompatibleOrders
 from orbipar.scalars import (Convention, Cyclotomic, FractionalWeight,
                              cyclotomic_poly, euler_phi, normalize_weight,
-                             root_of_unity, working_order)
+                             root_of_unity)
 
-import helpers  # noqa: F401  (attaches Cyclotomic.multiplicative_order)
+import helpers  # noqa: F401  (attaches Cyclotomic.multiplicative_order, is_one)
 
 
 def test_cyclotomic_polynomials():
@@ -116,7 +117,7 @@ def test_mixed_order_arithmetic_promotes():
     a = root_of_unity(Fraction(1, 3), 3)
     b = root_of_unity(Fraction(1, 4), 4)
     assert a * b == root_of_unity(Fraction(7, 12), 12)
-    assert working_order(3, 4) == 12
+    assert lcm(3, 4) == 12
 
 
 def test_weight_range_validation():
@@ -140,8 +141,8 @@ def test_euler_phi_matches_sympy():
 
 
 def test_cyclotomic_poly_matches_sympy():
-    for M in range(1, 121):
-        expected = sympy.Poly(sympy.cyclotomic_poly(M, X), X).all_coeffs()[::-1]
+    for M in [*range(1, 121), 2520, 5040, 30030]:
+        expected = sympy.cyclotomic_poly(M, X, polys=True).all_coeffs()[::-1]
         assert cyclotomic_poly(M) == tuple(Fraction(int(c)) for c in expected), M
 
 

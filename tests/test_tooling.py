@@ -1,5 +1,6 @@
 """Checks on the package as a whole: no runtime asserts, no numpy on import,
-and every cochain payload, however hostile, ending in exit 0, 1 or 2."""
+the benchmark tracer's entry points all present, and every cochain payload,
+however hostile, ending in exit 0, 1 or 2."""
 
 import ast
 import json
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orbipar.cli import run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbipar"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def test_no_assert_statements_in_src():
@@ -22,6 +24,16 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps its entry points by name; a missing one is a KeyError
+    # or AttributeError that would stop `perfbench/run.py --trace 1`
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(PERFBENCH)]))
+    code = "import orbipar.cli; from tracer import Tracer; Tracer().install()"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_numpy_out():

@@ -37,15 +37,15 @@ class FiniteAbelianGroup:
     identity.  The full product table is precomputed; groups are desk scale.
     """
 
-    def __init__(self, cyclic_factors, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, cyclic_factors):
         factors = tuple(int(n) for n in cyclic_factors)
         if any(n < 1 for n in factors):
             raise MalformedInput(f"bad cyclic factors {factors}")
         order = 1
         for n in factors:
             order *= n
-        if order > max_order:
-            raise ScaleExceeded(f"group order {order} exceeds bound {max_order}")
+        if order > DEFAULT_MAX_ORDER:
+            raise ScaleExceeded(f"group order {order} exceeds bound {DEFAULT_MAX_ORDER}")
         self.factors = factors
         self.order = order
         self.elements = list(product(*map(range, factors)))
@@ -55,9 +55,6 @@ class FiniteAbelianGroup:
 
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
-
-    def neg(self, a):
-        return tuple((-x) % n for x, n in zip(a, self.factors))
 
     @property
     def identity(self):

@@ -7,8 +7,9 @@ e^{2 pi i (beta + (k+1)/N)}, so invariance is the index condition
 
     k = N*l - N*beta - 1   for some integer l,
 
-which is checked both by that congruence and by honest substitution (exact
-torus conjugation of the coefficient matrix).  Descent pushes an invariant
+which is checked both by that congruence and by honest substitution: the
+torus element diag(t_i), t_i = e^{2 pi i alpha_i}, acts on the (i, j) entry
+of a basis element by t_i / t_j.  Descent pushes an invariant
 field through the meromorphic gauge z^{N alpha} and the substitution
 w = z^N; per component the gauge acts as the integer exponent shift N*beta,
 so for beta < 0 the l-th term lands on w^{l-1} dw with a simple pole at
@@ -97,10 +98,9 @@ class GradedSeries:
         return sorted(self.terms.items(),
                       key=lambda kv: (self.model.basis_key(kv[0][0]), kv[0][1]))
 
-    def with_terms(self, terms, variable=None, trunc=None) -> "GradedSeries":
-        return GradedSeries(self.model, self.weight, self.N,
-                            variable or self.variable,
-                            self.trunc if trunc is None else trunc, terms)
+    def with_terms(self, terms) -> "GradedSeries":
+        return GradedSeries(self.model, self.weight, self.N, self.variable,
+                            self.trunc, terms)
 
     def working_field_order(self) -> int:
         """The lcm of N, the weight denominators and the coefficient orders.
@@ -137,7 +137,7 @@ class InvarianceReport:
 def _twist_fraction(twist, N: int) -> Fraction:
     if twist is None:
         return Fraction(0)
-    t = twist.value if isinstance(twist, FractionalWeight) else rational(twist)
+    t = rational(twist)
     if (N * t).denominator != 1:
         raise TwistDenominator(f"twist {t} has denominator not dividing N={N}")
     return t % 1
@@ -147,15 +147,15 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
     """Invariance of the local field under the order-N isotropy action.
 
     Two independent verdicts are computed and must agree: the index criterion
-    k + 1 + N*beta = N*twist (mod N), and direct substitution, which
-    conjugates each term's coefficient matrix by the exact torus element and
-    multiplies by e^{2 pi i (k+1)/N}.
+    k + 1 + N*beta = N*twist (mod N), and direct substitution, which acts on
+    each nonzero entry (i, j) of the term's basis element by t_i / t_j and
+    e^{2 pi i (k+1)/N}.  The substitution reads t_i = e^{2 pi i alpha_i} from
+    the weight and never beta.
     """
     if series.variable != UPSTAIRS:
         raise MalformedInput("invariance is defined for upstairs (z) series")
     t = _twist_fraction(twist, series.N)
     N = series.N
-    vals = series.weight.values()
 
     index_violations = []
     for (b, k), _ in series.sorted_terms():
@@ -164,14 +164,16 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
             index_violations.append((series.beta_of(b), k, series.model.basis_key(b)))
     by_index = not index_violations
 
-    torus = CycMatrix.diagonal([root_of_unity(v) for v in vals])
-    torus_inv = CycMatrix.diagonal([root_of_unity(-v % 1) for v in vals])
+    torus = [root_of_unity(v) for v in series.weight.values()]
     twist_scalar = root_of_unity(t)
     subst_violations = []
-    for (b, k), coeff in series.sorted_terms():
-        mat = series.model.basis_matrix(b).scale(coeff)
-        acted = (torus @ mat @ torus_inv).scale(root_of_unity(Fraction((k + 1) % N, N), N))
-        if acted != mat.scale(twist_scalar):
+    for (b, k), _ in series.sorted_terms():
+        # t_i e_ij c t_j^-1 zeta_N^(k+1) = e_ij c e^{2 pi i twist} on each entry;
+        # the coefficient c cancels because GradedSeries drops zero terms
+        phase = root_of_unity(Fraction((k + 1) % N, N), N)
+        rows = series.model.basis_matrix(b).rows
+        if any(torus[i] * phase != torus[j] * twist_scalar
+               for i, row in enumerate(rows) for j, e in enumerate(row) if e):
             subst_violations.append((series.beta_of(b), k, series.model.basis_key(b)))
     by_substitution = not subst_violations
 
@@ -281,11 +283,11 @@ def descend(series: GradedSeries):
     return down, residue_report(down)
 
 
-def ascend(series: GradedSeries, verify: bool = True) -> GradedSeries:
+def ascend(series: GradedSeries) -> GradedSeries:
     """Pull a downstairs field with admissible residue back to the cover.
 
     The pole coefficients must lie in strictly negative eigencomponents; the
-    result is holomorphic and invariant (checked when verify is set).
+    result is holomorphic and invariant, which is checked.
     """
     if series.variable != DOWNSTAIRS:
         raise MalformedInput("ascend expects a downstairs (w) series")
@@ -305,8 +307,6 @@ def ascend(series: GradedSeries, verify: bool = True) -> GradedSeries:
             continue
         terms[(b, k)] = coeff * N
     up = GradedSeries(series.model, series.weight, N, UPSTAIRS, out_trunc, terms)
-    if verify:
-        report = check_invariance(up)
-        if not report.invariant:
-            raise AssertionError("ascended series must be invariant")
+    if not check_invariance(up).invariant:
+        raise AssertionError("ascended series must be invariant")
     return up

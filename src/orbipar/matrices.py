@@ -1,10 +1,11 @@
 """Small exact matrices over cyclotomic fields.
 
-Sizes are desk scale (at most 4), so characteristic polynomials go through
-Faddeev-LeVerrier, exactly.  Eigenvalues of finite-order elements are roots
-of unity and are extracted by trial evaluation over divisor orders followed
-by synthetic division.  No verb reaches ``det`` (Leibniz expansion) or
-``inverse`` (the adjugate); perfbench's tracer still wraps them by name.
+Sizes are desk scale (at most 4).  On the product path a matrix is added,
+multiplied, scaled, compared and traced; eigenvalues of a finite-order
+element come from its power traces alone (``root_of_unity_eigenvalues``).
+No verb reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz
+expansion) or ``inverse`` (the adjugate); perfbench's tracer still wraps them
+by name.
 
 A product is fused: each nonzero entry is written once as integer numerators
 in the field of the entries it meets, each output entry sum_k a_ik b_kj is
@@ -55,12 +56,6 @@ class CycMatrix:
     @classmethod
     def zero(cls, r: int) -> "CycMatrix":
         return cls([[0] * r for _ in range(r)])
-
-    @classmethod
-    def diagonal(cls, entries) -> "CycMatrix":
-        entries = list(entries)
-        r = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.rows[i][j]
@@ -174,39 +169,26 @@ class CycMatrix:
         return f"CycMatrix({self.size}x{self.size})"
 
 
-def poly_eval(coeffs, x: Cyclotomic) -> Cyclotomic:
-    acc = Cyclotomic.zero(x.order)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[Fraction]:
+    """Eigenvalue exponents of a matrix A with A^n = e^{2 pi i zeta} Id, from
+    power_traces[j] = tr A^j for j < n.
 
-
-def poly_deflate(coeffs, root: Cyclotomic):
-    """Divide a monic-led polynomial by (x - root); remainder must be zero."""
-    out = []
-    carry = Cyclotomic.zero(root.order)
-    for c in reversed(coeffs):
-        carry = c + carry * root
-        out.append(carry)
-    remainder = out.pop()
-    if not remainder.is_zero():
-        raise ValueError("not a root")
-    return list(reversed(out))
-
-
-def root_of_unity_eigenvalues(A: CycMatrix, order_bound: int) -> list[Fraction]:
-    """Eigenvalue exponents of A, assuming all eigenvalues are roots of unity
-    of order dividing order_bound.  Trial evaluation over k/order_bound with
-    multiplicities by synthetic division; raises if the assumption fails.
+    A is diagonalisable, and each root lambda of lambda^n = e^{2 pi i zeta} has
+    multiplicity (1/n) sum_j tr(A^j) lambda^-j.  Raises if one is not a
+    non-negative integer or they do not add up to the rank.
     """
-    p = A.charpoly()
+    n = len(power_traces)
+    cache = {}
     found = []
-    for k in range(order_bound):
-        q = Fraction(k, order_bound)
-        lam = root_of_unity(q, order_bound)
-        while len(p) > 1 and poly_eval(p, lam).is_zero():
-            p = poly_deflate(p, lam)
-            found.append(q)
-    if len(found) != A.size:
-        raise ValueError("matrix has eigenvalues outside the trial roots of unity")
+    for k in range(n):
+        q = (zeta + k) / n
+        M = lcm(q.denominator, *(t.order for t in power_traces))
+        mult = dot(M, [(t, root_of_unity(-j * q % 1, M))
+                       for j, t in enumerate(power_traces)], cache)
+        count = mult.coeffs[0] / n
+        if any(mult.coeffs[1:]) or count.denominator != 1 or count < 0:
+            raise ValueError(f"multiplicity of e^(2 pi i {q}) is not a count")
+        found += [q] * int(count)
+    if len(found) != rank:
+        raise ValueError(f"multiplicities add up to {len(found)}, not the rank {rank}")
     return sorted(found, reverse=True)

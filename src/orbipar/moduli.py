@@ -113,13 +113,8 @@ class FlagDegreeData:
 
     def __init__(self, s, pieces, corrections=()):
         s = sorted((rational(x) for x in s), reverse=True)
-        parsed = []
-        for p in pieces:
-            if isinstance(p, FlagPiece):
-                parsed.append(p)
-            else:
-                parsed.append(FlagPiece(rational(p["value"]), int(p["rank"]),
-                                        int(p["degree"])))
+        parsed = [FlagPiece(rational(p["value"]), int(p["rank"]), int(p["degree"]))
+                  for p in pieces]
         parsed.sort(key=lambda p: p.value, reverse=True)
         values = [p.value for p in parsed]
         if len(set(values)) != len(values):

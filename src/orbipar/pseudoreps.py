@@ -5,23 +5,25 @@ A pseudorepresentation with cocycle c is a unital map sigma with
     sigma(a) sigma(b) = c(a, b) sigma(ab),
 
 equivalently a representation of the central extension sending the
-coefficient copy to scalars.  For a generator g of order n this forces
-sigma(g)^n = zeta(g) Id with zeta the cocycle product invariant, which makes
-the eigenvalue exponents of sigma(g) a complete conjugacy invariant: they are
-the n solutions of lambda^n = zeta, counted with multiplicity.
+coefficient copy to scalars (G. Karpilovsky, Projective Representations of
+Finite Groups, 1985).  For a generator g of order n and T_j = sum_{i<j}
+c(g, g^i), the generator row forces sigma(g)^j = zeta_m^T_j sigma(g^j) and
+sigma(g)^n = e^{2 pi i zeta} Id with zeta = T_n/m, which makes the eigenvalue
+exponents of sigma(g) a complete conjugacy invariant: they are the n
+solutions of lambda^n = e^{2 pi i zeta}, counted with multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, lcm
 
-from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle, zeta
+from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle
 from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                      NotAPseudoRep, ScaleExceeded, SizeMismatch)
-from .matrices import CycMatrix, root_of_unity_eigenvalues
+from .matrices import root_of_unity_eigenvalues
 from .scalars import FractionalWeight, check_order, normalize_weight, rational
 
 MAX_ENUMERATION = 24  # bound on n * r for class enumeration
@@ -51,9 +53,6 @@ class PseudoRep:
     def order(self) -> int:
         return self.group.order
 
-    def image(self, element) -> CycMatrix:
-        return self.images[self.group.index[tuple(element)]]
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -64,19 +63,37 @@ class VerifyReport:
         return self.ok
 
 
+def _generator_sums(sigma: PseudoRep) -> list[int]:
+    """T_j = sum_{i<j} c(g, g^i) for j = 0..n, g the canonical generator."""
+    return list(accumulate(sigma.cochain.table[1 % sigma.order], initial=0))
+
+
 def verify_pseudorep(sigma: PseudoRep) -> VerifyReport:
-    """Exhaustive check of the composition rule on all pairs, plus sigma(1) = Id."""
-    if not sigma.images[0].is_identity():
-        return VerifyReport(False, (sigma.group.identity, sigma.group.identity))
+    """The composition rule on all pairs, plus sigma(1) = Id.
+
+    Only the generator row is multiplied out.  Once it holds, sigma(g) is
+    invertible and sigma(a) sigma(b) = zeta_m^d sigma(ab) with
+    d = T_((a+b) mod n) + T_n [a+b >= n] - T_a - T_b, so the rule fails exactly
+    where c(a, b) != d mod m.  Rows 0 and 1 hold by then, so the witness is the
+    first failing pair in row-major order, as an exhaustive scan finds it.
+    """
     g = sigma.group
+    images = sigma.images
+    if not images[0].is_identity():
+        return VerifyReport(False, (g.identity, g.identity))
+    n = sigma.order
     coeff = sigma.cochain.coefficients
-    for a in g.elements:
-        sa = sigma.image(a)
-        for b in g.elements:
-            lhs = sa @ sigma.image(b)
-            rhs = sigma.image(g.add(a, b)).scale(coeff.value(sigma.cochain.value(a, b)))
-            if lhs != rhs:
-                return VerifyReport(False, (a, b))
+    table = sigma.cochain.table
+    gen = 1 % n
+    for j in range(n):
+        if images[gen] @ images[j] != images[(gen + j) % n].scale(coeff.value(table[gen][j])):
+            return VerifyReport(False, (g.elements[gen], g.elements[j]))
+    T = _generator_sums(sigma)
+    for a in range(n):
+        for b in range(n):
+            d = T[(a + b) % n] + (T[n] if a + b >= n else 0) - T[a] - T[b]
+            if (table[a][b] - d) % coeff.order:
+                return VerifyReport(False, (g.elements[a], g.elements[b]))
     return VerifyReport(True, None)
 
 
@@ -114,16 +131,17 @@ class QuotientClass:
 
 
 def classify(sigma: PseudoRep) -> PseudoRepClass:
-    """Eigenvalue exponents of the canonical generator image; conjugation invariant."""
+    """Eigenvalue exponents of sigma(g), from its power traces zeta_m^T_j tr sigma(g^j)."""
     verdict = verify_pseudorep(sigma)
     if not verdict:
         raise NotAPseudoRep(f"composition rule fails at {verdict.witness}")
-    n = sigma.order
-    m = sigma.cochain.coefficients.order
-    z = zeta(sigma.cochain, (1,))
-    bound = lcm(n * m, 2)
-    exps = root_of_unity_eigenvalues(sigma.image((1,)), bound)
-    return PseudoRepClass(n, z, tuple(FractionalWeight(q) for q in exps))
+    coeff = sigma.cochain.coefficients
+    T = _generator_sums(sigma)
+    z = Fraction(T[-1] % coeff.order, coeff.order)
+    traces = [im.trace() * coeff.value(t) for im, t in zip(sigma.images, T)]
+    exps = root_of_unity_eigenvalues(traces, z, sigma.size)
+    return PseudoRepClass(sigma.order, FractionalWeight(z),
+                          tuple(FractionalWeight(q) for q in exps))
 
 
 def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[PseudoRepClass]:
@@ -136,10 +154,7 @@ def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[Pse
         raise MalformedInput(f"model must be 'gl' or 'sl', got {model!r}")
     if n * r > MAX_ENUMERATION:
         raise ScaleExceeded(f"n*r = {n * r} exceeds {MAX_ENUMERATION}")
-    if isinstance(zeta_value, FractionalWeight):
-        zv = zeta_value.value
-    else:
-        zv = rational(zeta_value) % 1
+    zv = rational(zeta_value) % 1
     z = FractionalWeight(zv)
     base = zv / n
     candidates = sorted((base + Fraction(j, n)) % 1 for j in range(n))
@@ -161,28 +176,16 @@ def deck_transport(sigma: PseudoRep, gamma0, ambient: FiniteAbelianGroup,
     """Transport along a deck transformation: sigma'(h) = sigma(g0^-1 h g0).
 
     The isotropy group embeds in the ambient group by sending the canonical
-    generator to gen_image; the target isotropy group is the conjugate, which
-    for an abelian ambient group is the same subgroup.
+    generator to gen_image.  Conjugation in an abelian ambient group fixes
+    every element, so once gamma0 and gen_image are checked the transported
+    pseudorep is sigma itself.
     """
     gamma0 = tuple(gamma0)
-    gen_image = tuple(gen_image)
     if gamma0 not in ambient.index:
         raise IsotropyMismatch(f"{gamma0} is not an ambient element")
-    embed = {}
-    cur = ambient.identity
-    for h in sigma.group.elements:
-        embed[h] = cur
-        cur = ambient.add(cur, gen_image)
-    if ambient.element_order(gen_image) != sigma.order:
+    if ambient.element_order(tuple(gen_image)) != sigma.order:
         raise IsotropyMismatch("generator image has the wrong order")
-    inv_embed = {v: k for k, v in embed.items()}
-    images = []
-    for h in sigma.group.elements:
-        conj = ambient.add(ambient.add(ambient.neg(gamma0), embed[h]), gamma0)
-        if conj not in inv_embed:
-            raise IsotropyMismatch(f"conjugate of {h} leaves the isotropy group")
-        images.append(sigma.image(inv_embed[conj]))
-    return PseudoRep(sigma.cochain, images)
+    return sigma
 
 
 def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientClass:

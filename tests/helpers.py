@@ -3,13 +3,16 @@
 Also the brute-force oracles the tests compare against: the
 exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
 coboundary cosets, an exhaustive isomorphism search between Cayley tables,
-the order of a root of unity by trial exponentiation, and cyclotomic and
-matrix products computed with a Fraction for every term.
+the order of a root of unity by trial exponentiation, cyclotomic and
+matrix products computed with a Fraction for every term, the composition
+rule of a pseudorepresentation checked on all n^2 pairs, and eigenvalues by
+a trial search over the roots of the characteristic polynomial.
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers and
-scalar matrices, pseudorepresentations from a generator image and their
-conjugates, cochain keys and products, and series sums and comparisons.
+diagonal and scalar matrices, pseudorepresentations from a generator image,
+their images by element and their conjugates, cochain keys and products, and
+series sums and comparisons.
 """
 
 import operator
@@ -26,8 +29,9 @@ from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
-from orbipar.pseudoreps import PseudoRep
-from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
+from orbipar.pseudoreps import PseudoRep, PseudoRepClass, VerifyReport
+from orbipar.scalars import (Cyclotomic, FractionalWeight, cyclotomic_poly, euler_phi,
+                             root_of_unity)
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -91,7 +95,7 @@ def random_cyclic_cocycle(rng, n, m):
 def random_pseudorep(rng, n, m, r):
     """A verified pseudorep: random cocycle, admissible eigenvalues, conjugated."""
     c = random_cyclic_cocycle(rng, n, m)
-    z = zeta(c, (1,))
+    z = zeta(c, (1 % n,))
     base = z.value / n
     candidates = [(base + Fraction(j, n)) % 1 for j in range(n)]
     exps = [candidates[rng.randrange(n)] for _ in range(r)]
@@ -403,6 +407,15 @@ Cyclotomic.is_one = _is_one
 Cyclotomic.__truediv__ = _truediv
 Cyclotomic.__pow__ = _power(lambda x: Cyclotomic.one(x.order), operator.mul)
 CycMatrix.__pow__ = _power(lambda A: CycMatrix.identity(A.size), operator.matmul)
+
+
+def _diagonal(cls, entries) -> CycMatrix:
+    entries = list(entries)
+    r = len(entries)
+    return cls([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
+
+
+CycMatrix.diagonal = classmethod(_diagonal)
 CycMatrix.scalar = classmethod(lambda cls, r, value: cls.diagonal([value] * r))
 
 
@@ -411,7 +424,7 @@ def _from_generator(cls, cochain: Cochain2, gen_image: CycMatrix) -> PseudoRep:
     group = cochain.group
     coeff = cochain.coefficients
     images = [CycMatrix.identity(gen_image.size)]
-    gen = (1,)
+    gen = (1 % group.order,)
     cur_elt = group.identity
     for _ in range(group.order - 1):
         # sigma(g) sigma(g^k) = c(g, g^k) sigma(g^{k+1})
@@ -428,6 +441,7 @@ def _conjugate(self: PseudoRep, g: CycMatrix) -> PseudoRep:
 
 PseudoRep.from_generator = classmethod(_from_generator)
 PseudoRep.conjugate = _conjugate
+PseudoRep.image = lambda self, element: self.images[self.group.index[tuple(element)]]
 
 
 def _cochain_key(self: Cochain2):
@@ -531,3 +545,70 @@ def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
             row.append(Cyclotomic(L, acc))
         rows.append(row)
     return CycMatrix(rows)
+
+
+# -- pseudorepresentations by brute force: oracles for the generator-row check --
+
+def exhaustive_verify(sigma: PseudoRep) -> VerifyReport:
+    """The composition rule multiplied out on all n^2 pairs, plus sigma(1) = Id."""
+    if not sigma.images[0].is_identity():
+        return VerifyReport(False, (sigma.group.identity, sigma.group.identity))
+    g = sigma.group
+    coeff = sigma.cochain.coefficients
+    for a in g.elements:
+        sa = sigma.image(a)
+        for b in g.elements:
+            lhs = sa @ sigma.image(b)
+            rhs = sigma.image(g.add(a, b)).scale(coeff.value(sigma.cochain.value(a, b)))
+            if lhs != rhs:
+                return VerifyReport(False, (a, b))
+    return VerifyReport(True, None)
+
+
+def poly_eval(coeffs, x: Cyclotomic) -> Cyclotomic:
+    acc = Cyclotomic.zero(x.order)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_deflate(coeffs, root: Cyclotomic):
+    """Divide a monic-led polynomial by (x - root); remainder must be zero."""
+    out = []
+    carry = Cyclotomic.zero(root.order)
+    for c in reversed(coeffs):
+        carry = c + carry * root
+        out.append(carry)
+    remainder = out.pop()
+    if not remainder.is_zero():
+        raise ValueError("not a root")
+    return list(reversed(out))
+
+
+def charpoly_eigenvalues(A: CycMatrix, order_bound: int) -> list[Fraction]:
+    """Eigenvalue exponents of A, assuming all eigenvalues are roots of unity
+    of order dividing order_bound.  Trial evaluation over k/order_bound with
+    multiplicities by synthetic division; raises if the assumption fails.
+    """
+    p = A.charpoly()
+    found = []
+    for k in range(order_bound):
+        q = Fraction(k, order_bound)
+        lam = root_of_unity(q, order_bound)
+        while len(p) > 1 and poly_eval(p, lam).is_zero():
+            p = poly_deflate(p, lam)
+            found.append(q)
+    if len(found) != A.size:
+        raise ValueError("matrix has eigenvalues outside the trial roots of unity")
+    return sorted(found, reverse=True)
+
+
+def charpoly_classify(sigma: PseudoRep) -> PseudoRepClass:
+    """classify of a valid pseudorep through zeta of the cocycle and the trial
+    roots of the characteristic polynomial of sigma(g)."""
+    n = sigma.order
+    m = sigma.cochain.coefficients.order
+    gen = (1 % n,)
+    exps = charpoly_eigenvalues(sigma.image(gen), lcm(n * m, 2))
+    return PseudoRepClass(n, zeta(sigma.cochain, gen),
+                          tuple(FractionalWeight(q) for q in exps))

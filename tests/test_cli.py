@@ -191,6 +191,19 @@ def test_pseudorep_roundtrip(tmp_path):
     assert result_of(text) == {"exponents": ["3/4", "1/4"], "order": 2, "zeta": "1/2"}
 
 
+ORDER_ONE = {"order": 1, "cocycle": {"group": [1], "coeff_order": 3, "table": [[0, 0, "0"]]},
+             "images": {"0": {"size": 2, "entries": [["1", "0"], ["0", "1"]]}}}
+
+
+def test_pseudorep_classify_on_the_trivial_group(tmp_path):
+    # the generator of Z/1 is the identity, element 0; there is no element 1
+    code, text = invoke(tmp_path, ["pseudorep", "verify"], ORDER_ONE)
+    assert code == 0 and result_of(text) == {"valid": True, "witness": None}
+    code, text = invoke(tmp_path, ["pseudorep", "classify"], ORDER_ONE)
+    assert code == 0
+    assert result_of(text) == {"exponents": ["0", "0"], "order": 1, "zeta": "0"}
+
+
 def test_pseudorep_enumerate_and_project(tmp_path):
     code, text = invoke(tmp_path, ["pseudorep", "enumerate"],
                         {"order": 3, "rank": 2, "zeta": "0", "model": "gl"})

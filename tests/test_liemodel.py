@@ -10,6 +10,8 @@ from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
 from orbipar.matrices import CycMatrix
 from orbipar.scalars import root_of_unity
 
+import helpers  # noqa: F401  (attaches CycMatrix.diagonal)
+
 GL2 = GroupModel("gl", r=2)
 GL3 = GroupModel("gl", r=3)
 SL2 = GroupModel("sl", r=2)

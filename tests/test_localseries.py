@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from orbipar import liemodel, localseries
 from orbipar.errors import (BadResidueSupport, MalformedInput, NotInvariant,
                             TwistDenominator, WeightOnWall)
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import (GradedSeries, ascend, check_invariance,
                                  decompose_by_beta, descend, residue_report)
-from orbipar.scalars import Cyclotomic
+from orbipar.scalars import Cyclotomic, FractionalWeight
 
 from helpers import (MODELS_GRID, N_GRID, interior_weights,
                      random_downstairs_series, random_invariant_series,
@@ -73,6 +74,18 @@ def test_invariance_violations_reported():
     assert len(report.violations) == 1
     beta, k, key = report.violations[0]
     assert (beta.value, k, key) == (Fraction(1, 3), 0, (0, 1))
+
+
+def test_substitution_verdict_does_not_read_beta(monkeypatch):
+    # with a wrong beta the index criterion moves and the substitution must not
+    s1 = series(GL2, W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
+    assert check_invariance(s1).invariant
+    wrong = lambda model, weight: [FractionalWeight(Fraction(0))] * model.dim_m  # noqa: E731
+    monkeypatch.setattr(liemodel, "beta_of_basis", wrong)
+    monkeypatch.setattr(localseries, "beta_of_basis", wrong)
+    s1 = series(GL2, W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
+    with pytest.raises(AssertionError, match="invariance oracles disagree"):
+        check_invariance(s1)
 
 
 def test_twist():

@@ -4,18 +4,20 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbipar.cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, zeta
 from orbipar.errors import (IsotropyMismatch, NotAHomomorphism, NotAPseudoRep,
                             ScaleExceeded, SizeMismatch)
 from orbipar.matrices import CycMatrix
-from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, classify,
+from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, VerifyReport, classify,
                                 deck_transport, enumerate_classes,
                                 induced_cocycle, project_mod_center,
                                 verify_pseudorep)
 from orbipar.scalars import FractionalWeight, root_of_unity
 
-from helpers import random_invertible, random_pseudorep
+from helpers import (charpoly_classify, exhaustive_verify, random_cochain,
+                     random_invertible, random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -40,6 +42,61 @@ def test_verify_examples():
                     [CycMatrix.identity(2), CycMatrix.diagonal([I4, 1])])
     verdict = verify_pseudorep(bad)
     assert not verdict.ok and verdict.witness is not None
+
+
+def generator_row_pseudorep(rng, n, m, r):
+    """Images built along the generator row of a random cochain, usually not a
+    cocycle, with sigma(g)^n = e^{2 pi i T_n/m} so that the whole row holds."""
+    c = random_cochain(rng, [n], m)
+    z = Fraction(sum(c.table[1 % n]) % m, m)
+    exps = [(z + rng.randrange(n)) / n for _ in range(r)]
+    g = random_invertible(rng, r)
+    diag = CycMatrix.diagonal([root_of_unity(q) for q in exps])
+    return PseudoRep.from_generator(c, g.inverse() @ diag @ g)
+
+
+def perturbed(rng, sigma):
+    """sigma with one entry of one image moved by a nonzero integer."""
+    images = list(sigma.images)
+    k, i, j = rng.randrange(sigma.order), rng.randrange(sigma.size), rng.randrange(sigma.size)
+    rows = [list(row) for row in images[k].rows]
+    rows[i][j] = rows[i][j] + rng.choice([-2, -1, 1, 2])
+    images[k] = CycMatrix(rows)
+    return PseudoRep(sigma.cochain, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 4),
+       r=st.integers(1, 3), kind=st.sampled_from(["valid", "perturbed", "generator_row",
+                                                   "foreign_cochain"]))
+def test_verify_matches_exhaustive_oracle(seed, n, m, r, kind):
+    rng = random.Random(seed)
+    if kind == "generator_row":
+        sigma = generator_row_pseudorep(rng, n, m, r)
+    else:
+        sigma = random_pseudorep(rng, n, m, r)
+    if kind == "perturbed":
+        sigma = perturbed(rng, sigma)
+    if kind == "foreign_cochain":
+        sigma = PseudoRep(random_cochain(rng, [n], m), sigma.images)
+    assert verify_pseudorep(sigma) == exhaustive_verify(sigma)
+
+
+def test_verify_witness_past_a_passing_generator_row():
+    # c(2, 2) = -1 on Z/3 is no cocycle; every product of the generator row holds
+    table = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    sigma = PseudoRep(Cochain2(Z3, CoefficientGroup(2), table), [CycMatrix([[1]])] * 3)
+    report = VerifyReport(False, ((2,), (2,)))
+    assert verify_pseudorep(sigma) == exhaustive_verify(sigma) == report
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 6),
+       r=st.integers(1, 4))
+def test_classify_matches_charpoly_oracle(seed, n, m, r):
+    # random_pseudorep conjugates a diagonal generator image by a random integer matrix
+    sigma = random_pseudorep(random.Random(seed), n, m, r)
+    assert classify(sigma) == charpoly_classify(sigma)
 
 
 def test_size_mismatch():

@@ -68,7 +68,7 @@ def cmd_cocycle_zeta(payload, args):
     if element not in c.group.index:
         raise MalformedInput(f"{list(element)} is not an element of the group")
     value = zeta(c, element)
-    return ({"zeta": str(value.value), "element_order": c.group.element_order(element)},
+    return ({"zeta": str(value), "element_order": c.group.element_order(element)},
             _audit("cocycle zeta", group=list(c.group.factors),
                    coeff_order=c.coefficients.order))
 
@@ -129,7 +129,7 @@ def cmd_lie_alcove(payload, args):
     return ({"alpha": jsonio.weights_to_json(weight),
              "interior": weight.is_interior()},
             _audit("lie alcove", model=jsonio.model_to_json(model),
-                   convention=weight.model.weight_convention().value))
+                   convention=model.weight_convention()))
 
 
 def cmd_lie_eigenspaces(payload, args):
@@ -139,7 +139,7 @@ def cmd_lie_eigenspaces(payload, args):
     out = []
     for beta, idxs in spaces:
         keys = sorted(model.basis_key(i) for i in idxs)
-        out.append({"beta": str(beta.value), "dimension": len(idxs),
+        out.append({"beta": str(beta), "dimension": len(idxs),
                     "basis": [[i, j] for i, j in keys]})
     return ({"dim_m": model.dim_m, "eigenspaces": out},
             _audit("lie eigenspaces", model=jsonio.model_to_json(model),
@@ -177,7 +177,7 @@ def _series_with_order(series, override):
 def _local_audit(command, series, M, twist=None):
     audit = _audit(command, M=M, N=series.N,
                    alpha=jsonio.weights_to_json(series.weight),
-                   convention=series.weight.model.weight_convention().value)
+                   convention=series.model.weight_convention())
     if twist is not None:
         audit["twist"] = str(twist)
     return audit

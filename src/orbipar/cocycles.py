@@ -23,7 +23,7 @@ from math import gcd
 
 from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
                      ScaleExceeded)
-from .scalars import Cyclotomic, FractionalWeight, root_of_unity
+from .scalars import Cyclotomic, root_of_unity
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_SCALE_BOUND = 2 ** 21  # classes or strata in one output
@@ -299,8 +299,8 @@ def are_cohomologous(c1: Cochain2, c2: Cochain2):
     return True, [0] + [-x % m for x in rest[n * n:]]
 
 
-def zeta(c: Cochain2, gamma) -> FractionalWeight:
-    """The product of c(gamma, gamma^i) for i = 1..ord(gamma)-1, as a weight k/m."""
+def zeta(c: Cochain2, gamma) -> Fraction:
+    """The product of c(gamma, gamma^i) for i = 1..ord(gamma)-1, as k/m in [0,1)."""
     v = is_cocycle(c)
     if not v:
         raise NotACocycle(f"cocycle condition fails at {v.witness}")
@@ -309,7 +309,7 @@ def zeta(c: Cochain2, gamma) -> FractionalWeight:
     total = 0
     for p in powers[1:]:
         total += c.value(gamma, p)
-    return FractionalWeight(Fraction(total % m, m))
+    return Fraction(total % m, m)
 
 
 def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:

@@ -17,7 +17,7 @@ from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, StratumIndex
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from .scalars import Cyclotomic, FractionalWeight, euler_phi, rational
+from .scalars import Cyclotomic, euler_phi, rational
 
 
 def dumps(obj) -> str:
@@ -161,21 +161,20 @@ def pseudorep_from_json(data) -> PseudoRep:
 def rep_class_to_json(cls: PseudoRepClass) -> dict:
     return {
         "order": cls.order,
-        "zeta": str(cls.zeta.value),
-        "exponents": [str(q.value) for q in cls.exponents],
+        "zeta": str(cls.zeta),
+        "exponents": [str(q) for q in cls.exponents],
     }
 
 
 def rep_class_from_json(data) -> PseudoRepClass:
     n = _need(data, "order", int)
-    z = FractionalWeight(rational_from_json(_need(data, "zeta")) % 1)
-    exps = [FractionalWeight(rational_from_json(x) % 1)
-            for x in _need(data, "exponents", list)]
+    z = rational_from_json(_need(data, "zeta")) % 1
+    exps = [rational_from_json(x) % 1 for x in _need(data, "exponents", list)]
     return PseudoRepClass(n, z, tuple(exps))
 
 
 def quotient_class_to_json(cls: QuotientClass) -> dict:
-    return {"order": cls.order, "exponents": [str(q.value) for q in cls.exponents]}
+    return {"order": cls.order, "exponents": [str(q) for q in cls.exponents]}
 
 
 # -- Lie structure -------------------------------------------------------------
@@ -247,10 +246,10 @@ def series_from_json(data) -> GradedSeries:
     trunc = _need(data, "trunc", int)
     terms = {}
     for entry in _need(data, "terms", list):
-        basis = _need(entry, "basis", list)
+        basis = int_list_from_json(entry, "basis")
         if len(basis) != 2:
             raise MalformedInput(f"bad basis key {basis!r}")
-        idx = model.basis_index((basis[0], basis[1]))
+        idx = model.basis_index(basis)
         k = _need(entry, "k", int)
         coeff = cyclotomic_from_json(_need(entry, "coeff"))
         if (idx, k) in terms:
@@ -265,7 +264,7 @@ def invariance_to_json(report: InvarianceReport) -> dict:
         "by_index": report.by_index,
         "by_substitution": report.by_substitution,
         "twist": str(report.twist),
-        "violations": [{"beta": str(beta.value), "k": k, "basis": [key[0], key[1]]}
+        "violations": [{"beta": str(beta), "k": k, "basis": [key[0], key[1]]}
                        for beta, k, key in report.violations],
     }
 
@@ -290,7 +289,7 @@ def covering_to_json(data: CoveringData) -> dict:
 def covering_from_json(data) -> CoveringData:
     return CoveringData(_need(data, "genus_x", int),
                         _need(data, "group_order", int),
-                        tuple(_need(data, "orbit_orders", list)))
+                        tuple(int_list_from_json(data, "orbit_orders")))
 
 
 def flag_from_json(data) -> FlagDegreeData:

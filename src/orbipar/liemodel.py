@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
 from .matrices import CycMatrix
-from .scalars import Convention, FractionalWeight, normalize_weight, rational
+from .scalars import rational, signed_mod1
 
 MAX_MODEL_SIZE = 4
 
@@ -80,7 +80,7 @@ class GroupModel:
         return (kind[1], kind[1])
 
     def basis_index(self, key) -> int:
-        key = (int(key[0]), int(key[1]))
+        key = tuple(key)
         if key not in self._basis_by_key:
             raise MalformedInput(f"{key} is not a basis key of this model")
         return self._basis_by_key[key]
@@ -98,8 +98,9 @@ class GroupModel:
     def basis_matrix(self, idx: int) -> CycMatrix:
         return CycMatrix(self.basis_array(self.m_basis[idx]))
 
-    def weight_convention(self) -> Convention:
-        return Convention.SIGNED if self.kind == "sl" else Convention.ZERO_ONE
+    def weight_convention(self) -> str:
+        """The audit name of the alcove weights' range: (-1,1) for sl, else [0,1)."""
+        return "signed" if self.kind == "sl" else "zero_one"
 
     def __eq__(self, other):
         if not isinstance(other, GroupModel):
@@ -121,10 +122,10 @@ class WeightVector:
     """An alcove representative: one weight per diagonal slot, block-sorted."""
 
     model: GroupModel
-    entries: tuple  # FractionalWeight per slot
+    entries: tuple  # one Fraction per slot, in model.weight_convention()
 
     def values(self):
-        return tuple(w.value for w in self.entries)
+        return self.entries
 
     def is_interior(self) -> bool:
         """Strict inequalities inside each block, and strictly within the affine wall."""
@@ -146,7 +147,7 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
     entries, where S is the integer entry sum.  Idempotent and invariant
     under permutations within a block.
     """
-    vals = [w.value if isinstance(w, FractionalWeight) else rational(w) for w in exponents]
+    vals = [rational(w) for w in exponents]
     if len(vals) != model.size:
         raise RankMismatch(f"need {model.size} exponents, got {len(vals)}")
     out = [None] * model.size
@@ -164,10 +165,7 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
         # subtract 1 from the `shift` largest entries: the result is the
         # zero-sum representative inside the affine wall, first - last <= 1
         out = out[shift:] + [v - 1 for v in out[:shift]]
-        conv = Convention.SIGNED
-    else:
-        conv = Convention.ZERO_ONE
-    return WeightVector(model, tuple(FractionalWeight(v, conv) for v in out))
+    return WeightVector(model, tuple(out))
 
 
 def check_alcove(model: GroupModel, weight: WeightVector):
@@ -187,15 +185,14 @@ def isotropy_eigenspaces(model: GroupModel, weight: WeightVector):
     """
     check_alcove(model, weight)
     vals = weight.values()
-    by_beta: dict[FractionalWeight, list[int]] = {}
+    by_beta: dict[Fraction, list[int]] = {}
     for idx, elem in enumerate(model.m_basis):
         if elem[0] == "unit":
-            i, j = elem[1], elem[2]
-            beta = normalize_weight(vals[i] - vals[j], Convention.SIGNED)
+            beta = signed_mod1(vals[elem[1]] - vals[elem[2]])
         else:
-            beta = FractionalWeight(0, Convention.SIGNED)
+            beta = Fraction(0)
         by_beta.setdefault(beta, []).append(idx)
-    return sorted(by_beta.items(), key=lambda kv: kv[0].value, reverse=True)
+    return sorted(by_beta.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def beta_of_basis(model: GroupModel, weight: WeightVector):
@@ -279,8 +276,3 @@ def _mask_and(a, b):
 
 def parabolic_from_s(model: GroupModel, s) -> ParabolicData:
     return ParabolicData(model, s)
-
-
-def s_from_weight(weight: WeightVector):
-    """The diagonal s induced by a weight's entry ordering (the weight itself)."""
-    return [Fraction(v) for v in weight.values()]

@@ -33,10 +33,9 @@ from math import lcm
 from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
                      NonIntegralGauge, TwistDenominator, WeightOnWall)
 from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
-                       parabolic_from_s, s_from_weight)
+                       parabolic_from_s)
 from .matrices import CycMatrix
-from .scalars import (Cyclotomic, FractionalWeight, check_order, rational,
-                      root_of_unity)
+from .scalars import Cyclotomic, check_order, rational, root_of_unity
 
 UPSTAIRS = "z"
 DOWNSTAIRS = "w"
@@ -91,7 +90,7 @@ class GradedSeries:
         check_order(self.working_field_order())
         self.beta = beta_of_basis(model, weight)
 
-    def beta_of(self, basis_idx: int) -> FractionalWeight:
+    def beta_of(self, basis_idx: int) -> Fraction:
         return self.beta[basis_idx]
 
     def sorted_terms(self):
@@ -113,11 +112,11 @@ class GradedSeries:
 
 def decompose_by_beta(series: GradedSeries):
     """Split into eigencomponents; the direct sum reassembles the input."""
-    out: dict[FractionalWeight, GradedSeries] = {}
-    buckets: dict[FractionalWeight, dict] = {}
+    out: dict[Fraction, GradedSeries] = {}
+    buckets: dict[Fraction, dict] = {}
     for (b, k), coeff in series.terms.items():
         buckets.setdefault(series.beta_of(b), {})[(b, k)] = coeff
-    for beta in sorted(buckets, key=lambda w: w.value, reverse=True):
+    for beta in sorted(buckets, reverse=True):
         out[beta] = series.with_terms(buckets[beta])
     return out
 
@@ -159,9 +158,9 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
 
     index_violations = []
     for (b, k), _ in series.sorted_terms():
-        beta = series.beta_of(b).value
+        beta = series.beta_of(b)
         if (k + 1 + N * beta - N * t) % N != 0:
-            index_violations.append((series.beta_of(b), k, series.model.basis_key(b)))
+            index_violations.append((beta, k, series.model.basis_key(b)))
     by_index = not index_violations
 
     torus = [root_of_unity(v) for v in series.weight.values()]
@@ -205,7 +204,7 @@ def residue_report(series: GradedSeries) -> ResidueReport:
         if k != -1:
             continue
         residue = residue + series.model.basis_matrix(b).scale(coeff)
-        if series.beta_of(b).value >= 0:
+        if series.beta_of(b) >= 0:
             support_ok = False
 
     nilpotency_index = None
@@ -216,7 +215,7 @@ def residue_report(series: GradedSeries) -> ResidueReport:
             break
         power = power @ residue
 
-    para = parabolic_from_s(series.model, s_from_weight(series.weight))
+    para = parabolic_from_s(series.model, series.weight.values())
     levi_zero = True
     for i in range(n):
         for j in range(n):
@@ -234,7 +233,7 @@ def _descend_trunc(series: GradedSeries) -> int:
     """
     N, T = series.N, series.trunc
     best = None
-    for beta in {w.value for w in series.beta}:
+    for beta in set(series.beta):
         nb = int(N * beta)
         r = (-nb - 1) % N
         k_star = T + 1 + ((r - (T + 1)) % N)  # least k > T with k = r (mod N)
@@ -251,7 +250,7 @@ def _ascend_trunc(series: GradedSeries) -> int:
     """
     N, Tw = series.N, series.trunc
     best = None
-    for beta in {w.value for w in series.beta}:
+    for beta in set(series.beta):
         k_unknown = N * (Tw + 2) - int(N * beta) - 1
         best = k_unknown - 1 if best is None else min(best, k_unknown - 1)
     return max(best, -1)
@@ -272,7 +271,7 @@ def descend(series: GradedSeries):
     out_trunc = _descend_trunc(series)
     terms = {}
     for (b, k), coeff in series.terms.items():
-        nl = k + 1 + N * series.beta_of(b).value  # = N*l, integral by invariance
+        nl = k + 1 + N * series.beta_of(b)  # = N*l, integral by invariance
         if nl.denominator != 1 or int(nl) % N:
             raise AssertionError(f"k + 1 + N*beta = {nl} is not a multiple of N")
         j = int(nl) // N - 1
@@ -293,14 +292,14 @@ def ascend(series: GradedSeries) -> GradedSeries:
         raise MalformedInput("ascend expects a downstairs (w) series")
     N = series.N
     for (b, k), _ in series.sorted_terms():
-        if k == -1 and series.beta_of(b).value >= 0:
+        if k == -1 and series.beta_of(b) >= 0:
             raise BadResidueSupport(
                 f"pole coefficient at basis {series.model.basis_key(b)} has "
-                f"beta = {series.beta_of(b).value} >= 0")
+                f"beta = {series.beta_of(b)} >= 0")
     out_trunc = _ascend_trunc(series)
     terms = {}
     for (b, j), coeff in series.terms.items():
-        k = N * (j + 1) - int(N * series.beta_of(b).value) - 1
+        k = N * (j + 1) - int(N * series.beta_of(b)) - 1
         if k < 0:
             raise AssertionError("support precondition guarantees holomorphy")
         if k > out_trunc:

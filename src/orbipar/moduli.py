@@ -21,6 +21,8 @@ from .liemodel import GroupModel
 from .pseudoreps import enumerate_classes, project_mod_center
 from .scalars import rational
 
+MAX_STRATA_CELLS = 2 ** 16  # cochain table rows plus exponents over all strata of one output
+
 
 @dataclass(frozen=True)
 class CoveringData:
@@ -32,7 +34,7 @@ class CoveringData:
     orbit_orders: tuple  # N_j per branch orbit, each dividing N and >= 2
 
     def __post_init__(self):
-        object.__setattr__(self, "orbit_orders", tuple(int(n) for n in self.orbit_orders))
+        object.__setattr__(self, "orbit_orders", tuple(self.orbit_orders))
         if self.genus_x < 2:
             raise MalformedInput("upstairs genus must be at least 2")
         if self.group_order < 1:
@@ -70,7 +72,8 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
     """Cartesian product of H^2 class representatives with, per branch orbit,
     the center-projected classes of order-N_j diagonal pseudorepresentations.
 
-    `max_candidates` bounds the number of strata."""
+    `max_candidates` bounds the number of strata, and MAX_STRATA_CELLS the
+    table rows and exponents they carry in all."""
     if not group.is_cyclic():
         raise MalformedInput("stratum enumeration expects a cyclic deck group")
     if group.order != covering.group_order:
@@ -84,16 +87,20 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
         classes = []
         for cls in enumerate_classes(nj, model.size, 0, model.kind):
             q = project_mod_center(cls, coeff_order)
-            if q.exponent_values() not in seen:
-                seen.add(q.exponent_values())
+            if q.exponents not in seen:
+                seen.add(q.exponents)
                 classes.append(q)
-        classes.sort(key=lambda c: c.exponent_values())
+        classes.sort(key=lambda c: c.exponents)
         per_orbit.append(classes)
     total = len(cocycle_reps)
     for classes in per_orbit:
         total *= len(classes)
     if total > max_candidates:
         raise ScaleExceeded(f"{total} strata exceed bound {max_candidates}")
+    cells = total * (group.order ** 2 + len(per_orbit) * model.size)
+    if cells > MAX_STRATA_CELLS:
+        raise ScaleExceeded(f"{total} strata carry {cells} table rows and exponents, "
+                            f"above the bound {MAX_STRATA_CELLS}")
     out = []
     for combo in product(cocycle_reps, *per_orbit):
         out.append(StratumIndex(combo[0], tuple(combo[1:])))

@@ -24,7 +24,7 @@ from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle
 from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                      NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from .matrices import root_of_unity_eigenvalues
-from .scalars import FractionalWeight, check_order, normalize_weight, rational
+from .scalars import check_order, rational
 
 MAX_ENUMERATION = 24  # bound on n * r for class enumeration
 
@@ -102,21 +102,21 @@ class PseudoRepClass:
     """Conjugacy invariant: order, zeta, and the eigenvalue exponent multiset."""
 
     order: int
-    zeta: FractionalWeight
-    exponents: tuple  # FractionalWeight values q in [0,1), sorted descending
+    zeta: Fraction  # in [0,1)
+    exponents: tuple  # Fractions q in [0,1), sorted descending
 
     def __post_init__(self):
         exps = tuple(self.exponents)
         object.__setattr__(self, "exponents", exps)
-        if list(exps) != sorted(exps, key=lambda w: w.value, reverse=True):
+        for q in (self.zeta, *exps):
+            if not 0 <= q < 1:
+                raise MalformedInput(f"{q} outside [0,1)")
+        if list(exps) != sorted(exps, reverse=True):
             raise MalformedInput("exponents must be sorted descending")
         for q in exps:
-            if not normalize_weight(self.order * q.value).congruent(self.zeta.value):
+            if (self.order * q - self.zeta).denominator != 1:
                 raise MalformedInput(
-                    f"exponent {q.value} does not satisfy lambda^{self.order} = zeta")
-
-    def exponent_values(self):
-        return tuple(q.value for q in self.exponents)
+                    f"exponent {q} does not satisfy lambda^{self.order} = zeta")
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,7 @@ class QuotientClass:
     """A pseudorep class modulo simultaneous shift by the scalar subgroup."""
 
     order: int
-    exponents: tuple
-
-    def exponent_values(self):
-        return tuple(q.value for q in self.exponents)
+    exponents: tuple  # Fractions in [0,1), sorted descending
 
 
 def classify(sigma: PseudoRep) -> PseudoRepClass:
@@ -140,8 +137,7 @@ def classify(sigma: PseudoRep) -> PseudoRepClass:
     z = Fraction(T[-1] % coeff.order, coeff.order)
     traces = [im.trace() * coeff.value(t) for im, t in zip(sigma.images, T)]
     exps = root_of_unity_eigenvalues(traces, z, sigma.size)
-    return PseudoRepClass(sigma.order, FractionalWeight(z),
-                          tuple(FractionalWeight(q) for q in exps))
+    return PseudoRepClass(sigma.order, z, exps)
 
 
 def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[PseudoRepClass]:
@@ -154,20 +150,18 @@ def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[Pse
         raise MalformedInput(f"model must be 'gl' or 'sl', got {model!r}")
     if n * r > MAX_ENUMERATION:
         raise ScaleExceeded(f"n*r = {n * r} exceeds {MAX_ENUMERATION}")
-    zv = rational(zeta_value) % 1
-    z = FractionalWeight(zv)
-    base = zv / n
+    z = rational(zeta_value) % 1
+    base = z / n
     candidates = sorted((base + Fraction(j, n)) % 1 for j in range(n))
     classes = []
     for combo in combinations_with_replacement(candidates, r):
         if model == "sl" and sum(combo).denominator != 1:
             continue
-        exps = tuple(FractionalWeight(q) for q in sorted(combo, reverse=True))
-        classes.append(PseudoRepClass(n, z, exps))
+        classes.append(PseudoRepClass(n, z, sorted(combo, reverse=True)))
     if model == "gl":
         if len(classes) != comb(n + r - 1, r):
             raise AssertionError(f"{len(classes)} classes, expected C({n + r - 1}, {r})")
-    classes.sort(key=lambda c: c.exponent_values())
+    classes.sort(key=lambda c: c.exponents)
     return classes
 
 
@@ -180,26 +174,28 @@ def deck_transport(sigma: PseudoRep, gamma0, ambient: FiniteAbelianGroup,
     every element, so once gamma0 and gen_image are checked the transported
     pseudorep is sigma itself.
     """
-    gamma0 = tuple(gamma0)
-    if gamma0 not in ambient.index:
-        raise IsotropyMismatch(f"{gamma0} is not an ambient element")
-    if ambient.element_order(tuple(gen_image)) != sigma.order:
+    gen_image = tuple(gen_image)
+    for elem in (tuple(gamma0), gen_image):
+        if elem not in ambient.index:
+            raise IsotropyMismatch(f"{elem} is not an ambient element")
+    if ambient.element_order(gen_image) != sigma.order:
         raise IsotropyMismatch("generator image has the wrong order")
     return sigma
 
 
 def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientClass:
-    """Quotient by simultaneous exponent shifts k/m; lexicographically least shift wins."""
+    """Quotient by simultaneous exponent shifts k/m; lexicographically least shift wins.
+
+    The least shift takes some exponent q below 1/m, since otherwise shifting
+    by one step less lowers every exponent.  So only k = -floor(q m) mod m,
+    one per exponent, is tried, and the work does not grow with m.
+    """
     if m < 1:
         raise MalformedInput("scalar subgroup order must be positive")
-    values = [q.value for q in cls.exponents]
-    best = None
-    for k in range(m):
-        shift = Fraction(k, m)
-        shifted = tuple(sorted(((v + shift) % 1 for v in values), reverse=True))
-        if best is None or shifted < best:
-            best = shifted
-    return QuotientClass(cls.order, tuple(FractionalWeight(q) for q in best))
+    shifts = {-(q * m // 1) % m for q in cls.exponents} or {0}
+    best = min(tuple(sorted(((v + Fraction(k, m)) % 1 for v in cls.exponents), reverse=True))
+               for k in shifts)
+    return QuotientClass(cls.order, best)
 
 
 def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Cochain2:

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic: rationals, rationals mod 1, and cyclotomic fields.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator) read from ``p/q`` strings or ints only.  A ``FractionalWeight``
-is a rational carrying a mod-1 convention: residues in [0,1) for torus
-weights, signed representatives in (-1,1) for eigenvalue exponents.
-``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every root of unity,
-and hence every eigenvalue of a finite-order group element, is represented
-exactly and equality is a coefficient comparison.
+denominator) read from ``p/q`` strings or ints only.  Weights and exponents
+mod 1 are plain Fractions: ``x % 1`` is the residue in [0,1), and
+``signed_mod1`` the signed representative in (-1,1) that eigenvalue exponents
+of Ad use.  ``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every
+root of unity, and hence every eigenvalue of a finite-order group element, is
+represented exactly and equality is a coefficient comparison.
 
 A ``Cyclotomic`` stores its phi(M) coefficients as Fractions, but products
 run on Python ints: each operand is written as its nonzero integer numerators
@@ -34,7 +34,6 @@ coefficient list of that length is built.
 
 from __future__ import annotations
 
-import enum
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -71,66 +70,14 @@ def rational(x) -> Fraction:
     raise MalformedInput(f"bad rational {x!r}")
 
 
-class Convention(enum.Enum):
-    ZERO_ONE = "zero_one"
-    SIGNED = "signed"
+def signed_mod1(x: Fraction) -> Fraction:
+    """The representative of x mod 1 with the sign of x.
 
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def normalize_weight(x, convention: Convention = Convention.ZERO_ONE) -> "FractionalWeight":
-    """Canonical representative of x mod 1.
-
-    ZERO_ONE lands in [0,1).  SIGNED keeps the sign of x: nonnegative inputs
-    land in [0,1), negative inputs in (-1,0], matching the usual split of
-    eigenvalue exponents into beta < 0 versus 0 <= beta < 1.  Idempotent.
+    Nonnegative x lands in [0,1), negative x in (-1,0], matching the usual
+    split of eigenvalue exponents into beta < 0 versus 0 <= beta < 1.
     """
-    x = rational(x)
-    r = _mod1(x)
-    if convention is Convention.SIGNED and x < 0 and r != 0:
-        r -= 1
-    return FractionalWeight(r, convention)
-
-
-class FractionalWeight:
-    """A rational weight together with its mod-1 representative convention."""
-
-    __slots__ = ("value", "convention")
-
-    def __init__(self, value, convention: Convention = Convention.ZERO_ONE):
-        value = rational(value)
-        if convention is Convention.ZERO_ONE:
-            if not (0 <= value < 1):
-                raise MalformedInput(f"{value} outside [0,1)")
-        else:
-            if not (-1 < value < 1):
-                raise MalformedInput(f"{value} outside (-1,1)")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "convention", convention)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FractionalWeight is immutable")
-
-    def congruent(self, other) -> bool:
-        """Weights are congruent iff their difference is an integer."""
-        other = other.value if isinstance(other, FractionalWeight) else rational(other)
-        return (self.value - other).denominator == 1
-
-    def __eq__(self, other):
-        if isinstance(other, FractionalWeight):
-            return self.value == other.value and self.convention == other.convention
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.convention))
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-    def __repr__(self):
-        return f"FractionalWeight({self.value}, {self.convention.value})"
+    r = x % 1
+    return r - 1 if x < 0 and r else r
 
 
 # -- polynomial helpers over Fraction (dense, lowest degree first) ----------
@@ -483,8 +430,6 @@ _ROOT_CACHE: dict[tuple, Cyclotomic] = {}
 
 def root_of_unity(q, M: int | None = None) -> Cyclotomic:
     """e^{2 pi i q} as an element of Q(zeta_M); q must embed, i.e. M*q integral."""
-    if isinstance(q, FractionalWeight):
-        q = q.value
     q = rational(q)
     if M is None:
         M = q.denominator

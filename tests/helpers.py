@@ -29,9 +29,8 @@ from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
-from orbipar.pseudoreps import PseudoRep, PseudoRepClass, VerifyReport
-from orbipar.scalars import (Cyclotomic, FractionalWeight, cyclotomic_poly, euler_phi,
-                             root_of_unity)
+from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass, VerifyReport
+from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -96,7 +95,7 @@ def random_pseudorep(rng, n, m, r):
     """A verified pseudorep: random cocycle, admissible eigenvalues, conjugated."""
     c = random_cyclic_cocycle(rng, n, m)
     z = zeta(c, (1 % n,))
-    base = z.value / n
+    base = z / n
     candidates = [(base + Fraction(j, n)) % 1 for j in range(n)]
     exps = [candidates[rng.randrange(n)] for _ in range(r)]
     diag = CycMatrix.diagonal([root_of_unity(q) for q in exps])
@@ -131,7 +130,7 @@ def interior_weights(model, N):
 
 def invariant_exponents(beta, N, trunc):
     """All k in [0, trunc] with k = N*l - N*beta - 1 for integral l."""
-    base = (-int(N * beta.value) - 1) % N
+    base = (-int(N * beta) - 1) % N
     return list(range(base, trunc + 1, N))
 
 
@@ -150,7 +149,7 @@ def random_downstairs_series(rng, model, weight, N, trunc, density=0.5):
     betas = beta_of_basis(model, weight)
     terms = {}
     for b in range(model.dim_m):
-        lo = -1 if betas[b].value < 0 else 0
+        lo = -1 if betas[b] < 0 else 0
         for k in range(lo, trunc + 1):
             if rng.random() < density:
                 terms[(b, k)] = random_nonzero_cyclotomic(rng)
@@ -460,7 +459,7 @@ Cochain2.trivial = classmethod(
 Cochain2.key = _cochain_key
 Cochain2.mul = _cochain_mul
 StratumIndex.canonical_key = lambda self: (
-    self.cocycle.key(), tuple(c.exponent_values() for c in self.orbit_classes))
+    self.cocycle.key(), tuple(c.exponents for c in self.orbit_classes))
 
 
 def _series_scale(self: GradedSeries, c) -> GradedSeries:
@@ -565,6 +564,17 @@ def exhaustive_verify(sigma: PseudoRep) -> VerifyReport:
     return VerifyReport(True, None)
 
 
+def exhaustive_project(cls, m: int) -> QuotientClass:
+    """project_mod_center by trying all m shifts k/m."""
+    best = None
+    for k in range(m):
+        shift = Fraction(k, m)
+        shifted = tuple(sorted(((v + shift) % 1 for v in cls.exponents), reverse=True))
+        if best is None or shifted < best:
+            best = shifted
+    return QuotientClass(cls.order, best)
+
+
 def poly_eval(coeffs, x: Cyclotomic) -> Cyclotomic:
     acc = Cyclotomic.zero(x.order)
     for c in reversed(coeffs):
@@ -610,5 +620,4 @@ def charpoly_classify(sigma: PseudoRep) -> PseudoRepClass:
     m = sigma.cochain.coefficients.order
     gen = (1 % n,)
     exps = charpoly_eigenvalues(sigma.image(gen), lcm(n * m, 2))
-    return PseudoRepClass(n, zeta(sigma.cochain, gen),
-                          tuple(FractionalWeight(q) for q in exps))
+    return PseudoRepClass(n, zeta(sigma.cochain, gen), tuple(exps))

@@ -16,6 +16,7 @@ from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
+from orbipar.moduli import MAX_STRATA_CELLS
 from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, root_of_unity
 from fractions import Fraction
 
@@ -70,6 +71,8 @@ TRANSPORT = {"ambient_group": [6], "gamma0": [3], "generator_image": [3],
                            "element": [1]}, "element"),
     (["pseudorep", "transport"], TRANSPORT, "gamma0"),
     (["pseudorep", "transport"], TRANSPORT, "generator_image"),
+    (["moduli", "rh"], {"genus_x": 2, "group_order": 2, "orbit_orders": [2, 2]},
+     "orbit_orders"),
 ])
 def test_group_items_must_be_ints(tmp_path, command, payload, key, bad):
     code, _ = invoke(tmp_path, command, payload)
@@ -78,6 +81,15 @@ def test_group_items_must_be_ints(tmp_path, command, payload, key, bad):
     out = json.loads(text)
     assert code == 2 and out["error"] == "malformed_input"
     assert repr(key) in out["detail"]
+
+
+@pytest.mark.parametrize("image", [[9], [-3], [3, 5]])
+def test_transport_generator_image_must_be_an_ambient_element(tmp_path, image):
+    code, text = invoke(tmp_path, ["pseudorep", "transport"],
+                        {**TRANSPORT, "generator_image": image})
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "isotropy_mismatch"
+    assert "not an ambient element" in out["detail"]
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
@@ -216,6 +228,38 @@ def test_pseudorep_enumerate_and_project(tmp_path):
     assert result_of(text) == {"order": 2, "exponents": ["0", "0"]}
 
 
+@pytest.mark.parametrize("command,payload,result", [
+    (["pseudorep", "project"], {"class": {"order": 2, "zeta": "0", "exponents": ["1/2", "1/2"]},
+                                "scalar_order": 2 ** 80}, {"order": 2, "exponents": ["0", "0"]}),
+    (["moduli", "strata"], {"group": [2], "coeff_order": 2 ** 80, **STRATA_EXTRA}, None),
+])
+def test_projection_by_a_huge_scalar_order_is_fast(tmp_path, command, payload, result):
+    # only one shift per exponent is tried, so the work does not grow with m
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, command, payload)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    if result is not None:
+        assert result_of(text) == result
+    else:
+        assert result_of(text)["count"] == 2
+
+
+def test_strata_output_capped_before_rendering(tmp_path):
+    # 6084 strata with a 144-row table each: 74 MB of JSON, and 8 s, when rendered
+    payload = {"group": [12], "coeff_order": 1, "model": {"kind": "gl", "r": 2},
+               "covering": {"genus_x": 2, "group_order": 12, "orbit_orders": [12, 12]}}
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["moduli", "strata"], payload)
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded"
+    assert str(MAX_STRATA_CELLS) in out["detail"]
+    code, text = invoke(tmp_path, ["moduli", "strata"],
+                        _set(payload, ["covering", "orbit_orders"], [12]))
+    assert code == 0 and result_of(text)["count"] == 78
+
+
 def test_lie_commands(tmp_path):
     code, text = invoke(tmp_path, ["lie", "alcove"],
                         {"model": {"kind": "gl", "r": 2},
@@ -272,6 +316,64 @@ def test_local_twist_flag(tmp_path):
     code, text = invoke(tmp_path, ["local", "check"], payload, "--twist", "2/3")
     assert code == 0 and result_of(text)["invariant"]
     assert json.loads(text)["audit"]["twist"] == "2/3"
+
+
+SL3_SERIES = {"model": {"kind": "sl", "r": 3}, "alpha": ["1/3", "0", "-1/3"], "N": 3,
+              "variable": "z", "trunc": 5,
+              "terms": [{"basis": [1, 0], "k": 0, "coeff": "1"},
+                        {"basis": [2, 0], "k": 1, "coeff": "2"},
+                        {"basis": [0, 1], "k": 1, "coeff": "1/2"},
+                        {"basis": [0, 0], "k": 2, "coeff": "1"}]}
+
+
+def rational_cyc(x):
+    return {"coeffs": [x], "order": 1}
+
+
+def test_local_on_sl3_keeps_signed_weights(tmp_path):
+    # sl weights and betas are signed: negative strings on the wire, "signed" in the audit
+    code, text = invoke(tmp_path, ["local", "descend"], SL3_SERIES)
+    assert code == 0
+    out = json.loads(text)
+    assert out["audit"] == {"M": 3, "N": 3, "alpha": ["1/3", "0", "-1/3"],
+                            "command": "local descend", "convention": "signed"}
+    assert out["result"]["series"]["terms"] == [
+        {"basis": [0, 0], "coeff": rational_cyc("1/3"), "k": 0},
+        {"basis": [0, 1], "coeff": rational_cyc("1/6"), "k": 0},
+        {"basis": [1, 0], "coeff": rational_cyc("1/3"), "k": -1},
+        {"basis": [2, 0], "coeff": rational_cyc("2/3"), "k": -1}]
+    assert out["result"]["series"]["trunc"] == 0
+    assert out["result"]["residue"]["support_in_negative_beta"]
+    bad = {**SL3_SERIES, "terms": [{"basis": [1, 0], "k": 1, "coeff": "1"},
+                                   {"basis": [2, 0], "k": 0, "coeff": "1"}]}
+    code, text = invoke(tmp_path, ["local", "check"], bad)
+    assert code == 0
+    assert result_of(text)["violations"] == [{"basis": [1, 0], "beta": "-1/3", "k": 1},
+                                             {"basis": [2, 0], "beta": "-2/3", "k": 0}]
+
+
+@pytest.mark.parametrize("model,exponents,alpha,convention", [
+    ({"kind": "sl", "r": 3}, ["1/3", "2/3", "0"], ["1/3", "0", "-1/3"], "signed"),
+    ({"kind": "upq", "p": 1, "q": 1}, ["4/3", "-3/4"], ["1/3", "1/4"], "zero_one"),
+])
+def test_lie_alcove_audits_the_model_convention(tmp_path, model, exponents, alpha,
+                                               convention):
+    code, text = invoke(tmp_path, ["lie", "alcove"], {"model": model, "exponents": exponents})
+    assert code == 0
+    out = json.loads(text)
+    assert out["result"] == {"alpha": alpha, "interior": True}
+    assert out["audit"]["convention"] == convention
+
+
+def test_lie_eigenspaces_on_upq(tmp_path):
+    code, text = invoke(tmp_path, ["lie", "eigenspaces"],
+                        {"model": {"kind": "upq", "p": 1, "q": 1}, "alpha": ["1/3", "1/4"]})
+    assert code == 0
+    out = json.loads(text)
+    assert out["result"] == {"dim_m": 2, "eigenspaces": [
+        {"basis": [[0, 1]], "beta": "1/12", "dimension": 1},
+        {"basis": [[1, 0]], "beta": "-1/12", "dimension": 1}]}
+    assert out["audit"]["convention"] == "signed"
 
 
 def test_local_check_large_prime_order(tmp_path):
@@ -413,6 +515,7 @@ SCALE = {"parabolic_degree_y": "1/2", "group_order": 2, "claimed_degree_x": "1"}
     (["local", "check"], make_series_payload(), ["trunc"]),
     (["local", "check"], make_series_payload(), ["terms", 0, "k"]),
     (["local", "check"], make_series_payload(), ["terms", 0, "coeff"]),
+    (["local", "check"], make_series_payload(), ["terms", 0, "basis", 0]),
     (["moduli", "scale"], SCALE, ["group_order"]),
     (["moduli", "rh"], {"genus_x": 2, "group_order": 2, "orbit_orders": [2, 2]},
      ["group_order"]),
@@ -422,6 +525,15 @@ def test_json_booleans_are_not_numbers(tmp_path, command, payload, path):
     assert code == 0, text
     code, text = invoke(tmp_path, command, _set(payload, path, True))
     assert code == 2 and json.loads(text)["error"] == "malformed_input", text
+
+
+@pytest.mark.parametrize("key", [[1.9, 0], [1.0, 0], ["1", 0]])
+def test_basis_keys_must_be_ints(tmp_path, key):
+    code, text = invoke(tmp_path, ["local", "check"],
+                        _set(make_series_payload(), ["terms", 0, "basis"], key))
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert "'basis'" in out["detail"]
 
 
 @pytest.mark.parametrize("value", ["1e10000000", "1.5", " 1/2", "1/2 ", "1_000", "+-1",

@@ -230,15 +230,15 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
 
 
 def test_zeta_examples():
-    assert zeta(Cochain2.trivial(Z4, 3), (1,)).value == 0
-    assert zeta(neg_cocycle(), (1,)).value == Fraction(1, 2)
+    assert zeta(Cochain2.trivial(Z4, 3), (1,)) == 0
+    assert zeta(neg_cocycle(), (1,)) == Fraction(1, 2)
     c3 = Cochain2(Z3, CoefficientGroup(3), [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert is_cocycle(c3).ok
-    assert zeta(c3, (1,)).value == Fraction(1, 3)
+    assert zeta(c3, (1,)) == Fraction(1, 3)
 
 
 def test_zeta_identity_element():
-    assert zeta(neg_cocycle(), (0,)).value == 0
+    assert zeta(neg_cocycle(), (0,)) == 0
 
 
 def test_zeta_invariant_under_homomorphic_coboundary():
@@ -253,7 +253,7 @@ def test_zeta_invariant_under_homomorphic_coboundary():
             continue  # need a homomorphism Z/n -> Z/m
         f = [(t * k) % m for k in range(n)]
         shifted = c.mul(coboundary(g, m, f))
-        assert zeta(shifted, (1,)).value == zeta(c, (1,)).value
+        assert zeta(shifted, (1,)) == zeta(c, (1,))
 
 
 def test_restrict_examples():

@@ -91,12 +91,12 @@ def test_alcove_torus_order():
 
 def test_eigenspace_examples():
     es = isotropy_eigenspaces(GL2, alcove_normalize(GL2, [0, 0]))
-    assert len(es) == 1 and es[0][0].value == 0 and len(es[0][1]) == 4
+    assert len(es) == 1 and es[0][0] == 0 and len(es[0][1]) == 4
     es2 = isotropy_eigenspaces(GL2, alcove_normalize(GL2, [Fraction(1, 3), 0]))
-    assert {b.value: len(ix) for b, ix in es2} == \
+    assert {b: len(ix) for b, ix in es2} == \
         {Fraction(0): 2, Fraction(1, 3): 1, Fraction(-1, 3): 1}
     esu = isotropy_eigenspaces(UPQ11, alcove_normalize(UPQ11, [Fraction(1, 2), 0]))
-    got = {b.value: [UPQ11.basis_key(i) for i in ix] for b, ix in esu}
+    got = {b: [UPQ11.basis_key(i) for i in ix] for b, ix in esu}
     assert got == {Fraction(1, 2): [(0, 1)], Fraction(-1, 2): [(1, 0)]}
 
 
@@ -122,7 +122,7 @@ def test_eigenspace_dimensions_and_exact_ad_action():
             for idx in range(model.dim_m):
                 e = model.basis_matrix(idx)
                 lhs = t @ e @ t_inv
-                rhs = e.scale(root_of_unity(betas[idx].value % 1))
+                rhs = e.scale(root_of_unity(betas[idx] % 1))
                 assert lhs == rhs
 
 
@@ -133,7 +133,7 @@ def test_interior_betas_in_open_interval():
         w = alcove_normalize(model, exps)
         assert w.is_interior()
         for beta in beta_of_basis(model, w):
-            assert Fraction(-1) < beta.value < 1
+            assert Fraction(-1) < beta < 1
 
 
 def test_parabolic_examples():

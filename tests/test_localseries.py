@@ -9,7 +9,7 @@ from orbipar.errors import (BadResidueSupport, MalformedInput, NotInvariant,
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import (GradedSeries, ascend, check_invariance,
                                  decompose_by_beta, descend, residue_report)
-from orbipar.scalars import Cyclotomic, FractionalWeight
+from orbipar.scalars import Cyclotomic
 
 from helpers import (MODELS_GRID, N_GRID, interior_weights,
                      random_downstairs_series, random_invariant_series,
@@ -47,7 +47,7 @@ def test_decompose_by_beta():
         ((0, 1), 1): Cyclotomic.one(), ((1, 0), 0): Cyclotomic.one(),
     })
     parts = decompose_by_beta(s)
-    by_val = {b.value: p for b, p in parts.items()}
+    by_val = {b: p for b, p in parts.items()}
     assert set(by_val) == {Fraction(0), Fraction(1, 3), Fraction(-1, 3)}
     assert len(by_val[Fraction(0)].terms) == 2
     total = None
@@ -73,14 +73,14 @@ def test_invariance_violations_reported():
     assert not report.invariant
     assert len(report.violations) == 1
     beta, k, key = report.violations[0]
-    assert (beta.value, k, key) == (Fraction(1, 3), 0, (0, 1))
+    assert (beta, k, key) == (Fraction(1, 3), 0, (0, 1))
 
 
 def test_substitution_verdict_does_not_read_beta(monkeypatch):
     # with a wrong beta the index criterion moves and the substitution must not
     s1 = series(GL2, W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
     assert check_invariance(s1).invariant
-    wrong = lambda model, weight: [FractionalWeight(Fraction(0))] * model.dim_m  # noqa: E731
+    wrong = lambda model, weight: [Fraction(0)] * model.dim_m  # noqa: E731
     monkeypatch.setattr(liemodel, "beta_of_basis", wrong)
     monkeypatch.setattr(localseries, "beta_of_basis", wrong)
     s1 = series(GL2, W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
@@ -165,7 +165,7 @@ def test_exponent_bookkeeping():
             s = random_invariant_series(rng, model, w, N, 16)
             down, _ = descend(s)
             for (b, k) in s.terms:
-                beta = s.beta_of(b).value
+                beta = s.beta_of(b)
                 j = Fraction(k + 1 + N * beta, N) - 1
                 assert j.denominator == 1 and j >= -1
                 if j <= down.trunc:

@@ -57,7 +57,7 @@ def test_strata_examples():
     # trivial coefficients, GL(2): the 3 multisets over square roots of unity
     strata3 = enumerate_strata(g2, 1, CoveringData(2, 2, (2,)), GroupModel("gl", r=2))
     assert len(strata3) == 3
-    got = sorted(tuple(str(v) for v in s.orbit_classes[0].exponent_values())
+    got = sorted(tuple(str(v) for v in s.orbit_classes[0].exponents)
                  for s in strata3)
     assert got == [("0", "0"), ("1/2", "0"), ("1/2", "1/2")]
 
@@ -94,7 +94,7 @@ def test_strata_count_factorizes():
     assert len(keys) == len(strata)
     # and the per-orbit class sets agree with the oracle exactly
     for orbit_pos, nj in enumerate(covering.orbit_orders):
-        got = {s.orbit_classes[orbit_pos].exponent_values() for s in strata}
+        got = {s.orbit_classes[orbit_pos].exponents for s in strata}
         assert got == _brute_force_orbit_classes(nj, model.size, 2)
 
 

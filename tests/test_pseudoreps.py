@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar.cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, zeta
-from orbipar.errors import (IsotropyMismatch, NotAHomomorphism, NotAPseudoRep,
-                            ScaleExceeded, SizeMismatch)
+from orbipar.errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
+                            NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from orbipar.matrices import CycMatrix
-from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, VerifyReport, classify,
+from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass, VerifyReport,
+                                classify,
                                 deck_transport, enumerate_classes,
                                 induced_cocycle, project_mod_center,
                                 verify_pseudorep)
-from orbipar.scalars import FractionalWeight, root_of_unity
+from orbipar.scalars import root_of_unity
 
-from helpers import (charpoly_classify, exhaustive_verify, random_cochain,
-                     random_invertible, random_pseudorep)
+from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify,
+                     random_cochain, random_invertible, random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -108,16 +109,16 @@ def test_size_mismatch():
 def test_classify_examples():
     triv = Cochain2.trivial(Z2, 1)
     cls0 = classify(PseudoRep(triv, [CycMatrix.identity(2)] * 2))
-    assert cls0.exponent_values() == (0, 0)
+    assert cls0.exponents == (0, 0)
 
     z3 = root_of_unity(Fraction(1, 3), 3)
     sig = PseudoRep.from_generator(Cochain2.trivial(Z3, 1),
                                    CycMatrix.diagonal([z3, z3 * z3]))
-    assert classify(sig).exponent_values() == (Fraction(2, 3), Fraction(1, 3))
+    assert classify(sig).exponents == (Fraction(2, 3), Fraction(1, 3))
 
     cls = classify(diag_pseudorep())
-    assert cls.exponent_values() == (Fraction(3, 4), Fraction(1, 4))
-    assert cls.zeta.value == Fraction(1, 2)
+    assert cls.exponents == (Fraction(3, 4), Fraction(1, 4))
+    assert cls.zeta == Fraction(1, 2)
 
 
 def test_classify_rejects_invalid():
@@ -138,7 +139,7 @@ def test_power_identity_random():
         assert verify_pseudorep(sigma).ok
         z = zeta(sigma.cochain, (1,))
         power = sigma.image((1,)) ** n
-        assert power == CycMatrix.scalar(r, root_of_unity(z.value))
+        assert power == CycMatrix.scalar(r, root_of_unity(z))
 
 
 def test_classify_conjugation_invariant():
@@ -148,16 +149,16 @@ def test_classify_conjugation_invariant():
         sigma = random_pseudorep(rng, n, rng.choice([1, 2]), rng.choice([1, 2, 3]))
         cls = classify(sigma)
         g = random_invertible(rng, sigma.size)
-        assert classify(sigma.conjugate(g)).exponent_values() == cls.exponent_values()
+        assert classify(sigma.conjugate(g)).exponents == cls.exponents
 
 
 def test_enumerate_classes_examples():
     assert len(enumerate_classes(3, 2, 0, "gl")) == 6
     cl = enumerate_classes(2, 1, 0, "gl")
-    assert [c.exponent_values() for c in cl] == [(Fraction(0),), (Fraction(1, 2),)]
+    assert [c.exponents for c in cl] == [(Fraction(0),), (Fraction(1, 2),)]
     cl3 = enumerate_classes(3, 2, Fraction(1, 3), "gl")
     assert len(cl3) == 6
-    exps = {q for c in cl3 for q in c.exponent_values()}
+    exps = {q for c in cl3 for q in c.exponents}
     assert exps == {Fraction(1, 9), Fraction(4, 9), Fraction(7, 9)}
 
 
@@ -169,7 +170,7 @@ def test_enumerate_classes_counts():
 
 def test_enumerate_classes_sl_filter():
     for c in enumerate_classes(4, 2, 0, "sl"):
-        assert sum(c.exponent_values()).denominator == 1
+        assert sum(c.exponents).denominator == 1
 
 
 def test_enumerate_scale():
@@ -179,8 +180,15 @@ def test_enumerate_scale():
 
 def test_class_validation():
     with pytest.raises(Exception):
-        PseudoRepClass(2, FractionalWeight(Fraction(0)),
-                       (FractionalWeight(Fraction(1, 3)),))
+        PseudoRepClass(2, Fraction(0), (Fraction(1, 3),))
+
+
+def test_class_range_validation():
+    # 2q - z is integral in each case, so only the range check rejects
+    for z, exps in [(0, (Fraction(3, 2),)), (0, (Fraction(-1, 2),)), (1, (Fraction(0),))]:
+        with pytest.raises(MalformedInput, match=r"outside \[0,1\)"):
+            PseudoRepClass(2, Fraction(z), exps)
+    PseudoRepClass(2, Fraction(0), (Fraction(1, 2),))
 
 
 def test_deck_transport():
@@ -192,7 +200,7 @@ def test_deck_transport():
     assert all(a == b for a, b in zip(moved.images, sigma.images))
     back = deck_transport(moved, (1,), ambient, (2,))
     assert all(a == b for a, b in zip(back.images, sigma.images))
-    assert classify(moved).exponent_values() == classify(sigma).exponent_values()
+    assert classify(moved).exponents == classify(sigma).exponents
     with pytest.raises(IsotropyMismatch):
         deck_transport(sigma, (1,), ambient, (1,))  # wrong generator order
 
@@ -218,23 +226,31 @@ def test_classify_then_alcove_is_conjugation_invariant():
     for _ in range(10):
         sigma = random_pseudorep(rng, 4, 2, 2)
         model = GroupModel("gl", r=2)
-        w1 = alcove_normalize(model, classify(sigma).exponent_values())
+        w1 = alcove_normalize(model, classify(sigma).exponents)
         g = random_invertible(rng, 2)
-        w2 = alcove_normalize(model, classify(sigma.conjugate(g)).exponent_values())
+        w2 = alcove_normalize(model, classify(sigma.conjugate(g)).exponents)
         assert w1.values() == w2.values()
 
 
 def test_project_mod_center_examples():
-    zero = FractionalWeight(Fraction(0))
+    zero = Fraction(0)
     c00 = PseudoRepClass(2, zero, (zero, zero))
-    half = FractionalWeight(Fraction(1, 2))
+    half = Fraction(1, 2)
     c_halves = PseudoRepClass(2, zero, (half, half))
     assert project_mod_center(c00, 2) == project_mod_center(c_halves, 2)
-    c34 = PseudoRepClass(2, half, (FractionalWeight(Fraction(3, 4)),
-                                   FractionalWeight(Fraction(1, 4))))
+    c34 = PseudoRepClass(2, half, (Fraction(3, 4), Fraction(1, 4)))
     q = project_mod_center(c34, 2)
-    assert q.exponent_values() == (Fraction(3, 4), Fraction(1, 4))
-    assert project_mod_center(c34, 1).exponent_values() == c34.exponent_values()
+    assert q.exponents == (Fraction(3, 4), Fraction(1, 4))
+    assert project_mod_center(c34, 1).exponents == c34.exponents
+
+
+@settings(max_examples=100, deadline=None)
+@given(exps=st.lists(st.tuples(st.integers(0, 23), st.integers(1, 24)), max_size=4),
+       m=st.integers(1, 30))
+def test_project_matches_exhaustive_oracle(exps, m):
+    values = sorted((Fraction(a % b, b) for a, b in exps), reverse=True)
+    cls = QuotientClass(1, tuple(values))
+    assert project_mod_center(cls, m) == exhaustive_project(cls, m)
 
 
 def test_induced_cocycle_examples():

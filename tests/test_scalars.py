@@ -6,9 +6,8 @@ import pytest
 import sympy
 
 from orbipar.errors import DenominatorNotDividing, IncompatibleOrders
-from orbipar.scalars import (Convention, Cyclotomic, FractionalWeight,
-                             cyclotomic_poly, euler_phi, normalize_weight,
-                             root_of_unity)
+from orbipar.scalars import (Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity,
+                             signed_mod1)
 
 import helpers  # noqa: F401  (attaches Cyclotomic.multiplicative_order, is_one)
 
@@ -57,22 +56,22 @@ def test_multiplicative_order_equals_denominator():
             assert root_of_unity(q, 24).multiplicative_order() == q.denominator
 
 
-def test_normalize_weight_examples():
-    assert normalize_weight(Fraction(7, 3)).value == Fraction(1, 3)
-    w = normalize_weight(Fraction(-1, 2), Convention.SIGNED)
-    assert w.value == Fraction(-1, 2)
-    assert normalize_weight(Fraction(5, 4), Convention.SIGNED).value == Fraction(1, 4)
+def test_mod1_examples():
+    assert Fraction(7, 3) % 1 == Fraction(1, 3)
+    assert signed_mod1(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert signed_mod1(Fraction(5, 4)) == Fraction(1, 4)
 
 
-def test_normalize_weight_idempotent_and_congruent():
+def test_mod1_idempotent_and_congruent():
     rng = random.Random(1)
     for _ in range(200):
         x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        for conv in Convention:
-            w = normalize_weight(x, conv)
-            assert normalize_weight(w.value, conv).value == w.value
-            assert (w.value - x).denominator == 1
-            assert w.congruent(x)
+        assert 0 <= x % 1 < 1 and -1 < signed_mod1(x) < 1
+        assert (signed_mod1(x) <= 0) if x < 0 else (signed_mod1(x) >= 0)
+        for normalize in (lambda y: y % 1, signed_mod1):
+            w = normalize(x)
+            assert normalize(w) == w
+            assert (w - x).denominator == 1
 
 
 def test_field_axioms_random():
@@ -118,14 +117,6 @@ def test_mixed_order_arithmetic_promotes():
     b = root_of_unity(Fraction(1, 4), 4)
     assert a * b == root_of_unity(Fraction(7, 12), 12)
     assert lcm(3, 4) == 12
-
-
-def test_weight_range_validation():
-    with pytest.raises(Exception):
-        FractionalWeight(Fraction(3, 2))
-    with pytest.raises(Exception):
-        FractionalWeight(Fraction(-1, 2))  # zero_one convention
-    FractionalWeight(Fraction(-1, 2), Convention.SIGNED)
 
 
 # -- sympy as an independent oracle for the reduction kernel -----------------

@@ -1,8 +1,10 @@
 """Checks on the package as a whole: no runtime asserts, no numpy on import,
-the benchmark tracer's entry points all present, and every cochain and
-pseudorepresentation payload, however hostile, ending in exit 0, 1 or 2."""
+the benchmark tracer's entry points all present, the corpus script writing
+the committed corpus, and every cochain, pseudorepresentation, series and
+covering payload, however hostile, ending in exit 0, 1 or 2."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,8 +15,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from orbipar import jsonio
 from orbipar.cli import run_command
 from orbipar.jsonio import cyclotomic_to_json
+from orbipar.liemodel import beta_of_basis
 from orbipar.scalars import root_of_unity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbipar"
@@ -146,3 +150,120 @@ def test_fuzz_pseudorep_payloads(tmp_path, pseudorep, verb, ambient, gamma0, gen
         payload = {"pseudorep": pseudorep, "ambient_group": ambient, "gamma0": gamma0,
                    "generator_image": generator_image}
     run_bounded(tmp_path, ["pseudorep", verb], payload)
+
+
+RATIONAL = st.one_of(
+    st.sampled_from(["0", "1/2", "1/3", "-1/3", "2/3", "1/4", "-1/4", "1", "1/0", "x"]),
+    st.integers(-2, 2), st.booleans(), st.none())
+# (model, alpha, N) in alcove form with N alpha integral, so the checks past parsing run
+LOCAL_MODELS = [({"kind": "gl", "r": 1}, ["0"], 4001),
+                ({"kind": "gl", "r": 2}, ["1/2", "0"], 2),
+                ({"kind": "gl", "r": 3}, ["2/3", "1/3", "0"], 6),
+                ({"kind": "sl", "r": 2}, ["1/4", "-1/4"], 4),
+                ({"kind": "sl", "r": 3}, ["1/3", "0", "-1/3"], 3),
+                ({"kind": "upq", "p": 1, "q": 1}, ["1/3", "1/4"], 12)]
+MODEL = st.one_of(st.sampled_from([m for m, _, _ in LOCAL_MODELS]), st.none(),
+                  st.fixed_dictionaries({"kind": st.sampled_from(["gl", "sl", "upq", "x"]),
+                                         "r": st.one_of(st.integers(-1, 6), st.booleans()),
+                                         "p": st.integers(0, 3), "q": st.integers(0, 3)}))
+HOSTILE = st.one_of(RATIONAL, MODEL, st.integers(-2, 10 ** 6), st.sampled_from(["z", "w", "2"]),
+                    st.lists(RATIONAL, max_size=5), st.lists(st.integers(-1, 30), max_size=4))
+COEFF = st.one_of(st.sampled_from(["1", "-1", "1/2", "2/3"]),
+                  st.sampled_from([{"order": 3, "coeffs": ["0", "1"]},
+                                   {"order": 12, "coeffs": ["1", "0", "-1", "1/5"]}]), ENTRY)
+
+
+def spoiled(draw, payload, *paths):
+    """payload, or, half the time, a copy with the field at one of the paths
+    replaced by a HOSTILE value."""
+    path = draw(st.sampled_from([None] * len(paths) + list(paths)))
+    if path is None:
+        return payload
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(HOSTILE)
+    return payload
+
+
+@st.composite
+def series_payloads(draw, variable):
+    """A series on a valid local model with basis keys of the model and, often,
+    invariant exponents, then perhaps one field spoiled."""
+    model_json, alpha, N = draw(st.sampled_from(LOCAL_MODELS))
+    model = jsonio.model_from_json(model_json)
+    betas = beta_of_basis(model, jsonio.weight_vector_from_json(model, alpha))
+    terms = {}
+    for b in draw(st.lists(st.integers(0, model.dim_m - 1), max_size=4)):
+        invariant = (-N * betas[b] - 1) % N  # k = N l - N beta - 1
+        k = draw(st.one_of(st.integers(-1 if variable == "w" else 0, 2 * N),
+                           st.integers(0, 2).map(lambda t: int(invariant) + N * t)))
+        terms[(b, k)] = draw(COEFF)
+    payload = {"model": model_json, "alpha": alpha, "N": N, "variable": variable,
+               "trunc": draw(st.one_of(st.just(3 * N), st.integers(-3, 3 * N),
+                                       st.just(10 ** 9))),
+               "terms": [{"basis": list(model.basis_key(b)), "k": k, "coeff": c}
+                         for (b, k), c in terms.items()]}
+    term_fields = [("terms", i, f) for i in range(len(terms)) for f in ("basis", "k", "coeff")]
+    return spoiled(draw, payload, ("model",), ("alpha",), ("N",), ("variable",), ("trunc",),
+                   ("terms",), *term_fields, *[(*f, 0) for f in term_fields if f[2] == "basis"])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), verb=st.sampled_from(["check", "descend", "ascend", "residue"]),
+       working_order=st.sampled_from([None, None, 0, 12, 24, 8192, 16384]),
+       twist=st.sampled_from([None, None, "0", "1/3", "2/3", "1/7", "1/0", "x"]))
+def test_fuzz_series_payloads(tmp_path, data, verb, working_order, twist):
+    upstairs = verb in ("check", "descend")
+    series = data.draw(series_payloads("z" if upstairs else "w"))
+    argv = ["local", verb]
+    if working_order is not None and verb != "residue":
+        argv += ["--working-order", str(working_order)]
+    if twist is not None and verb == "check":
+        argv += ["--twist", twist]
+    run_bounded(tmp_path, argv, series)
+
+
+DECK_ORDERS = [1, 2, 3, 4, 6, 8, 12, 24]
+
+
+@st.composite
+def covering_payloads(draw):
+    """A strata request on a valid cyclic covering, perhaps one field spoiled."""
+    n = draw(st.sampled_from(DECK_ORDERS))
+    divisors = [d for d in DECK_ORDERS if d > 1 and n % d == 0] or [2]
+    payload = {"group": [n], "covering": {
+                   "genus_x": draw(st.one_of(st.integers(2, 40), st.just(10 ** 6))),
+                   "group_order": n,
+                   "orbit_orders": draw(st.lists(st.sampled_from(divisors), max_size=4))},
+               "coeff_order": draw(st.sampled_from([1, 2, 3, 4, 6, 12, 10 ** 6, 2 ** 80])),
+               "model": draw(st.sampled_from([{"kind": "gl", "r": r} for r in (1, 2, 3, 4)] +
+                                             [{"kind": "sl", "r": r} for r in (2, 3)] +
+                                             [{"kind": "upq", "p": 1, "q": 1}]))}
+    covering = [("covering", f) for f in ("genus_x", "group_order", "orbit_orders")]
+    first_orbit = [("covering", "orbit_orders", 0)] if payload["covering"]["orbit_orders"] else []
+    return spoiled(draw, payload, ("group",), ("coeff_order",), ("model",), ("covering",),
+                   *covering, *first_orbit)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=covering_payloads(), verb=st.sampled_from(["rh", "strata"]))
+def test_fuzz_covering_payloads(tmp_path, payload, verb):
+    run_bounded(tmp_path, ["moduli", verb], payload["covering"] if verb == "rh" else payload)
+
+
+def test_generate_corpus_writes_the_committed_corpus(tmp_path):
+    script = SRC.parent.parent / "scripts" / "generate_corpus.py"
+    spec = importlib.util.spec_from_file_location("generate_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.CORPUS = str(tmp_path)
+    module.main()
+    committed = SRC.parent.parent / "corpus"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in committed.glob("*.json"))
+    for path in sorted(committed.glob("*.json")):
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

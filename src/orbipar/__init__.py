@@ -22,7 +22,7 @@ from .moduli import (CoveringData, FlagDegreeData, StratumIndex,
 from .pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass, classify,
                          deck_transport, enumerate_classes, induced_cocycle,
                          project_mod_center, verify_pseudorep)
-from .scalars import Cyclotomic, Rational, root_of_unity
+from .scalars import Cyclotomic, root_of_unity
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -63,7 +63,7 @@ def cmd_cocycle_extend(payload, args):
 
 
 def cmd_cocycle_zeta(payload, args):
-    c = jsonio.cochain_from_json(payload.get("cochain"))
+    c = jsonio.cochain_from_json(jsonio._need(payload, "cochain"))
     element = tuple(jsonio.int_list_from_json(payload, "element"))
     if element not in c.group.index:
         raise MalformedInput(f"{list(element)} is not an element of the group")
@@ -93,8 +93,8 @@ def cmd_pseudorep_classify(payload, args):
 def cmd_pseudorep_enumerate(payload, args):
     n = jsonio._need(payload, "order", int)
     r = jsonio._need(payload, "rank", int)
-    z = jsonio.rational_from_json(payload.get("zeta", "0"))
-    model = payload.get("model", "gl")
+    z = jsonio.rational_from_json(jsonio._field(payload, "zeta", None, "0"))
+    model = jsonio._field(payload, "model", str, "gl")
     classes = enumerate_classes(n, r, z, model)
     return ({"count": len(classes),
              "classes": [jsonio.rep_class_to_json(c) for c in classes]},
@@ -342,9 +342,6 @@ def _execute(args) -> tuple[int, str]:
         return 2, jsonio.dumps({"error": exc.code, "detail": exc.detail})
     except DomainError as exc:
         return 1, jsonio.dumps({"error": exc.code, "detail": exc.detail})
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        return 2, jsonio.dumps({"error": "malformed_input",
-                                "detail": f"{type(exc).__name__}: {exc}"})
     return 0, jsonio.dumps({"result": result, "audit": audit})
 
 
@@ -358,30 +355,33 @@ def run_corpus(directory) -> tuple[int, str]:
     lines = []
     failures = 0
     for name in names:
-        path = os.path.join(directory, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
                 case = json.load(fh)
-            command = case["command"]
-            extra = [str(x) for x in case.get("args", [])]
-            expected_code = int(case.get("expected_exit", 0))
-            expected = jsonio.dumps(case["expected_output"])
+            command = [str(x) for x in jsonio._need(case, "command", list)]
+            extra = [str(x) for x in jsonio._field(case, "args", list, [])]
+            expected_code = jsonio._field(case, "expected_exit", int, 0)
+            expected = jsonio.dumps(jsonio._need(case, "expected_output"))
+            payload = jsonio._need(case, "input")
+        except (OSError, ValueError, MalformedInput) as exc:
+            failures += 1
+            lines.append(f"FAIL {name} (bad case file: {exc})")
+            continue
+        try:
             with tempfile.TemporaryDirectory() as tmp:
                 inpath = os.path.join(tmp, "input.json")
                 with open(inpath, "w", encoding="utf-8") as fh:
-                    json.dump(case["input"], fh)
+                    json.dump(payload, fh)
                 code, text = run_command([*command, inpath, *extra])
-            if code == expected_code and text == expected:
-                lines.append(f"ok {name}")
-            else:
-                failures += 1
-                lines.append(f"FAIL {name} (exit {code}, expected {expected_code})")
-        except (KeyError, TypeError, ValueError, OSError) as exc:
-            failures += 1
-            lines.append(f"FAIL {name} (bad case file: {exc})")
         except SystemExit:  # argparse rejected the case's args and printed why to stderr
             failures += 1
             lines.append(f"FAIL {name} (bad args {extra})")
+            continue
+        if code == expected_code and text == expected:
+            lines.append(f"ok {name}")
+        else:
+            failures += 1
+            lines.append(f"FAIL {name} (exit {code}, expected {expected_code})")
     lines.append(f"{len(names) - failures}/{len(names)} cases passed")
     return (0 if failures == 0 and names else 1), "\n".join(lines) + "\n"
 

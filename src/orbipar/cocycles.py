@@ -38,7 +38,7 @@ class FiniteAbelianGroup:
     """
 
     def __init__(self, cyclic_factors):
-        factors = tuple(int(n) for n in cyclic_factors)
+        factors = tuple(cyclic_factors)
         if any(n < 1 for n in factors):
             raise MalformedInput(f"bad cyclic factors {factors}")
         order = 1

@@ -1,8 +1,10 @@
 """Canonical JSON encodings for every domain type.
 
+This is the one module that turns wire values into domain values: decoders
+check every field's type and raise MalformedInput on any structural problem,
+so the library below them takes ints, Fractions and Cyclotomics as given.
 All encoders emit canonically ordered structures (sorted term lists, sorted
 table entries) so that rendering with sorted keys is byte-deterministic.
-Decoders raise MalformedInput on any structural problem.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import json
 from fractions import Fraction
 
 from .cocycles import Cochain2, CoefficientGroup, ExtensionGroup, FiniteAbelianGroup
-from .errors import MalformedInput
+from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
-from .moduli import CoveringData, FlagDegreeData, StratumIndex
+from .moduli import (MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES, CoveringData,
+                     FlagDegreeData, FlagPiece, StratumIndex)
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
 from .scalars import Cyclotomic, euler_phi, rational
 
@@ -32,6 +35,13 @@ def _need(data, key, kind=None):
     if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise MalformedInput(f"field {key!r} has wrong type")
     return value
+
+
+def _field(data, key, kind, default):
+    """_need(data, key, kind), or default when the object lacks the field."""
+    if isinstance(data, dict) and key not in data:
+        return default
+    return _need(data, key, kind)
 
 
 def _is_int(v) -> bool:
@@ -58,7 +68,7 @@ def cyclotomic_from_json(data) -> Cyclotomic:
     # phi(n) >= sqrt(n/2), so past 2 len^2 no factorisation is needed to reject
     if order < 1 or order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise MalformedInput(f"cyclotomic of order {order} needs phi(order) coefficients")
-    return Cyclotomic(order, [rational_from_json(x) for x in coeffs])
+    return Cyclotomic(order, tuple(rational_from_json(x) for x in coeffs))
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -168,6 +178,8 @@ def rep_class_to_json(cls: PseudoRepClass) -> dict:
 
 def rep_class_from_json(data) -> PseudoRepClass:
     n = _need(data, "order", int)
+    if n < 1:
+        raise MalformedInput(f"class order {n} must be positive")
     z = rational_from_json(_need(data, "zeta")) % 1
     exps = [rational_from_json(x) % 1 for x in _need(data, "exponents", list)]
     return PseudoRepClass(n, z, tuple(exps))
@@ -196,9 +208,7 @@ def weights_to_json(weight: WeightVector) -> list:
     return [str(v) for v in weight.values()]
 
 
-def weight_vector_from_json(model: GroupModel, data) -> WeightVector:
-    if not isinstance(data, list):
-        raise MalformedInput("alpha must be a list of rationals")
+def weight_vector_from_json(model: GroupModel, data: list) -> WeightVector:
     vals = [rational_from_json(x) for x in data]
     weight = alcove_normalize(model, vals)
     if weight.values() != tuple(vals):
@@ -293,14 +303,18 @@ def covering_from_json(data) -> CoveringData:
 
 
 def flag_from_json(data) -> FlagDegreeData:
+    """A flag whose pairing prints within Python's 4300 digits: few pieces and
+    corrections, and degrees bounded like rationals."""
     s = [rational_from_json(x) for x in _need(data, "s", list)]
-    pieces = []
-    for p in _need(data, "pieces", list):
-        pieces.append({"value": rational_from_json(_need(p, "value")),
-                       "rank": _need(p, "rank", int),
-                       "degree": _need(p, "degree", int)})
-    corrections = [rational_from_json(x) for x in data.get("corrections", [])]
-    return FlagDegreeData(s, pieces, corrections)
+    pieces = _need(data, "pieces", list)
+    corrections = _need(data, "corrections", list)
+    if len(pieces) > MAX_FLAG_PIECES or len(corrections) > MAX_FLAG_CORRECTIONS:
+        raise ScaleExceeded(f"a flag carries at most {MAX_FLAG_PIECES} pieces and "
+                            f"{MAX_FLAG_CORRECTIONS} corrections")
+    return FlagDegreeData(
+        s, [FlagPiece(rational_from_json(_need(p, "value")), _need(p, "rank", int),
+                      rational(_need(p, "degree", int)).numerator) for p in pieces],
+        [rational_from_json(x) for x in corrections])
 
 
 def stratum_to_json(stratum: StratumIndex) -> dict:

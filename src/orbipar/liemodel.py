@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
 from .matrices import CycMatrix
-from .scalars import rational, signed_mod1
+from .scalars import Cyclotomic, signed_mod1
 
 MAX_MODEL_SIZE = 4
 
@@ -35,13 +35,13 @@ class GroupModel:
             if not r or r < 1:
                 raise MalformedInput("gl/sl models need a positive rank r")
             self.kind = kind
-            self.size = int(r)
+            self.size = r
             self.blocks = [range(0, self.size)]
         elif kind == "upq":
             if not p or not q or p < 1 or q < 1:
                 raise MalformedInput("upq models need positive p and q")
             self.kind = kind
-            self.p, self.q = int(p), int(q)
+            self.p, self.q = p, q
             self.size = self.p + self.q
             self.blocks = [range(0, self.p), range(self.p, self.size)]
         else:
@@ -96,7 +96,8 @@ class GroupModel:
         return out
 
     def basis_matrix(self, idx: int) -> CycMatrix:
-        return CycMatrix(self.basis_array(self.m_basis[idx]))
+        return CycMatrix([[Cyclotomic.from_rational(x) for x in row]
+                          for row in self.basis_array(self.m_basis[idx])])
 
     def weight_convention(self) -> str:
         """The audit name of the alcove weights' range: (-1,1) for sl, else [0,1)."""
@@ -140,19 +141,18 @@ class WeightVector:
 
 
 def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
-    """The canonical alcove representative of a multiset of exponents.
+    """The canonical alcove representative of a multiset of Fraction exponents.
 
     Reduce mod 1 into [0,1) and sort descending within each block; for sl,
     shift to the zero-sum representative by subtracting 1 from the S smallest
     entries, where S is the integer entry sum.  Idempotent and invariant
     under permutations within a block.
     """
-    vals = [rational(w) for w in exponents]
-    if len(vals) != model.size:
-        raise RankMismatch(f"need {model.size} exponents, got {len(vals)}")
+    if len(exponents) != model.size:
+        raise RankMismatch(f"need {model.size} exponents, got {len(exponents)}")
     out = [None] * model.size
     for blk in model.blocks:
-        reduced = sorted((vals[i] % 1 for i in blk), reverse=True)
+        reduced = sorted((exponents[i] % 1 for i in blk), reverse=True)
         for slot, v in zip(blk, reduced):
             out[slot] = v
     if model.kind == "sl":
@@ -205,16 +205,16 @@ def beta_of_basis(model: GroupModel, weight: WeightVector):
 
 
 class ParabolicData:
-    """Entry masks for p_s, l_s, m_s, m_s^0 cut out by a rational diagonal s."""
+    """Entry masks for p_s, l_s, m_s, m_s^0 cut out by a diagonal s of Fractions."""
 
     def __init__(self, model: GroupModel, s):
-        s = [rational(x) for x in s]
+        s = tuple(s)
         if len(s) != model.size:
             raise NotInIH(f"need {model.size} diagonal entries, got {len(s)}")
         if model.kind == "sl" and sum(s) != 0:
             raise NotInIH("sl requires a traceless diagonal s")
         self.model = model
-        self.s = tuple(s)
+        self.s = s
         le = [[x <= y for y in s] for x in s]
         eq = [[x == y for y in s] for x in s]
         self.p_mask = _mask_and(le, model.h_mask)

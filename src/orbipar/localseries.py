@@ -35,7 +35,7 @@ from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
 from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
                        parabolic_from_s)
 from .matrices import CycMatrix
-from .scalars import Cyclotomic, check_order, rational, root_of_unity
+from .scalars import check_order, root_of_unity
 
 UPSTAIRS = "z"
 DOWNSTAIRS = "w"
@@ -46,6 +46,7 @@ class GradedSeries:
 
     Upstairs (variable z) series are holomorphic: exponents k >= 0.
     Downstairs (variable w) series may carry a simple pole: k >= -1.
+    Terms map (basis index, k) to a Cyclotomic; zero terms are dropped.
     """
 
     def __init__(self, model: GroupModel, weight: WeightVector, N: int,
@@ -53,7 +54,6 @@ class GradedSeries:
         check_alcove(model, weight)
         if not weight.is_interior():
             raise WeightOnWall(f"{weight.values()} lies on an alcove wall")
-        N = int(N)
         if N < 1:
             raise MalformedInput("N must be a positive integer")
         for v in weight.values():
@@ -62,25 +62,18 @@ class GradedSeries:
         if variable not in (UPSTAIRS, DOWNSTAIRS):
             raise MalformedInput(f"variable must be '{UPSTAIRS}' or '{DOWNSTAIRS}'")
         floor = 0 if variable == UPSTAIRS else -1
-        trunc = int(trunc)
         if trunc < floor - 1:
             raise MalformedInput(f"truncation {trunc} below {floor - 1}")
         clean = {}
         for (b, k), coeff in terms.items():
-            b, k = int(b), int(k)
             if not 0 <= b < model.dim_m:
                 raise MalformedInput(f"basis index {b} out of range")
             if k < floor:
                 raise MalformedInput(f"exponent {k} below {floor} for variable {variable}")
             if k > trunc:
                 raise MalformedInput(f"exponent {k} above truncation {trunc}")
-            if not isinstance(coeff, Cyclotomic):
-                coeff = Cyclotomic.from_rational(rational(coeff))
-            if coeff.is_zero():
-                continue
-            if (b, k) in clean:
-                raise MalformedInput(f"duplicate term at basis {b}, exponent {k}")
-            clean[(b, k)] = coeff
+            if coeff:
+                clean[(b, k)] = coeff
         self.model = model
         self.weight = weight
         self.N = N
@@ -136,10 +129,9 @@ class InvarianceReport:
 def _twist_fraction(twist, N: int) -> Fraction:
     if twist is None:
         return Fraction(0)
-    t = rational(twist)
-    if (N * t).denominator != 1:
-        raise TwistDenominator(f"twist {t} has denominator not dividing N={N}")
-    return t % 1
+    if (N * twist).denominator != 1:
+        raise TwistDenominator(f"twist {twist} has denominator not dividing N={N}")
+    return twist % 1
 
 
 def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:

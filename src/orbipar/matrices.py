@@ -7,6 +7,7 @@ No verb reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz
 expansion) or ``inverse`` (the adjugate); perfbench's tracer still wraps them
 by name.
 
+Entries are Cyclotomics as they are given; nothing here coerces a rational.
 A product is fused: each nonzero entry is written once as integer numerators
 in the field of the entries it meets, each output entry sum_k a_ik b_kj is
 one integer polynomial over the lcm of its denominators, reduced once by
@@ -22,15 +23,9 @@ from itertools import permutations
 from math import lcm
 
 from .errors import MalformedInput, SizeMismatch
-from .scalars import Cyclotomic, dot, rational, root_of_unity
+from .scalars import Cyclotomic, dot, root_of_unity
 
 MAX_SIZE = 4
-
-
-def _as_cyclotomic(x) -> Cyclotomic:
-    if isinstance(x, Cyclotomic):
-        return x
-    return Cyclotomic.from_rational(rational(x))
 
 
 class CycMatrix:
@@ -39,7 +34,7 @@ class CycMatrix:
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_as_cyclotomic(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         r = len(rows)
         if r == 0 or r > MAX_SIZE or any(len(row) != r for row in rows):
             raise MalformedInput(f"need a square matrix of size 1..{MAX_SIZE}")
@@ -51,11 +46,12 @@ class CycMatrix:
 
     @classmethod
     def identity(cls, r: int) -> "CycMatrix":
-        return cls([[1 if i == j else 0 for j in range(r)] for i in range(r)])
+        one, zero = Cyclotomic.one(), Cyclotomic.zero()
+        return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
 
     @classmethod
     def zero(cls, r: int) -> "CycMatrix":
-        return cls([[0] * r for _ in range(r)])
+        return cls([[Cyclotomic.zero()] * r for _ in range(r)])
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.rows[i][j]
@@ -93,8 +89,7 @@ class CycMatrix:
             out.append(new)
         return CycMatrix(out)
 
-    def scale(self, c) -> "CycMatrix":
-        c = _as_cyclotomic(c)
+    def scale(self, c: Cyclotomic) -> "CycMatrix":
         cache = {}
         return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
                           for row in self.rows])
@@ -174,8 +169,8 @@ def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[F
     power_traces[j] = tr A^j for j < n.
 
     A is diagonalisable, and each root lambda of lambda^n = e^{2 pi i zeta} has
-    multiplicity (1/n) sum_j tr(A^j) lambda^-j.  Raises if one is not a
-    non-negative integer or they do not add up to the rank.
+    multiplicity (1/n) sum_j tr(A^j) lambda^-j.  A pseudorepresentation that
+    passed verification gives non-negative integers adding up to the rank.
     """
     n = len(power_traces)
     cache = {}
@@ -187,8 +182,8 @@ def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[F
                        for j, t in enumerate(power_traces)], cache)
         count = mult.coeffs[0] / n
         if any(mult.coeffs[1:]) or count.denominator != 1 or count < 0:
-            raise ValueError(f"multiplicity of e^(2 pi i {q}) is not a count")
+            raise AssertionError(f"multiplicity of e^(2 pi i {q}) is not a count")
         found += [q] * int(count)
     if len(found) != rank:
-        raise ValueError(f"multiplicities add up to {len(found)}, not the rank {rank}")
+        raise AssertionError(f"multiplicities add up to {len(found)}, not the rank {rank}")
     return sorted(found, reverse=True)

@@ -19,9 +19,10 @@ from .errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                      ScaleExceeded, UnsupportedModel)
 from .liemodel import GroupModel
 from .pseudoreps import enumerate_classes, project_mod_center
-from .scalars import rational
 
 MAX_STRATA_CELLS = 2 ** 16  # cochain table rows plus exponents over all strata of one output
+MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
+MAX_FLAG_CORRECTIONS = 32  # scalars.MAX_RATIONAL_DIGITS they bound a pairing's digits
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class CoveringData:
     orbit_orders: tuple  # N_j per branch orbit, each dividing N and >= 2
 
     def __post_init__(self):
-        object.__setattr__(self, "orbit_orders", tuple(self.orbit_orders))
         if self.genus_x < 2:
             raise MalformedInput("upstairs genus must be at least 2")
         if self.group_order < 1:
@@ -73,7 +73,9 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
     the center-projected classes of order-N_j diagonal pseudorepresentations.
 
     `max_candidates` bounds the number of strata, and MAX_STRATA_CELLS the
-    table rows and exponents they carry in all."""
+    table rows and exponents they carry in all.  The classes are computed
+    once per distinct orbit order, and the strata count is checked against
+    the bound as each orbit multiplies it."""
     if not group.is_cyclic():
         raise MalformedInput("stratum enumeration expects a cyclic deck group")
     if group.order != covering.group_order:
@@ -81,30 +83,23 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
     if model.kind not in ("gl", "sl"):
         raise UnsupportedModel("class enumeration is defined for gl and sl models")
     cocycle_reps = h2_classes(group, coeff_order, max_candidates)
-    per_orbit = []
-    for nj in covering.orbit_orders:
-        seen = set()
-        classes = []
-        for cls in enumerate_classes(nj, model.size, 0, model.kind):
-            q = project_mod_center(cls, coeff_order)
-            if q.exponents not in seen:
-                seen.add(q.exponents)
-                classes.append(q)
-        classes.sort(key=lambda c: c.exponents)
-        per_orbit.append(classes)
+    classes = {nj: sorted({project_mod_center(cls, coeff_order) for cls in
+                           enumerate_classes(nj, model.size, Fraction(0), model.kind)},
+                          key=lambda c: c.exponents)
+               for nj in dict.fromkeys(covering.orbit_orders)}
     total = len(cocycle_reps)
-    for classes in per_orbit:
-        total *= len(classes)
-    if total > max_candidates:
-        raise ScaleExceeded(f"{total} strata exceed bound {max_candidates}")
-    cells = total * (group.order ** 2 + len(per_orbit) * model.size)
-    if cells > MAX_STRATA_CELLS:
-        raise ScaleExceeded(f"{total} strata carry {cells} table rows and exponents, "
-                            f"above the bound {MAX_STRATA_CELLS}")
-    out = []
-    for combo in product(cocycle_reps, *per_orbit):
-        out.append(StratumIndex(combo[0], tuple(combo[1:])))
-    return out
+    for count, nj in enumerate(covering.orbit_orders, 1):
+        total *= len(classes[nj])
+        if total > max_candidates:
+            raise ScaleExceeded(f"the first {count} orbits already give more than "
+                                f"{max_candidates} strata")
+    per_stratum = group.order ** 2 + len(covering.orbit_orders) * model.size
+    if total * per_stratum > MAX_STRATA_CELLS:
+        raise ScaleExceeded(f"{total} strata carry {per_stratum} table rows and exponents "
+                            f"each, above the bound {MAX_STRATA_CELLS} in all")
+    per_orbit = [classes[nj] for nj in covering.orbit_orders]
+    return [StratumIndex(combo[0], tuple(combo[1:]))
+            for combo in product(cocycle_reps, *per_orbit)]
 
 
 @dataclass(frozen=True)
@@ -115,14 +110,12 @@ class FlagPiece:
 
 
 class FlagDegreeData:
-    """Split diagonal reduction data: s with repetitions, one (rank, degree)
-    per distinct s-value, and optional per-point parabolic corrections."""
+    """Split diagonal reduction data: s with repetitions (Fractions), one
+    FlagPiece per distinct s-value, and per-point parabolic corrections."""
 
     def __init__(self, s, pieces, corrections=()):
-        s = sorted((rational(x) for x in s), reverse=True)
-        parsed = [FlagPiece(rational(p["value"]), int(p["rank"]), int(p["degree"]))
-                  for p in pieces]
-        parsed.sort(key=lambda p: p.value, reverse=True)
+        s = sorted(s, reverse=True)
+        parsed = sorted(pieces, key=lambda p: p.value, reverse=True)
         values = [p.value for p in parsed]
         if len(set(values)) != len(values):
             raise MalformedInput("one graded piece per distinct s-value")
@@ -135,7 +128,7 @@ class FlagDegreeData:
                 f"piece ranks {got} do not match s-value multiplicities {expected}")
         self.s = tuple(s)
         self.pieces = tuple(parsed)
-        self.corrections = tuple(rational(c) for c in corrections)
+        self.corrections = tuple(corrections)
 
     @property
     def rank(self) -> int:
@@ -190,9 +183,9 @@ class ScalingReport:
 
 
 def degree_scaling_check(par_deg_y, group_order: int, claimed_deg_x) -> ScalingReport:
-    """The upstairs degree of a reduction is |Gamma| times its parabolic degree."""
+    """The upstairs degree of a reduction is |Gamma| times its parabolic degree,
+    both Fractions."""
     if group_order < 1:
         raise MalformedInput("group order must be positive")
-    par = rational(par_deg_y)
-    claimed = rational(claimed_deg_x)
-    return ScalingReport(claimed == group_order * par, claimed.denominator == 1)
+    return ScalingReport(claimed_deg_x == group_order * par_deg_y,
+                         claimed_deg_x.denominator == 1)

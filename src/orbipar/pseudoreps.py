@@ -24,7 +24,7 @@ from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle
 from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                      NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from .matrices import root_of_unity_eigenvalues
-from .scalars import check_order, rational
+from .scalars import check_order
 
 MAX_ENUMERATION = 24  # bound on n * r for class enumeration
 
@@ -106,14 +106,12 @@ class PseudoRepClass:
     exponents: tuple  # Fractions q in [0,1), sorted descending
 
     def __post_init__(self):
-        exps = tuple(self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        for q in (self.zeta, *exps):
+        for q in (self.zeta, *self.exponents):
             if not 0 <= q < 1:
                 raise MalformedInput(f"{q} outside [0,1)")
-        if list(exps) != sorted(exps, reverse=True):
+        if list(self.exponents) != sorted(self.exponents, reverse=True):
             raise MalformedInput("exponents must be sorted descending")
-        for q in exps:
+        for q in self.exponents:
             if (self.order * q - self.zeta).denominator != 1:
                 raise MalformedInput(
                     f"exponent {q} does not satisfy lambda^{self.order} = zeta")
@@ -137,27 +135,30 @@ def classify(sigma: PseudoRep) -> PseudoRepClass:
     z = Fraction(T[-1] % coeff.order, coeff.order)
     traces = [im.trace() * coeff.value(t) for im, t in zip(sigma.images, T)]
     exps = root_of_unity_eigenvalues(traces, z, sigma.size)
-    return PseudoRepClass(sigma.order, z, exps)
+    return PseudoRepClass(sigma.order, z, tuple(exps))
 
 
-def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[PseudoRepClass]:
-    """All exponent multisets of size r with e^{2 pi i n q} = zeta.
+def enumerate_classes(n: int, r: int, zeta_value: Fraction,
+                      model: str = "gl") -> list[PseudoRepClass]:
+    """All exponent multisets of size r with e^{2 pi i n q} = e^{2 pi i zeta_value}.
 
     For "sl" only multisets with integral exponent sum survive.  The GL count
     is C(n + r - 1, r).
     """
     if model not in ("gl", "sl"):
         raise MalformedInput(f"model must be 'gl' or 'sl', got {model!r}")
+    if n < 1 or r < 1:
+        raise MalformedInput(f"order {n} and rank {r} must be positive")
     if n * r > MAX_ENUMERATION:
         raise ScaleExceeded(f"n*r = {n * r} exceeds {MAX_ENUMERATION}")
-    z = rational(zeta_value) % 1
+    z = zeta_value % 1
     base = z / n
     candidates = sorted((base + Fraction(j, n)) % 1 for j in range(n))
     classes = []
     for combo in combinations_with_replacement(candidates, r):
         if model == "sl" and sum(combo).denominator != 1:
             continue
-        classes.append(PseudoRepClass(n, z, sorted(combo, reverse=True)))
+        classes.append(PseudoRepClass(n, z, tuple(sorted(combo, reverse=True))))
     if model == "gl":
         if len(classes) != comb(n + r - 1, r):
             raise AssertionError(f"{len(classes)} classes, expected C({n + r - 1}, {r})")
@@ -165,8 +166,8 @@ def enumerate_classes(n: int, r: int, zeta_value, model: str = "gl") -> list[Pse
     return classes
 
 
-def deck_transport(sigma: PseudoRep, gamma0, ambient: FiniteAbelianGroup,
-                   gen_image) -> PseudoRep:
+def deck_transport(sigma: PseudoRep, gamma0: tuple, ambient: FiniteAbelianGroup,
+                   gen_image: tuple) -> PseudoRep:
     """Transport along a deck transformation: sigma'(h) = sigma(g0^-1 h g0).
 
     The isotropy group embeds in the ambient group by sending the canonical
@@ -174,8 +175,7 @@ def deck_transport(sigma: PseudoRep, gamma0, ambient: FiniteAbelianGroup,
     every element, so once gamma0 and gen_image are checked the transported
     pseudorep is sigma itself.
     """
-    gen_image = tuple(gen_image)
-    for elem in (tuple(gamma0), gen_image):
+    for elem in (gamma0, gen_image):
         if elem not in ambient.index:
             raise IsotropyMismatch(f"{elem} is not an ambient element")
     if ambient.element_order(gen_image) != sigma.order:
@@ -203,9 +203,7 @@ def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Coc
 
     The map zeta_m -> zeta_m'^t is a homomorphism iff m' divides t*m.
     """
-    m = c.coefficients.order
-    t = int(generator_image)
-    m2 = int(target_order)
+    m, t, m2 = c.coefficients.order, generator_image, target_order
     if m2 < 1 or (t * m) % m2 != 0:
         raise NotAHomomorphism(
             f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")

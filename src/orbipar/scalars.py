@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: rationals, rationals mod 1, and cyclotomic fields.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator) read from ``p/q`` strings or ints only.  Weights and exponents
+denominator); ``rational`` reads them from ``p/q`` strings or ints, with
+numerator and denominator below 10^MAX_RATIONAL_DIGITS.  Weights and exponents
 mod 1 are plain Fractions: ``x % 1`` is the residue in [0,1), and
 ``signed_mod1`` the signed representative in (-1,1) that eigenvalue exponents
 of Ad use.  ``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every
@@ -14,8 +15,10 @@ over the lcm of its denominators, ``dot`` sums the products of any number of
 pairs as one unreduced integer polynomial over the lcm of their
 denominators, and a Fraction is built once per nonzero output coefficient.
 ``CycMatrix.__matmul__`` uses the same ``dot`` for each output entry, so
-every entry is reduced once.  Internal results go through the private
-``Cyclotomic._new``, which skips the validation of ``__init__``.
+every entry is reduced once.  Beyond ``rational``, which only ``jsonio`` and
+the CLI's ``--twist`` call, nothing here parses or coerces: the arithmetic
+takes ints, Fractions and Cyclotomics, and ``Cyclotomic(order, coeffs)``
+stores a tuple of phi(order) Fractions as it is.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -43,31 +46,32 @@ from math import lcm, prod
 from .errors import (DenominatorNotDividing, IncompatibleOrders, MalformedInput,
                      ScaleExceeded)
 
-Rational = Fraction
-
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 MAX_CYCLOTOMIC_ORDER = 2 ** 13  # working order of a series or a pseudorepresentation
+MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational
+_DIGIT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 
 def rational(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact rational.
+    """An input rational, from an int or a 'p/q' string.
 
     Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
-    so a short string cannot ask Fraction() for a huge power of ten.
+    so a short string cannot ask Fraction() for a huge power of ten.  Numerator
+    and denominator must stay below 10^MAX_RATIONAL_DIGITS, so that sums of
+    the few rationals a request may carry print within Python's 4300 digits.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise MalformedInput(f"bad rational {x!r}: expected p/q")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"bad rational {x!r}: {exc}") from None
-    raise MalformedInput(f"bad rational {x!r}")
+    if not (isinstance(x, int) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise MalformedInput(f"bad rational {x!r}: expected p/q")
+    try:
+        q = Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"bad rational {x!r}: {exc}") from None
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
+                            f"in its numerator or denominator")
+    return q
 
 
 def signed_mod1(x: Fraction) -> Fraction:
@@ -247,7 +251,7 @@ def _cyclotomic(M: int, numerators, d: int) -> "Cyclotomic":
         coeffs = tuple(Fraction(n) if n else _ZERO for n in numerators)
     else:
         coeffs = tuple(Fraction(n, d) if n else _ZERO for n in numerators)
-    return Cyclotomic._new(M, coeffs)
+    return Cyclotomic(M, coeffs)
 
 
 def _embedded(x: "Cyclotomic", M: int, cache: dict):
@@ -304,22 +308,10 @@ class Cyclotomic:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        coeffs = tuple(rational(c) for c in coeffs)
-        if len(coeffs) != phi:
-            raise MalformedInput(
-                f"cyclotomic of order {order} needs {phi} coefficients, got {len(coeffs)}")
+    def __init__(self, order: int, coeffs: tuple):
+        """coeffs is a tuple of phi(order) Fractions; it is not checked."""
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _new(cls, order: int, coeffs: tuple) -> "Cyclotomic":
-        """An internal result: coeffs is already a tuple of phi(order) Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("Cyclotomic is immutable")
@@ -328,7 +320,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x, order: int = 1) -> "Cyclotomic":
-        return cls._new(order, (rational(x),) + (_ZERO,) * (euler_phi(order) - 1))
+        """The int or Fraction x in Q(zeta_order)."""
+        return cls(order, (Fraction(x),) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
@@ -336,7 +329,7 @@ class Cyclotomic:
 
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
-        return cls.from_rational(1, order)
+        return cls(order, (_ONE,) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "Cyclotomic":
@@ -366,30 +359,25 @@ class Cyclotomic:
 
     def __add__(self, other):
         a, b = self._common(other)
-        return Cyclotomic._new(a.order, tuple(x + y if y else x
-                                              for x, y in zip(a.coeffs, b.coeffs)))
+        return Cyclotomic(a.order, tuple(x + y if y else x for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._new(self.order, tuple(-x if x else x for x in self.coeffs))
+        return Cyclotomic(self.order, tuple(-x if x else x for x in self.coeffs))
 
     def __sub__(self, other):
         a, b = self._common(other)
-        return Cyclotomic._new(a.order, tuple(x - y if y else x
-                                              for x, y in zip(a.coeffs, b.coeffs)))
+        return Cyclotomic(a.order, tuple(x - y if y else x for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = rational(other)
-            return Cyclotomic._new(self.order, tuple(c * other if c else _ZERO
-                                                     for c in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
-        return dot(lcm(self.order, other.order), [(self, other)])
+        """The product with a Cyclotomic, an int or a Fraction."""
+        if isinstance(other, Cyclotomic):
+            return dot(lcm(self.order, other.order), [(self, other)])
+        return Cyclotomic(self.order, tuple(c * other if c else _ZERO for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -397,8 +385,8 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a cyclotomic field")
         inv = _poly_egcd_inverse(list(self.coeffs), list(cyclotomic_poly(self.order)))
-        return Cyclotomic._new(self.order, tuple(Fraction(c) if c else _ZERO
-                                                 for c in _reduce(self.order, inv)))
+        return Cyclotomic(self.order, tuple(Fraction(c) if c else _ZERO
+                                            for c in _reduce(self.order, inv)))
 
     # -- predicates -----------------------------------------------------
 
@@ -406,9 +394,7 @@ class Cyclotomic:
         return not any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
+        if not isinstance(other, (Cyclotomic, int, Fraction)):
             return NotImplemented
         a, b = self._common(other)
         return a.coeffs == b.coeffs
@@ -422,20 +408,21 @@ class Cyclotomic:
 
 @lru_cache(maxsize=64)
 def _zero(order: int) -> Cyclotomic:
-    return Cyclotomic._new(order, (_ZERO,) * euler_phi(order))
+    return Cyclotomic(order, (_ZERO,) * euler_phi(order))
 
 
 _ROOT_CACHE: dict[tuple, Cyclotomic] = {}
 
 
 def root_of_unity(q, M: int | None = None) -> Cyclotomic:
-    """e^{2 pi i q} as an element of Q(zeta_M); q must embed, i.e. M*q integral."""
-    q = rational(q)
+    """e^{2 pi i q} for a Fraction q, as an element of Q(zeta_M); q must embed,
+    i.e. M*q integral."""
     if M is None:
         M = q.denominator
-    if (M * q).denominator != 1:
+    Mq = M * q
+    if Mq.denominator != 1:
         raise DenominatorNotDividing(f"{M}*{q} is not an integer")
-    k = int(M * q) % M
+    k = Mq.numerator % M
     key = (M, k)
     if key not in _ROOT_CACHE:
         _ROOT_CACHE[key] = Cyclotomic.zeta_power(M, k)

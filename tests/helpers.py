@@ -37,10 +37,16 @@ MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
 N_GRID = [2, 3, 4, 6]
 
 
+def matrix(rows) -> CycMatrix:
+    """A CycMatrix from rows of ints, Fractions and Cyclotomics, as tests write them."""
+    return CycMatrix([[x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+                       for x in row] for row in rows])
+
+
 def random_cyclotomic(rng, orders=(1, 2, 3, 4), span=5):
     M = rng.choice(orders)
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3))
-              for _ in range(euler_phi(M))]
+    coeffs = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 3))
+                   for _ in range(euler_phi(M)))
     return Cyclotomic(M, coeffs)
 
 
@@ -54,7 +60,7 @@ def random_nonzero_cyclotomic(rng, orders=(1, 2, 3, 4), span=5):
 def random_invertible(rng, r, span=3):
     while True:
         rows = [[rng.randint(-span, span) for _ in range(r)] for _ in range(r)]
-        mat = CycMatrix(rows)
+        mat = matrix(rows)
         if not mat.det().is_zero():
             return mat
 
@@ -411,7 +417,7 @@ CycMatrix.__pow__ = _power(lambda A: CycMatrix.identity(A.size), operator.matmul
 def _diagonal(cls, entries) -> CycMatrix:
     entries = list(entries)
     r = len(entries)
-    return cls([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
+    return matrix([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
 
 
 CycMatrix.diagonal = classmethod(_diagonal)
@@ -525,7 +531,7 @@ def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             poly[i + j] += xi * yj
-    return Cyclotomic(L, _fraction_reduce(L, poly))
+    return Cyclotomic(L, tuple(_fraction_reduce(L, poly)))
 
 
 def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
@@ -541,7 +547,7 @@ def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
             acc = [Fraction(0)] * euler_phi(L)
             for t in terms:
                 acc = [u + v for u, v in zip(acc, fraction_embed(t, L))]
-            row.append(Cyclotomic(L, acc))
+            row.append(Cyclotomic(L, tuple(acc)))
         rows.append(row)
     return CycMatrix(rows)
 

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+import sympy
 
 from orbipar.cli import HANDLERS, build_parser, main, run_command
 from orbipar import jsonio
@@ -16,8 +17,8 @@ from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
-from orbipar.moduli import MAX_STRATA_CELLS
-from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, root_of_unity
+from orbipar.moduli import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES, MAX_STRATA_CELLS
+from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, MAX_RATIONAL_DIGITS, root_of_unity
 from fractions import Fraction
 
 import helpers  # noqa: F401  (attaches PseudoRep.from_generator, equal_on_common_range)
@@ -706,3 +707,100 @@ def test_corpus_run_reports_a_case_with_bad_args(tmp_path):
     assert code == 1
     assert text.splitlines() == ["FAIL a.json (bad args ['--working-order', '4'])",
                                  "ok b.json", "1/2 cases passed"]
+
+
+@pytest.mark.parametrize("command,payload,detail", [
+    (["pseudorep", "enumerate"], {"order": 0, "rank": 2}, "must be positive"),
+    (["pseudorep", "enumerate"], {"order": -3, "rank": 2}, "must be positive"),
+    (["pseudorep", "enumerate"], {"order": 3, "rank": -2}, "must be positive"),
+    (["moduli", "degree"], {"s": ["0"], "pieces": [{"value": "0", "rank": 1, "degree": 0}],
+                            "corrections": 5}, "'corrections'"),
+    (["cocycle", "zeta"], [{"group": [2], "coeff_order": 2, "table": []}, [1]], "'cochain'"),
+    (["pseudorep", "project"], _set(PROJECT, ["class", "order"], 0), "must be positive"),
+    (["pseudorep", "project"], _set(PROJECT, ["class", "order"], -3), "must be positive"),
+])
+def test_inputs_are_checked_where_they_are_read(tmp_path, command, payload, detail):
+    code, text = invoke(tmp_path, command, payload)
+    out = json.loads(text)
+    assert code == 2 and out["error"] == "malformed_input", text
+    assert detail in out["detail"]
+
+
+def test_strata_count_checked_as_the_orbits_multiply(tmp_path):
+    # 24^10000 strata: the classes of order 24 are enumerated once, and the count
+    # stops growing once it passes the bound, so it is never printed
+    payload = {"group": [24], "coeff_order": 1, "model": {"kind": "gl", "r": 1},
+               "covering": {"genus_x": 2, "group_order": 24, "orbit_orders": [24] * 10000}}
+    start = time.perf_counter()
+    code, text = invoke(tmp_path, ["moduli", "strata"], payload)
+    assert time.perf_counter() - start < 1
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded"
+    assert "first 5 orbits" in out["detail"]
+
+
+def flag_payload(values, degrees, corrections):
+    return {"s": values, "pieces": [{"value": v, "rank": 1, "degree": d}
+                                    for v, d in zip(values, degrees)],
+            "corrections": corrections}
+
+
+@pytest.mark.parametrize("payload,cap", [
+    (flag_payload(["9" * 4000], [int("9" * 4000)], []), MAX_RATIONAL_DIGITS),
+    (flag_payload(["1"], [10 ** MAX_RATIONAL_DIGITS], []), MAX_RATIONAL_DIGITS),
+    (flag_payload(["1"], [1], ["1/" + "7" * (MAX_RATIONAL_DIGITS + 1)]), MAX_RATIONAL_DIGITS),
+    (flag_payload([str(i) for i in range(MAX_FLAG_PIECES + 1)], [1] * (MAX_FLAG_PIECES + 1),
+                  []), MAX_FLAG_PIECES),
+    (flag_payload(["1"], [1], [f"1/{p}" for p in range(3, 3 + MAX_FLAG_CORRECTIONS + 1)]),
+     MAX_FLAG_CORRECTIONS),
+])
+def test_flag_digits_and_sizes_capped_at_parse_time(tmp_path, payload, cap):
+    code, text = invoke(tmp_path, ["moduli", "degree"], payload)
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded", text
+    assert str(cap) in out["detail"]
+
+
+def test_pairing_at_the_flag_caps_prints(tmp_path):
+    # the largest pairing the caps allow: every value, degree and correction at
+    # the digit cap, and coprime denominators, so the lcm has their total digits
+    primes = [sympy.prevprime(10 ** MAX_RATIONAL_DIGITS)]
+    while len(primes) < MAX_FLAG_PIECES + MAX_FLAG_CORRECTIONS:
+        primes.append(sympy.prevprime(primes[-1]))
+    top = 10 ** MAX_RATIONAL_DIGITS - 1
+    values = [f"{top - i}/{p}" for i, p in enumerate(primes[:MAX_FLAG_PIECES])]
+    corrections = [f"{top}/{p}" for p in primes[MAX_FLAG_PIECES:]]
+    payload = flag_payload(values, [top] * MAX_FLAG_PIECES, corrections)
+    code, text = invoke(tmp_path, ["moduli", "degree"], payload)
+    assert code == 0, text
+    pairing = Fraction(result_of(text)["pairing"])
+    expected = sum(Fraction(v) * top for v in values) + sum(map(Fraction, corrections))
+    assert pairing == expected and len(str(pairing.denominator)) > 3000
+
+
+def test_corpus_run_reports_bad_case_files(tmp_path):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    case = json.loads((corpus / "moduli_rh_elliptic_quotient.json").read_text())
+    (tmp_path / "a.json").write_text(json.dumps({**case, "args": 5}))
+    (tmp_path / "b.json").write_text(json.dumps({k: v for k, v in case.items()
+                                                 if k != "expected_output"}))
+    (tmp_path / "c.json").write_text(json.dumps(case))
+    code, text = run_command(["corpus", "run", str(tmp_path)])
+    assert code == 1
+    assert text.splitlines() == ["FAIL a.json (bad case file: field 'args' has wrong type)",
+                                 "FAIL b.json (bad case file: missing field 'expected_output')",
+                                 "ok c.json", "1/3 cases passed"]
+
+
+def test_corpus_run_lets_a_program_bug_surface(tmp_path, monkeypatch):
+    # a bug in a command is not a bad case file: it must reach the caller
+    import orbipar.cli
+
+    def broken(argv):
+        raise TypeError("a program bug")
+
+    monkeypatch.setattr(orbipar.cli, "run_command", broken)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    (tmp_path / "a.json").write_text((corpus / "moduli_rh_elliptic_quotient.json").read_text())
+    with pytest.raises(TypeError, match="a program bug"):
+        orbipar.cli.run_corpus(str(tmp_path))

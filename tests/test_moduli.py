@@ -7,7 +7,7 @@ from orbipar.cocycles import FiniteAbelianGroup, are_cohomologous
 from orbipar.errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                             UnsupportedModel)
 from orbipar.liemodel import GroupModel
-from orbipar.moduli import (CoveringData, FlagDegreeData, degree_pairing,
+from orbipar.moduli import (CoveringData, FlagDegreeData, FlagPiece, degree_pairing,
                             degree_scaling_check, enumerate_strata,
                             riemann_hurwitz, stability_verdict)
 
@@ -113,8 +113,8 @@ def test_strata_rejects_upq():
 
 
 def flag(s, pieces, corrections=()):
-    return FlagDegreeData(s, [{"value": v, "rank": r, "degree": d}
-                              for v, r, d in pieces], corrections)
+    return FlagDegreeData([Fraction(x) for x in s],
+                          [FlagPiece(Fraction(v), r, d) for v, r, d in pieces], corrections)
 
 
 def test_degree_pairing_examples():

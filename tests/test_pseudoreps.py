@@ -17,7 +17,7 @@ from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass, Verify
                                 verify_pseudorep)
 from orbipar.scalars import root_of_unity
 
-from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify,
+from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify, matrix,
                      random_cochain, random_invertible, random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
@@ -86,7 +86,7 @@ def test_verify_matches_exhaustive_oracle(seed, n, m, r, kind):
 def test_verify_witness_past_a_passing_generator_row():
     # c(2, 2) = -1 on Z/3 is no cocycle; every product of the generator row holds
     table = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    sigma = PseudoRep(Cochain2(Z3, CoefficientGroup(2), table), [CycMatrix([[1]])] * 3)
+    sigma = PseudoRep(Cochain2(Z3, CoefficientGroup(2), table), [matrix([[1]])] * 3)
     report = VerifyReport(False, ((2,), (2,)))
     assert verify_pseudorep(sigma) == exhaustive_verify(sigma) == report
 
@@ -153,8 +153,8 @@ def test_classify_conjugation_invariant():
 
 
 def test_enumerate_classes_examples():
-    assert len(enumerate_classes(3, 2, 0, "gl")) == 6
-    cl = enumerate_classes(2, 1, 0, "gl")
+    assert len(enumerate_classes(3, 2, Fraction(0), "gl")) == 6
+    cl = enumerate_classes(2, 1, Fraction(0), "gl")
     assert [c.exponents for c in cl] == [(Fraction(0),), (Fraction(1, 2),)]
     cl3 = enumerate_classes(3, 2, Fraction(1, 3), "gl")
     assert len(cl3) == 6
@@ -165,17 +165,17 @@ def test_enumerate_classes_examples():
 def test_enumerate_classes_counts():
     for n in (2, 3, 4):
         for r in (1, 2, 3):
-            assert len(enumerate_classes(n, r, 0, "gl")) == comb(n + r - 1, r)
+            assert len(enumerate_classes(n, r, Fraction(0), "gl")) == comb(n + r - 1, r)
 
 
 def test_enumerate_classes_sl_filter():
-    for c in enumerate_classes(4, 2, 0, "sl"):
+    for c in enumerate_classes(4, 2, Fraction(0), "sl"):
         assert sum(c.exponents).denominator == 1
 
 
 def test_enumerate_scale():
     with pytest.raises(ScaleExceeded):
-        enumerate_classes(13, 2, 0, "gl")
+        enumerate_classes(13, 2, Fraction(0), "gl")
 
 
 def test_class_validation():

@@ -1,18 +1,21 @@
-"""Checks on the package as a whole: no runtime asserts, no numpy on import,
-the benchmark tracer's entry points all present, the corpus script writing
-the committed corpus, and every cochain, pseudorepresentation, series and
-covering payload, however hostile, ending in exit 0, 1 or 2."""
+"""Checks on the package as a whole: no runtime asserts, no except clause
+that could hide a program bug, no numpy on import, the benchmark tracer's
+entry points all present, the corpus script writing the committed corpus,
+and every payload of every verb, however hostile, ending in exit 0, 1 or 2
+within a per-call time budget."""
 
 import ast
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar import jsonio
@@ -31,6 +34,33 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+PROGRAM_ERRORS = {"KeyError", "TypeError", "AttributeError", "Exception", "BaseException"}
+
+
+def _caught(handler) -> set:
+    """The exception names an except clause catches; a bare except catches all."""
+    if handler.type is None:
+        return {"BaseException"}
+    return {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+
+
+def test_no_except_clause_catches_program_errors():
+    # jsonio checks every wire value, so these errors can only come from a
+    # program bug, which must surface as a traceback, not as malformed input
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ExceptHandler) and _caught(node) & PROGRAM_ERRORS]
+    assert found == []
+
+
+def test_cli_execute_catches_only_input_and_domain_errors():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    execute = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_execute")
+    caught = [_caught(node) for node in ast.walk(execute) if isinstance(node, ast.ExceptHandler)]
+    assert caught == [{"OSError", "ValueError"}, {"MalformedInput"}, {"DomainError"}]
 
 
 def test_benchmark_tracer_installs():
@@ -64,16 +94,34 @@ CALL_BUDGET_S = 2.0
 
 
 def run_bounded(tmp_path, argv, payload):
-    """Run one CLI call on payload; its exit is 0, 1 or 2 with a JSON body, in budget."""
+    """Run one CLI call on payload; its exit is 0, 1 or 2 with a JSON body, in budget.
+
+    A timer fails the call when the budget runs out, so a hang fails the test
+    instead of stalling the suite."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
-    start = time.perf_counter()
-    code, text = run_command([*argv, str(path)])
-    elapsed = time.perf_counter() - start
+
+    def over_budget(signum, frame):
+        pytest.fail(f"{argv} ran past the {CALL_BUDGET_S} s budget")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.setitimer(signal.ITIMER_REAL, CALL_BUDGET_S)
+    try:
+        code, text = run_command([*argv, str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2)
     body = json.loads(text)
     assert ("result" in body) == (code == 0)
-    assert elapsed < CALL_BUDGET_S, f"{argv} took {elapsed:.2f} s"
+
+
+def test_run_bounded_fails_a_hang_at_the_budget(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "run_command", lambda argv: time.sleep(10 * CALL_BUDGET_S))
+    start = time.perf_counter()
+    with pytest.raises(pytest.fail.Exception, match="budget"):
+        run_bounded(tmp_path, ["cocycle", "verify"], {})
+    assert time.perf_counter() - start < CALL_BUDGET_S + 1
 
 
 @settings(max_examples=100, deadline=None,
@@ -166,8 +214,11 @@ MODEL = st.one_of(st.sampled_from([m for m, _, _ in LOCAL_MODELS]), st.none(),
                   st.fixed_dictionaries({"kind": st.sampled_from(["gl", "sl", "upq", "x"]),
                                          "r": st.one_of(st.integers(-1, 6), st.booleans()),
                                          "p": st.integers(0, 3), "q": st.integers(0, 3)}))
+# past the digit cap on rationals, and numbers that would print past 4300 digits if multiplied
+LONG = st.sampled_from(["9" * 80, "1/" + "7" * 70, 10 ** 70, 10 ** 4000])
 HOSTILE = st.one_of(RATIONAL, MODEL, st.integers(-2, 10 ** 6), st.sampled_from(["z", "w", "2"]),
-                    st.lists(RATIONAL, max_size=5), st.lists(st.integers(-1, 30), max_size=4))
+                    st.lists(RATIONAL, max_size=5), st.lists(st.integers(-1, 30), max_size=4),
+                    LONG)
 COEFF = st.one_of(st.sampled_from(["1", "-1", "1/2", "2/3"]),
                   st.sampled_from([{"order": 3, "coeffs": ["0", "1"]},
                                    {"order": 12, "coeffs": ["1", "0", "-1", "1/5"]}]), ENTRY)
@@ -253,6 +304,103 @@ def covering_payloads(draw):
 @given(payload=covering_payloads(), verb=st.sampled_from(["rh", "strata"]))
 def test_fuzz_covering_payloads(tmp_path, payload, verb):
     run_bounded(tmp_path, ["moduli", verb], payload["covering"] if verb == "rh" else payload)
+
+
+H2_GROUPS = [[1], [2], [3], [4], [2, 2], [6], [8], [2, 3], [12], [2, 2, 2], [24]]
+SMALL_RATIONAL = st.sampled_from(["0", "1/2", "1/3", "-1/3", "2/3", "1/4", "-3/2", "2"])
+
+
+@st.composite
+def group_payloads(draw, verb):
+    """A valid `cocycle h2`, `pseudorep enumerate` or `pseudorep project`
+    request, then perhaps one field spoiled."""
+    if verb == "cocycle h2":
+        payload = {"group": draw(st.sampled_from(H2_GROUPS)),
+                   "coeff_order": draw(st.integers(1, 24))}
+        return spoiled(draw, payload, ("group",), ("coeff_order",), ("group", 0))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    z = Fraction(draw(st.integers(0, m - 1)), m)
+    if verb == "pseudorep enumerate":
+        payload = {"order": n, "rank": draw(st.integers(1, 4)), "zeta": str(z),
+                   "model": draw(st.sampled_from(["gl", "sl"]))}
+        return spoiled(draw, payload, ("order",), ("rank",), ("zeta",), ("model",))
+    exps = sorted(((z + draw(st.integers(0, n - 1))) / n for _ in range(draw(st.integers(1, 4)))),
+                  reverse=True)
+    payload = {"class": {"order": n, "zeta": str(z), "exponents": [str(q) for q in exps]},
+               "scalar_order": draw(st.integers(1, 12))}
+    return spoiled(draw, payload, ("class",), ("class", "order"), ("class", "zeta"),
+                   ("class", "exponents"), ("class", "exponents", 0), ("scalar_order",))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), verb=st.sampled_from(["cocycle h2", "pseudorep enumerate",
+                                             "pseudorep project"]),
+       scale_bound=st.sampled_from([1, 4, 64]))
+def test_fuzz_group_payloads(tmp_path, data, verb, scale_bound):
+    # at the default bound an `h2` output may be megabytes, which takes its
+    # time to render without a fault; the bound keeps each call in budget
+    argv = verb.split()
+    if verb == "cocycle h2":
+        argv += ["--scale-bound", str(scale_bound)]
+    run_bounded(tmp_path, argv, data.draw(group_payloads(verb)))
+
+
+@st.composite
+def lie_payloads(draw, verb):
+    """A `lie` request on a valid model, then perhaps one field spoiled."""
+    model, alpha, _ = draw(st.sampled_from(LOCAL_MODELS))
+    key = {"alcove": "exponents", "eigenspaces": "alpha", "parabolic": "s"}[verb]
+    values = alpha
+    if verb == "alcove":
+        values = draw(st.lists(SMALL_RATIONAL, min_size=len(alpha), max_size=len(alpha)))
+    return spoiled(draw, {"model": model, key: values}, ("model",), (key,), (key, 0))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), verb=st.sampled_from(["alcove", "eigenspaces", "parabolic"]))
+def test_fuzz_lie_payloads(tmp_path, data, verb):
+    run_bounded(tmp_path, ["lie", verb], data.draw(lie_payloads(verb)))
+
+
+@st.composite
+def flag_payloads(draw):
+    """A flag whose pieces match its s-values, then perhaps one field spoiled."""
+    values = draw(st.lists(SMALL_RATIONAL, min_size=1, max_size=4,
+                           unique_by=lambda v: Fraction(v)))
+    ranks = [draw(st.integers(1, 2)) for _ in values]
+    corrections = draw(st.lists(SMALL_RATIONAL, max_size=3))
+    payload = {"s": [v for v, r in zip(values, ranks) for _ in range(r)],
+               "pieces": [{"value": v, "rank": r, "degree": draw(st.integers(-5, 5))}
+                          for v, r in zip(values, ranks)],
+               "corrections": corrections}
+    pieces = [("pieces", 0, f) for f in ("value", "rank", "degree")]
+    return spoiled(draw, payload, ("s",), ("pieces",), ("corrections",), ("s", 0),
+                   ("pieces", 0), *pieces, *([("corrections", 0)] if corrections else []))
+
+
+@st.composite
+def moduli_payloads(draw, verb):
+    """A `moduli degree`, `stability` or `scale` request, perhaps one field spoiled."""
+    if verb == "degree":
+        return draw(flag_payloads())
+    if verb == "stability":
+        payload = {"candidates": draw(st.lists(flag_payloads(), max_size=3)),
+                   "mode": draw(st.sampled_from(["semistable", "stable"]))}
+        return spoiled(draw, payload, ("candidates",), ("mode",))
+    payload = {"parabolic_degree_y": draw(SMALL_RATIONAL),
+               "group_order": draw(st.integers(1, 24)),
+               "claimed_degree_x": draw(SMALL_RATIONAL)}
+    return spoiled(draw, payload, ("parabolic_degree_y",), ("group_order",),
+                   ("claimed_degree_x",))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), verb=st.sampled_from(["degree", "stability", "scale"]))
+def test_fuzz_moduli_payloads(tmp_path, data, verb):
+    run_bounded(tmp_path, ["moduli", verb], data.draw(moduli_payloads(verb)))
 
 
 def test_generate_corpus_writes_the_committed_corpus(tmp_path):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import jsonio
 from .cocycles import (DEFAULT_SCALE_BOUND, FiniteAbelianGroup,
                        central_extension, h2_classes, is_cocycle, zeta)
-from .errors import DomainError, MalformedInput
+from .errors import DomainError, MalformedInput, ScaleExceeded
 from .liemodel import alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from .localseries import ascend, check_invariance, descend, residue_report
 from .moduli import (degree_pairing, degree_scaling_check, enumerate_strata,
@@ -363,7 +363,7 @@ def run_corpus(directory) -> tuple[int, str]:
             expected_code = jsonio._field(case, "expected_exit", int, 0)
             expected = jsonio.dumps(jsonio._need(case, "expected_output"))
             payload = jsonio._need(case, "input")
-        except (OSError, ValueError, MalformedInput) as exc:
+        except (OSError, ValueError, MalformedInput, ScaleExceeded) as exc:
             failures += 1
             lines.append(f"FAIL {name} (bad case file: {exc})")
             continue

@@ -42,10 +42,11 @@ class FiniteAbelianGroup:
         if any(n < 1 for n in factors):
             raise MalformedInput(f"bad cyclic factors {factors}")
         order = 1
-        for n in factors:
+        for i, n in enumerate(factors, 1):
             order *= n
-        if order > DEFAULT_MAX_ORDER:
-            raise ScaleExceeded(f"group order {order} exceeds bound {DEFAULT_MAX_ORDER}")
+            if order > DEFAULT_MAX_ORDER:
+                raise ScaleExceeded(f"the first {i} factors have order {order}, "
+                                    f"above the bound {DEFAULT_MAX_ORDER}")
         self.factors = factors
         self.order = order
         self.elements = list(product(*map(range, factors)))

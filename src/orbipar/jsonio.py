@@ -2,7 +2,8 @@
 
 This is the one module that turns wire values into domain values: decoders
 check every field's type and raise MalformedInput on any structural problem,
-so the library below them takes ints, Fractions and Cyclotomics as given.
+and ScaleExceeded on an int or rational past MAX_RATIONAL_DIGITS digits, so
+the library below them takes ints, Fractions and Cyclotomics as given.
 All encoders emit canonically ordered structures (sorted term lists, sorted
 table entries) so that rendering with sorted keys is byte-deterministic.
 """
@@ -17,10 +18,13 @@ from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
-from .moduli import (MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES, CoveringData,
-                     FlagDegreeData, FlagPiece, StratumIndex)
+from .moduli import CoveringData, FlagDegreeData, FlagPiece, StratumIndex
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from .scalars import Cyclotomic, euler_phi, rational
+from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational
+
+MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
+MAX_FLAG_CORRECTIONS = 32  # MAX_RATIONAL_DIGITS they bound a pairing's digits
+_INT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 
 def dumps(obj) -> str:
@@ -45,7 +49,13 @@ def _field(data, key, kind, default):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """v is a JSON int, not a boolean; past MAX_RATIONAL_DIGITS digits it raises
+    ScaleExceeded, so no product or lcm of a request's ints passes 4300 digits."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        return False
+    if abs(v) >= _INT_BOUND:
+        raise ScaleExceeded(f"integer with more than {MAX_RATIONAL_DIGITS} digits")
+    return True
 
 
 # -- scalars -----------------------------------------------------------------
@@ -68,7 +78,8 @@ def cyclotomic_from_json(data) -> Cyclotomic:
     # phi(n) >= sqrt(n/2), so past 2 len^2 no factorisation is needed to reject
     if order < 1 or order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise MalformedInput(f"cyclotomic of order {order} needs phi(order) coefficients")
-    return Cyclotomic(order, tuple(rational_from_json(x) for x in coeffs))
+    # capped one by one, the lcm of a request's orders prints within 4300 digits
+    return Cyclotomic(check_order(order), tuple(rational_from_json(x) for x in coeffs))
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -304,7 +315,7 @@ def covering_from_json(data) -> CoveringData:
 
 def flag_from_json(data) -> FlagDegreeData:
     """A flag whose pairing prints within Python's 4300 digits: few pieces and
-    corrections, and degrees bounded like rationals."""
+    corrections of bounded digits."""
     s = [rational_from_json(x) for x in _need(data, "s", list)]
     pieces = _need(data, "pieces", list)
     corrections = _need(data, "corrections", list)
@@ -313,7 +324,7 @@ def flag_from_json(data) -> FlagDegreeData:
                             f"{MAX_FLAG_CORRECTIONS} corrections")
     return FlagDegreeData(
         s, [FlagPiece(rational_from_json(_need(p, "value")), _need(p, "rank", int),
-                      rational(_need(p, "degree", int)).numerator) for p in pieces],
+                      _need(p, "degree", int)) for p in pieces],
         [rational_from_json(x) for x in corrections])
 
 

@@ -21,8 +21,6 @@ from .liemodel import GroupModel
 from .pseudoreps import enumerate_classes, project_mod_center
 
 MAX_STRATA_CELLS = 2 ** 16  # cochain table rows plus exponents over all strata of one output
-MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
-MAX_FLAG_CORRECTIONS = 32  # scalars.MAX_RATIONAL_DIGITS they bound a pairing's digits
 
 
 @dataclass(frozen=True)

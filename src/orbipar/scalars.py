@@ -48,9 +48,8 @@ from .errors import (DenominatorNotDividing, IncompatibleOrders, MalformedInput,
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 MAX_CYCLOTOMIC_ORDER = 2 ** 13  # working order of a series or a pseudorepresentation
-MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational
+MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational, and one input int
 _DIGIT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 
@@ -329,7 +328,7 @@ class Cyclotomic:
 
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
-        return cls(order, (_ONE,) + (_ZERO,) * (euler_phi(order) - 1))
+        return cls.from_rational(1, order)
 
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "Cyclotomic":
@@ -419,10 +418,9 @@ def root_of_unity(q, M: int | None = None) -> Cyclotomic:
     i.e. M*q integral."""
     if M is None:
         M = q.denominator
-    Mq = M * q
-    if Mq.denominator != 1:
+    if (M * q).denominator != 1:
         raise DenominatorNotDividing(f"{M}*{q} is not an integer")
-    k = Mq.numerator % M
+    k = int(M * q) % M
     key = (M, k)
     if key not in _ROOT_CACHE:
         _ROOT_CACHE[key] = Cyclotomic.zeta_power(M, k)

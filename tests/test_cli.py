@@ -17,7 +17,8 @@ from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
-from orbipar.moduli import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES, MAX_STRATA_CELLS
+from orbipar.jsonio import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES
+from orbipar.moduli import MAX_STRATA_CELLS
 from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, MAX_RATIONAL_DIGITS, root_of_unity
 from fractions import Fraction
 
@@ -778,6 +779,42 @@ def test_pairing_at_the_flag_caps_prints(tmp_path):
     assert pairing == expected and len(str(pairing.denominator)) > 3000
 
 
+# the longest int json.load reads (4300 digits); a product or lcm with it
+# would print past Python's 4300-digit limit
+LONGEST = 9 * 10 ** 4299
+SERIES_GL1 = {"model": {"kind": "gl", "r": 1}, "alpha": ["0"], "N": 8192,
+              "variable": "w", "trunc": 0, "terms": []}
+ORDER_7 = {"order": 7, "coeffs": ["1", "0", "0", "0", "0", "0"]}
+
+
+@pytest.mark.parametrize("command,payload", [
+    (["pseudorep", "enumerate"], {"order": 10 ** 4000, "rank": 10 ** 4000}),
+    (["cocycle", "extend"], {"group": [12], "coeff_order": LONGEST, "table": []}),
+    (["pseudorep", "verify"], _set(TRANSPORT["pseudorep"], ["cocycle", "coeff_order"], LONGEST)),
+    (["pseudorep", "classify"], _set(TRANSPORT["pseudorep"], ["cocycle", "coeff_order"], LONGEST)),
+    (["local", "check"], {**SERIES_GL1, "N": LONGEST, "variable": "z",
+                          "terms": [{"basis": [0, 0], "k": 0, "coeff": ORDER_7}]}),
+    (["local", "ascend"], {**SERIES_GL1, "trunc": int("9" * 4299)}),
+    (["local", "ascend"], {**SERIES_GL1, "terms": [{"basis": [0, 0], "k": -LONGEST,
+                                                    "coeff": "1"}]}),
+    (["pseudorep", "project"], _set(PROJECT, ["scalar_order"], 10 ** MAX_RATIONAL_DIGITS)),
+])
+def test_wire_ints_capped_at_parse_time(tmp_path, command, payload):
+    code, text = invoke(tmp_path, command, payload)
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded", text
+    assert str(MAX_RATIONAL_DIGITS) in out["detail"]
+
+
+def test_group_order_checked_as_the_factors_multiply(tmp_path):
+    # each factor is within the digit cap, but their product would print past 4300 digits
+    top = 10 ** MAX_RATIONAL_DIGITS - 1
+    code, text = invoke(tmp_path, ["cocycle", "h2"], {"group": [top] * 80, "coeff_order": 2})
+    out = json.loads(text)
+    assert code == 1 and out["error"] == "scale_exceeded", text
+    assert "first 1 factors" in out["detail"]
+
+
 def test_corpus_run_reports_bad_case_files(tmp_path):
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     case = json.loads((corpus / "moduli_rh_elliptic_quotient.json").read_text())
@@ -790,6 +827,17 @@ def test_corpus_run_reports_bad_case_files(tmp_path):
     assert text.splitlines() == ["FAIL a.json (bad case file: field 'args' has wrong type)",
                                  "FAIL b.json (bad case file: missing field 'expected_output')",
                                  "ok c.json", "1/3 cases passed"]
+
+
+def test_corpus_run_reports_a_long_int_in_a_case_file(tmp_path):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    case = json.loads((corpus / "moduli_rh_elliptic_quotient.json").read_text())
+    (tmp_path / "a.json").write_text(json.dumps({**case, "expected_exit": 10 ** 70}))
+    code, text = run_command(["corpus", "run", str(tmp_path)])
+    assert code == 1
+    assert text.splitlines() == [
+        f"FAIL a.json (bad case file: integer with more than {MAX_RATIONAL_DIGITS} digits)",
+        "0/1 cases passed"]
 
 
 def test_corpus_run_lets_a_program_bug_surface(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from orbipar import jsonio
 from orbipar.cli import run_command
 from orbipar.jsonio import cyclotomic_to_json
 from orbipar.liemodel import beta_of_basis
-from orbipar.scalars import root_of_unity
+from orbipar.scalars import MAX_RATIONAL_DIGITS, root_of_unity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbipar"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -215,7 +215,7 @@ MODEL = st.one_of(st.sampled_from([m for m, _, _ in LOCAL_MODELS]), st.none(),
                                          "r": st.one_of(st.integers(-1, 6), st.booleans()),
                                          "p": st.integers(0, 3), "q": st.integers(0, 3)}))
 # past the digit cap on rationals, and numbers that would print past 4300 digits if multiplied
-LONG = st.sampled_from(["9" * 80, "1/" + "7" * 70, 10 ** 70, 10 ** 4000])
+LONG = st.sampled_from(["9" * 80, "1/" + "7" * 70, 10 ** 70, 10 ** 4000, 9 * 10 ** 4299])
 HOSTILE = st.one_of(RATIONAL, MODEL, st.integers(-2, 10 ** 6), st.sampled_from(["z", "w", "2"]),
                     st.lists(RATIONAL, max_size=5), st.lists(st.integers(-1, 30), max_size=4),
                     LONG)
@@ -403,6 +403,42 @@ def test_fuzz_moduli_payloads(tmp_path, data, verb):
     run_bounded(tmp_path, ["moduli", verb], data.draw(moduli_payloads(verb)))
 
 
+CORPUS = SRC.parent.parent / "corpus"
+# the longest ints under the digit cap, and the longest json.load reads
+LONG_INTS = [10 ** MAX_RATIONAL_DIGITS - 1, -(10 ** MAX_RATIONAL_DIGITS - 1), 9 * 10 ** 4299]
+
+
+def _with_ints(node, value):
+    """node with every int in it set to value, at once."""
+    if isinstance(node, list):
+        return [_with_ints(x, value) for x in node]
+    if isinstance(node, dict):
+        return {k: _with_ints(x, value) for k, x in node.items()}
+    return value if isinstance(node, int) and not isinstance(node, bool) else node
+
+
+def _with_long_lists(node):
+    """node with every nonempty list of ints replaced by 80 ints under the digit cap."""
+    if isinstance(node, list) and node and all(jsonio._is_int(x) for x in node):
+        return [10 ** MAX_RATIONAL_DIGITS - 1] * 80
+    if isinstance(node, list):
+        return [_with_long_lists(x) for x in node]
+    if isinstance(node, dict):
+        return {k: _with_long_lists(x) for k, x in node.items()}
+    return node
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+def test_corpus_inputs_with_every_int_long_at_once(tmp_path, name):
+    # the fuzz tests spoil one field at a time; products and lcms of several
+    # long fields must end in exit 0, 1 or 2 as well
+    case = json.loads((CORPUS / name).read_text())
+    argv = [*case["command"], *map(str, case.get("args", []))]
+    for value in LONG_INTS:
+        run_bounded(tmp_path, argv, _with_ints(case["input"], value))
+    run_bounded(tmp_path, argv, _with_long_lists(case["input"]))
+
+
 def test_generate_corpus_writes_the_committed_corpus(tmp_path):
     script = SRC.parent.parent / "scripts" / "generate_corpus.py"
     spec = importlib.util.spec_from_file_location("generate_corpus", script)
@@ -410,8 +446,7 @@ def test_generate_corpus_writes_the_committed_corpus(tmp_path):
     spec.loader.exec_module(module)
     module.CORPUS = str(tmp_path)
     module.main()
-    committed = SRC.parent.parent / "corpus"
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(p.name for p in committed.glob("*.json"))
-    for path in sorted(committed.glob("*.json")):
+        sorted(p.name for p in CORPUS.glob("*.json"))
+    for path in sorted(CORPUS.glob("*.json")):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -229,7 +229,7 @@ def cmd_moduli_strata(payload, args):
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     strata = enumerate_strata(group, m, covering, model, args.scale_bound)
     return ({"count": len(strata),
-             "strata": [jsonio.stratum_to_json(s) for s in strata]},
+             "strata": jsonio.strata_to_json(strata)},
             _audit("moduli strata", group=list(group.factors), coeff_order=m,
                    model=jsonio.model_to_json(model),
                    scale_bound=args.scale_bound))

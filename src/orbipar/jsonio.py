@@ -18,7 +18,7 @@ from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
-from .moduli import CoveringData, FlagDegreeData, FlagPiece, StratumIndex
+from .moduli import CoveringData, FlagDegreeData, FlagPiece
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
 from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational
 
@@ -27,8 +27,79 @@ MAX_FLAG_CORRECTIONS = 32  # MAX_RATIONAL_DIGITS they bound a pairing's digits
 _INT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# exact scalar types and their JSON text; subclasses take the general path
+_SCALARS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__,
+            type(None): lambda _: "null"}
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n".
+
+    With an indent the stdlib encodes in pure Python, token by token.  This
+    renders each subtree to one string, so a subtree that recurs renders once:
+    a row of scalars per (depth, values, types) -- 1 == True, yet they render
+    differently -- and any other container per (id, depth).  A container's
+    text is kept only from its second appearance on, so a tree without
+    repeats keeps none.  Every container is reachable from obj for the whole
+    call, so no id is reused while it is a key."""
+    rows, texts, seen = {}, {}, set()
+
+    def emit(o, depth):
+        kind = type(o)
+        if kind in _SCALARS:
+            return _SCALARS[kind](o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            types = tuple(map(type, o))
+            if _SCALAR_TYPES.issuperset(types):
+                key = (depth, types, *o)
+                text = rows.get(key)
+                if text is None:
+                    text = rows[key] = _wrap(
+                        "[", [_SCALARS[t](v) for t, v in zip(types, o)], depth, "]")
+                return text
+        elif isinstance(o, dict):
+            if not o:
+                return "{}"
+        elif isinstance(o, str):
+            return _encode_str(o)
+        elif isinstance(o, int):
+            return int.__repr__(o)
+        else:
+            return _stdlib(o, depth)
+        key = (id(o), depth)
+        text = texts.get(key)
+        if text is not None:
+            return text
+        if isinstance(o, dict):
+            if not all(isinstance(k, str) for k in o):
+                return _stdlib(o, depth)
+            parts = [f"{_encode_str(k)}: {emit(o[k], depth + 1)}" for k in sorted(o)]
+            text = _wrap("{", parts, depth, "}")
+        else:
+            text = _wrap("[", [emit(v, depth + 1) for v in o], depth, "]")
+        if key in seen:
+            texts[key] = text
+        else:
+            seen.add(key)
+        return text
+
+    return emit(obj, 0) + "\n"
+
+
+def _wrap(open_, parts, depth, close) -> str:
+    """One copy of the parts: a chain of + would copy the text at each step."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"{open_}{inner}{(',' + inner).join(parts)}\n{'  ' * depth}{close}"
+
+
+def _stdlib(o, depth) -> str:
+    """The stdlib's text for o, indented to depth: with ensure_ascii every
+    newline in it is structural."""
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _need(data, key, kind=None):
@@ -86,10 +157,8 @@ def cyclotomic_from_json(data) -> Cyclotomic:
 
 def cochain_to_json(c: Cochain2) -> dict:
     m = c.coefficients.order
-    table = []
-    for i in range(c.group.order):
-        for j in range(c.group.order):
-            table.append([i, j, str(Fraction(c.table[i][j], m))])
+    text = {k: str(Fraction(k, m)) for k in set().union(*c.table)}  # not range(m): m may be 2^40
+    table = [[i, j, text[k]] for i, row in enumerate(c.table) for j, k in enumerate(row)]
     return {"group": list(c.group.factors), "coeff_order": m, "table": table}
 
 
@@ -328,8 +397,16 @@ def flag_from_json(data) -> FlagDegreeData:
         [rational_from_json(x) for x in corrections])
 
 
-def stratum_to_json(stratum: StratumIndex) -> dict:
-    return {
-        "cocycle": cochain_to_json(stratum.cocycle),
-        "orbit_classes": [quotient_class_to_json(c) for c in stratum.orbit_classes],
-    }
+def strata_to_json(strata) -> list:
+    """The strata, with one dict per distinct cocycle and quotient class object
+    shared by every stratum that carries it, so that dumps renders it once."""
+    encoded = {}  # id -> dict; the strata keep every object alive
+
+    def once(x, encode):
+        if id(x) not in encoded:
+            encoded[id(x)] = encode(x)
+        return encoded[id(x)]
+
+    return [{"cocycle": once(s.cocycle, cochain_to_json),
+             "orbit_classes": [once(c, quotient_class_to_json) for c in s.orbit_classes]}
+            for s in strata]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from orbipar.cli import HANDLERS, build_parser, main, run_command
 from orbipar import jsonio
@@ -18,7 +19,7 @@ from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
 from orbipar.jsonio import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES
-from orbipar.moduli import MAX_STRATA_CELLS
+from orbipar.moduli import MAX_STRATA_CELLS, CoveringData, enumerate_strata
 from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, MAX_RATIONAL_DIGITS, root_of_unity
 from fractions import Fraction
 
@@ -480,6 +481,56 @@ def test_determinism(tmp_path):
         assert code == 0
         outs.add(text)
     assert len(outs) == 1
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+STRINGS = st.text() | st.sampled_from(["1", "", '"', "\\", "\n\t\x00\x1f\x7f", "é ",
+                                        "\U0001f600", "a, b"])
+SCALARS = st.one_of(st.integers(), st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.none(),
+                    st.floats(), STRINGS)
+TREES = st.recursive(
+    SCALARS, lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                           | st.dictionaries(STRINGS, kids, max_size=4)
+                           | st.dictionaries(st.integers(), kids, max_size=3)),
+    max_leaves=25)
+ROWS = [[1], [True], ["1"], [1, 0], [True, False]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared=TREES, other=TREES)
+def test_dumps_is_the_stdlib_rendering(shared, other):
+    # the same subtree object twice at one depth and once at another, next to
+    # rows that are equal (1 == True) or alike (1, "1") but render differently
+    row = [1, True, "1"]
+    tree = {"twice": [shared, shared], "once": shared, "é\n": other,
+            "rows": ROWS + [row], "deeper": [[row, ROWS], {"k": ROWS}]}
+    for obj in (shared, other, tree, [tree, tree]):
+        assert jsonio.dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("command,payload,count", [
+    (["moduli", "strata"], {"group": [6], "coeff_order": 6,
+                            "covering": {"genus_x": 20, "group_order": 6, "orbit_orders": [6, 6]},
+                            "model": {"kind": "gl", "r": 3}}, ("count", 600)),
+    (["cocycle", "h2"], {"group": [24], "coeff_order": 24}, ("classes", 24)),
+])
+def test_large_outputs_are_the_stdlib_rendering(tmp_path, command, payload, count):
+    code, text = invoke(tmp_path, command, payload)
+    assert code == 0 and result_of(text)[count[0]] == count[1]
+    assert text == stdlib_dumps(json.loads(text))
+
+
+def test_strata_share_one_dict_per_class():
+    # 6 H^2 classes times 10 quotient classes per orbit, both orbits of order 6
+    strata = enumerate_strata(FiniteAbelianGroup([6]), 6, CoveringData(20, 6, (6, 6)),
+                              GroupModel("gl", r=3))
+    encoded = jsonio.strata_to_json(strata)
+    assert len(encoded) == 600
+    assert len({id(s["cocycle"]) for s in encoded}) == 6
+    assert len({id(c) for s in encoded for c in s["orbit_classes"]}) == 10
 
 
 def _set(payload, path, value):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cocycles import Cochain2, CoefficientGroup, ExtensionGroup, FiniteAbelianGroup
 from .errors import MalformedInput, ScaleExceeded
@@ -20,7 +21,7 @@ from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, FlagPiece
 from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational
+from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational_parts
 
 MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
 MAX_FLAG_CORRECTIONS = 32  # MAX_RATIONAL_DIGITS they bound a pairing's digits
@@ -131,33 +132,49 @@ def _is_int(v) -> bool:
 
 # -- scalars -----------------------------------------------------------------
 
-def rational_from_json(data) -> Fraction:
+def _rational_parts(data) -> tuple[int, int]:
+    """A wire rational as the ints (p, q) in lowest terms, q > 0."""
     if not (isinstance(data, str) or _is_int(data)):
         raise MalformedInput(f"expected a rational string, got {data!r}")
-    return rational(data)
+    return rational_parts(data)
+
+
+def rational_from_json(data) -> Fraction:
+    return Fraction(*_rational_parts(data))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from ints."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def cyclotomic_to_json(c: Cyclotomic) -> dict:
-    return {"order": c.order, "coeffs": [str(x) for x in c.coeffs]}
+    return {"order": c.order, "coeffs": [_ratio_text(n, c.den) for n in c.nums]}
 
 
 def cyclotomic_from_json(data) -> Cyclotomic:
     if isinstance(data, str) or _is_int(data):
-        return Cyclotomic.from_rational(rational(data))
+        p, q = rational_parts(data)
+        return Cyclotomic(1, (p,), q)
     order = _need(data, "order", int)
     coeffs = _need(data, "coeffs", list)
     # phi(n) >= sqrt(n/2), so past 2 len^2 no factorisation is needed to reject
     if order < 1 or order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise MalformedInput(f"cyclotomic of order {order} needs phi(order) coefficients")
     # capped one by one, the lcm of a request's orders prints within 4300 digits
-    return Cyclotomic(check_order(order), tuple(rational_from_json(x) for x in coeffs))
+    check_order(order)
+    parts = [_rational_parts(x) for x in coeffs]
+    den = lcm(*[q for _, q in parts])
+    # each p/q is in lowest terms, so no prime of den divides every numerator
+    return Cyclotomic(order, tuple(p * (den // q) for p, q in parts), den)
 
 
 # -- cohomology ---------------------------------------------------------------
 
 def cochain_to_json(c: Cochain2) -> dict:
     m = c.coefficients.order
-    text = {k: str(Fraction(k, m)) for k in set().union(*c.table)}  # not range(m): m may be 2^40
+    text = {k: _ratio_text(k, m) for k in set().union(*c.table)}  # not range(m): m may be 2^40
     table = [[i, j, text[k]] for i, row in enumerate(c.table) for j, k in enumerate(row)]
     return {"group": list(c.group.factors), "coeff_order": m, "table": table}
 
@@ -190,14 +207,13 @@ def cochain_from_json(data) -> Cochain2:
         i, j, value = row
         if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
             raise MalformedInput(f"bad table index in {row!r}")
-        frac = rational_from_json(value) % 1
-        k = frac * m
-        if k.denominator != 1:
+        p, q = _rational_parts(value)
+        if m % q:  # p/q mod 1 times m is the int k with p*m = k*q (mod q*m)
             raise MalformedInput(f"value {value!r} is not an m-th root of unity exponent")
         if (i, j) in seen:
             raise MalformedInput(f"duplicate table entry ({i}, {j})")
         seen.add((i, j))
-        table[i][j] = k.numerator
+        table[i][j] = p * (m // q) % m
     return Cochain2(group, CoefficientGroup(m), table)
 
 
@@ -399,14 +415,18 @@ def flag_from_json(data) -> FlagDegreeData:
 
 def strata_to_json(strata) -> list:
     """The strata, with one dict per distinct cocycle and quotient class object
-    shared by every stratum that carries it, so that dumps renders it once."""
-    encoded = {}  # id -> dict; the strata keep every object alive
+    and one list per distinct tuple of class objects, shared by every stratum
+    that carries it, so that dumps renders it once."""
+    encoded = {}  # id, or tuple of ids -> encoding; the strata keep every object alive
 
-    def once(x, encode):
-        if id(x) not in encoded:
-            encoded[id(x)] = encode(x)
-        return encoded[id(x)]
+    def once(key, encode, x):
+        if key not in encoded:
+            encoded[key] = encode(x)
+        return encoded[key]
 
-    return [{"cocycle": once(s.cocycle, cochain_to_json),
-             "orbit_classes": [once(c, quotient_class_to_json) for c in s.orbit_classes]}
+    def classes(cs):
+        return [once(id(c), quotient_class_to_json, c) for c in cs]
+
+    return [{"cocycle": once(id(s.cocycle), cochain_to_json, s.cocycle),
+             "orbit_classes": once(tuple(map(id, s.orbit_classes)), classes, s.orbit_classes)}
             for s in strata]

@@ -8,9 +8,10 @@ expansion) or ``inverse`` (the adjugate); perfbench's tracer still wraps them
 by name.
 
 Entries are Cyclotomics as they are given; nothing here coerces a rational.
-A product is fused: each nonzero entry is written once as integer numerators
-in the field of the entries it meets, each output entry sum_k a_ik b_kj is
-one integer polynomial over the lcm of its denominators, reduced once by
+A product is fused: each entry already is integer numerators over one
+denominator, each nonzero entry is embedded once into the field of the
+entries it meets, each output entry sum_k a_ik b_kj is one integer
+polynomial over the lcm of its denominators, reduced and normalised once by
 ``scalars.dot``, and zero entries cost nothing.  An output entry lies in the
 lcm field of the orders of its nonzero terms, and is the order-1 zero when
 it has none, as if it were summed term by term from 0.
@@ -180,10 +181,10 @@ def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[F
         M = lcm(q.denominator, *(t.order for t in power_traces))
         mult = dot(M, [(t, root_of_unity(-j * q % 1, M))
                        for j, t in enumerate(power_traces)], cache)
-        count = mult.coeffs[0] / n
-        if any(mult.coeffs[1:]) or count.denominator != 1 or count < 0:
+        count, rest = divmod(mult.nums[0], mult.den * n)
+        if any(mult.nums[1:]) or rest or count < 0:
             raise AssertionError(f"multiplicity of e^(2 pi i {q}) is not a count")
-        found += [q] * int(count)
+        found += [q] * count
     if len(found) != rank:
         raise AssertionError(f"multiplicities add up to {len(found)}, not the rank {rank}")
     return sorted(found, reverse=True)

@@ -1,24 +1,23 @@
 """Exact scalar arithmetic: rationals, rationals mod 1, and cyclotomic fields.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator); ``rational`` reads them from ``p/q`` strings or ints, with
-numerator and denominator below 10^MAX_RATIONAL_DIGITS.  Weights and exponents
-mod 1 are plain Fractions: ``x % 1`` is the residue in [0,1), and
-``signed_mod1`` the signed representative in (-1,1) that eigenvalue exponents
-of Ad use.  ``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every
-root of unity, and hence every eigenvalue of a finite-order group element, is
-represented exactly and equality is a coefficient comparison.
+denominator); ``rational_parts`` reads an input rational, a ``p/q`` string
+or an int, as the ints (p, q), each below 10^MAX_RATIONAL_DIGITS.  Weights
+and exponents mod 1 are plain Fractions: ``x % 1`` is the residue in [0,1),
+and ``signed_mod1`` the signed representative in (-1,1) that eigenvalue
+exponents of Ad use.  ``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so
+every root of unity, and hence every eigenvalue of a finite-order group
+element, is represented exactly and equality is a coefficient comparison.
 
-A ``Cyclotomic`` stores its phi(M) coefficients as Fractions, but products
-run on Python ints: each operand is written as its nonzero integer numerators
-over the lcm of its denominators, ``dot`` sums the products of any number of
-pairs as one unreduced integer polynomial over the lcm of their
-denominators, and a Fraction is built once per nonzero output coefficient.
-``CycMatrix.__matmul__`` uses the same ``dot`` for each output entry, so
-every entry is reduced once.  Beyond ``rational``, which only ``jsonio`` and
-the CLI's ``--twist`` call, nothing here parses or coerces: the arithmetic
-takes ints, Fractions and Cyclotomics, and ``Cyclotomic(order, coeffs)``
-stores a tuple of phi(order) Fractions as it is.
+A ``Cyclotomic`` is phi(M) int numerators over one positive int denominator
+with gcd(den, *nums) == 1, zero being all zeros over 1.  The form is unique,
+so equality is a tuple comparison, and the arithmetic runs on ints alone:
+``dot`` sums the products of any number of pairs as one unreduced integer
+polynomial over the lcm of their denominators, ``CycMatrix.__matmul__`` calls
+it once per output entry, and each result is normalised by one gcd.
+``coeffs`` builds Fractions for a reader.  Beyond ``rational_parts``, which
+only ``jsonio`` and the CLI's ``--twist`` reach, nothing here parses or
+coerces, and ``Cyclotomic(order, nums, den)`` stores its arguments as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -41,36 +40,56 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (DenominatorNotDividing, IncompatibleOrders, MalformedInput,
                      ScaleExceeded)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_ZERO = Fraction(0)
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 MAX_CYCLOTOMIC_ORDER = 2 ** 13  # working order of a series or a pseudorepresentation
 MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational, and one input int
 _DIGIT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 
-def rational(x) -> Fraction:
-    """An input rational, from an int or a 'p/q' string.
+@lru_cache(maxsize=1024, typed=True)
+def rational_parts(x) -> tuple[int, int]:
+    """An input rational, from an int or a 'p/q' string, as the ints (p, q) in
+    lowest terms with q > 0.  Inputs repeat a few values many times, so the
+    results are cached; an error is raised afresh on every call.
 
     Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
-    so a short string cannot ask Fraction() for a huge power of ten.  Numerator
-    and denominator must stay below 10^MAX_RATIONAL_DIGITS, so that sums of
-    the few rationals a request may carry print within Python's 4300 digits.
+    so a short string cannot ask for a huge power of ten.  A zero denominator
+    or a part past Python's int-string limit is reported as Fraction() reports
+    it.  Numerator and denominator must stay below 10^MAX_RATIONAL_DIGITS, so
+    that sums of the few rationals a request may carry print within Python's
+    4300 digits.
     """
-    if not (isinstance(x, int) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise MalformedInput(f"bad rational {x!r}: expected p/q")
-    try:
-        q = Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad rational {x!r}: {exc}") from None
-    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+    if isinstance(x, int):
+        p, q = x.numerator, 1
+    else:
+        match = isinstance(x, str) and _RATIONAL.fullmatch(x)
+        if not match:
+            raise MalformedInput(f"bad rational {x!r}: expected p/q")
+        sign, num, den = match.groups()
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError as exc:
+            raise MalformedInput(f"bad rational {x!r}: {exc}") from None
+        if sign == "-":
+            p = -p
+        if q == 0:
+            raise MalformedInput(f"bad rational {x!r}: Fraction({p}, 0)")
+        g = gcd(p, q)
+        p, q = p // g, q // g
+    if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
         raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
                             f"in its numerator or denominator")
-    return q
+    return p, q
+
+
+def rational(x) -> Fraction:
+    """The input rational x, as rational_parts reads it."""
+    return Fraction(*rational_parts(x))
 
 
 def signed_mod1(x: Fraction) -> Fraction:
@@ -81,63 +100,6 @@ def signed_mod1(x: Fraction) -> Fraction:
     """
     r = x % 1
     return r - 1 if x < 0 and r else r
-
-
-# -- polynomial helpers over Fraction (dense, lowest degree first) ----------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in b_terms:
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    """Division with remainder in Q[x]: a = q*b + r with deg r < deg b."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        if coef != 0:
-            q[shift] = coef
-            for i, bi in enumerate(b):
-                a[shift + i] -= coef * bi
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_egcd_inverse(f, m):
-    """Inverse of f modulo the monic polynomial m; m irreducible, f != 0 mod m."""
-    # extended Euclid over Q[x], keeping s_i with s_i * f = r_i (mod m)
-    r0, r1 = _poly_trim(list(m)), _poly_trim(list(f))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if len(r0) != 1:
-        raise AssertionError("gcd with an irreducible modulus must be constant")
-    c = r0[0]
-    return [x / c for x in s0]
 
 
 def _prime_factors(n: int) -> tuple:
@@ -171,7 +133,7 @@ def check_order(M: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple:
-    """Coefficients of Phi_M, lowest degree first, as Fractions.
+    """Coefficients of Phi_M, lowest degree first, as ints.
 
     Phi_M(x) = Phi_R(x^(M/R)) for R = rad M, and Phi_R is the Moebius product
     prod_{e | R} (y^(R/e) - 1)^mu(e) over the ints: multiply by the binomials
@@ -194,7 +156,7 @@ def cyclotomic_poly(M: int) -> tuple:
             p = q
     spread = [0] * ((len(p) - 1) * (M // R) + 1)
     spread[::M // R] = p
-    out = tuple(Fraction(c) for c in spread)
+    out = tuple(spread)
     if len(out) != euler_phi(M) + 1 or out[-1] != 1:
         raise AssertionError(f"Phi_{M} is not monic of degree phi({M})")
     return out
@@ -202,16 +164,13 @@ def cyclotomic_poly(M: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _phi_tail(M: int) -> tuple:
-    """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M.
-
-    Phi_M has integer coefficients, so c is an int.
-    """
-    return tuple((j, -c.numerator) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
+    """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M."""
+    return tuple((j, -c) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
 
 
 def _reduce(M: int, poly) -> list:
-    """The phi(M) coefficients of poly(x) mod Phi_M, for a list of any length
-    of ints or Fractions."""
+    """The phi(M) coefficients of poly(x) mod Phi_M, for a list of ints of any
+    length."""
     phi = euler_phi(M)
     p = list(poly) + [0] * (phi - len(poly))
     h, sign = (M // 2, -1) if M % 2 == 0 else (M, 1)  # x^h = sign mod Phi_M
@@ -229,11 +188,9 @@ def _reduce(M: int, poly) -> list:
 
 # -- integer numerators -------------------------------------------------------
 
-def _terms(coeffs):
-    """The nonzero coefficients as integer numerators [(i, n)] over their lcm d."""
-    nonzero = [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
-    d = lcm(*[den for _, _, den in nonzero])
-    return [(i, n * (d // den)) for i, n, den in nonzero], d
+def _nonzero(nums) -> list:
+    """The nonzero numerators as [(i, n)]."""
+    return [(i, n) for i, n in enumerate(nums) if n]
 
 
 def _spread(terms, step: int, M: int) -> list:
@@ -244,25 +201,26 @@ def _spread(terms, step: int, M: int) -> list:
     return _reduce(M, poly)
 
 
-def _cyclotomic(M: int, numerators, d: int) -> "Cyclotomic":
-    """The element sum (n_i / d) x^i of Q(zeta_M); one Fraction per nonzero n_i."""
-    if d == 1:
-        coeffs = tuple(Fraction(n) if n else _ZERO for n in numerators)
-    else:
-        coeffs = tuple(Fraction(n, d) if n else _ZERO for n in numerators)
-    return Cyclotomic(M, coeffs)
+def _cyclotomic(M: int, nums, d: int) -> "Cyclotomic":
+    """The element sum (nums[i] / d) x^i of Q(zeta_M), for d > 0, normalised."""
+    if d != 1:
+        g = gcd(d, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            d //= g
+    return Cyclotomic(M, tuple(nums), d)
 
 
 def _embedded(x: "Cyclotomic", M: int, cache: dict):
-    """The integer terms of x in Q(zeta_M), computed once per (x, M) in cache."""
+    """The nonzero numerators of x in Q(zeta_M) and its denominator, computed
+    once per (x, M) in cache."""
     key = (id(x), M)
     found = cache.get(key)
     if found is None:
-        terms, d = _terms(x.coeffs)
+        terms = _nonzero(x.nums)
         if M != x.order:
-            spread = _spread(terms, M // x.order, M)
-            terms = [(i, n) for i, n in enumerate(spread) if n]
-        found = cache[key] = terms, d
+            terms = _nonzero(_spread(terms, M // x.order, M))
+        found = cache[key] = terms, x.den
     return found
 
 
@@ -298,29 +256,36 @@ def dot(M: int, pairs, cache: dict | None = None) -> "Cyclotomic":
 
 
 class Cyclotomic:
-    """An element of Q(zeta_M), stored reduced modulo Phi_M.
+    """An element sum (nums[i] / den) x^i of Q(zeta_M), reduced modulo Phi_M.
 
-    The coefficient vector has length phi(M), so equality within one field is
-    a tuple comparison; mixed-order operands are promoted to the lcm order
-    first.  All values are immutable.
+    ``nums`` holds phi(M) ints and ``den`` is a positive int with
+    gcd(den, *nums) == 1; zero is all zeros over 1.  So equality within one
+    field is a tuple comparison; mixed-order operands are promoted to the lcm
+    order first.  All values are immutable.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple):
-        """coeffs is a tuple of phi(order) Fractions; it is not checked."""
+    def __init__(self, order: int, nums: tuple, den: int):
+        """nums and den are in the normal form above; they are not checked."""
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, val):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(M) coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def from_rational(cls, x, order: int = 1) -> "Cyclotomic":
         """The int or Fraction x in Q(zeta_order)."""
-        return cls(order, (Fraction(x),) + (_ZERO,) * (euler_phi(order) - 1))
+        return cls(order, (x.numerator,) + (0,) * (euler_phi(order) - 1), x.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
@@ -333,7 +298,7 @@ class Cyclotomic:
     @classmethod
     def zeta_power(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k, reduced."""
-        return _cyclotomic(order, _reduce(order, [0] * (k % order) + [1]), 1)
+        return cls(order, tuple(_reduce(order, [0] * (k % order) + [1])), 1)
 
     # -- promotion ------------------------------------------------------
 
@@ -343,12 +308,12 @@ class Cyclotomic:
             raise IncompatibleOrders(f"{self.order} does not divide {new_order}")
         if new_order == self.order:
             return self
-        terms, d = _terms(self.coeffs)
-        return _cyclotomic(new_order, _spread(terms, new_order // self.order, new_order), d)
+        spread = _spread(_nonzero(self.nums), new_order // self.order, new_order)
+        return _cyclotomic(new_order, spread, self.den)
 
     def _common(self, other):
         if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
+            return self, Cyclotomic.from_rational(other, self.order)
         if self.order == other.order:
             return self, other
         M = lcm(self.order, other.order)
@@ -356,18 +321,22 @@ class Cyclotomic:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
         a, b = self._common(other)
-        return Cyclotomic(a.order, tuple(x + y if y else x for x, y in zip(a.coeffs, b.coeffs)))
+        D = lcm(a.den, b.den)
+        s, t = D // a.den, sign * (D // b.den)
+        return _cyclotomic(a.order, [x * s + y * t for x, y in zip(a.nums, b.nums)], D)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-x if x else x for x in self.coeffs))
+        return Cyclotomic(self.order, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return Cyclotomic(a.order, tuple(x - y if y else x for x, y in zip(a.coeffs, b.coeffs)))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -376,30 +345,39 @@ class Cyclotomic:
         """The product with a Cyclotomic, an int or a Fraction."""
         if isinstance(other, Cyclotomic):
             return dot(lcm(self.order, other.order), [(self, other)])
-        return Cyclotomic(self.order, tuple(c * other if c else _ZERO for c in self.coeffs))
+        return _cyclotomic(self.order, [n * other.numerator for n in self.nums],
+                           self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/x: the product of the other Galois conjugates sigma_k(x), k a unit
+        mod M, over the norm of x, which is rational.  Only tests reach it."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a cyclotomic field")
-        inv = _poly_egcd_inverse(list(self.coeffs), list(cyclotomic_poly(self.order)))
-        return Cyclotomic(self.order, tuple(Fraction(c) if c else _ZERO
-                                            for c in _reduce(self.order, inv)))
+        M, rest = self.order, Cyclotomic.one(self.order)
+        for k in range(2, M):
+            if gcd(k, M) == 1:  # sigma_k: zeta -> zeta^k
+                poly = [0] * M
+                for i, n in _nonzero(self.nums):
+                    poly[i * k % M] = n
+                rest = rest * _cyclotomic(M, _reduce(M, poly), self.den)
+        norm = self * rest
+        return rest * Fraction(norm.den, norm.nums[0])
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, (Cyclotomic, int, Fraction)):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
@@ -407,7 +385,7 @@ class Cyclotomic:
 
 @lru_cache(maxsize=64)
 def _zero(order: int) -> Cyclotomic:
-    return Cyclotomic(order, (_ZERO,) * euler_phi(order))
+    return Cyclotomic(order, (0,) * euler_phi(order), 1)
 
 
 _ROOT_CACHE: dict[tuple, Cyclotomic] = {}

@@ -5,8 +5,9 @@ exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
 coboundary cosets, an exhaustive isomorphism search between Cayley tables,
 the order of a root of unity by trial exponentiation, cyclotomic and
 matrix products computed with a Fraction for every term, the composition
-rule of a pseudorepresentation checked on all n^2 pairs, and eigenvalues by
-a trial search over the roots of the characteristic polynomial.
+rule of a pseudorepresentation checked on all n^2 pairs, eigenvalues by
+a trial search over the roots of the characteristic polynomial, and input
+rationals read by Fraction().
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers and
@@ -16,6 +17,7 @@ series sums and comparisons.
 """
 
 import operator
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -24,17 +26,25 @@ import numpy as np
 
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, CoefficientGroup,
                               ExtensionGroup, FiniteAbelianGroup, is_cocycle, zeta)
-from orbipar.errors import MalformedInput
+from orbipar.errors import MalformedInput, ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
 from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass, VerifyReport
-from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
+from orbipar.scalars import (MAX_RATIONAL_DIGITS, Cyclotomic, cyclotomic_poly, euler_phi,
+                             root_of_unity)
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
 N_GRID = [2, 3, 4, 6]
+
+
+def cyclotomic(M: int, coeffs) -> Cyclotomic:
+    """The element sum coeffs[i] x^i of Q(zeta_M), from phi(M) ints or Fractions."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*[c.denominator for c in coeffs])
+    return Cyclotomic(M, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def matrix(rows) -> CycMatrix:
@@ -47,7 +57,7 @@ def random_cyclotomic(rng, orders=(1, 2, 3, 4), span=5):
     M = rng.choice(orders)
     coeffs = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 3))
                    for _ in range(euler_phi(M)))
-    return Cyclotomic(M, coeffs)
+    return cyclotomic(M, coeffs)
 
 
 def random_nonzero_cyclotomic(rng, orders=(1, 2, 3, 4), span=5):
@@ -531,7 +541,7 @@ def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             poly[i + j] += xi * yj
-    return Cyclotomic(L, tuple(_fraction_reduce(L, poly)))
+    return cyclotomic(L, _fraction_reduce(L, poly))
 
 
 def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
@@ -547,9 +557,38 @@ def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
             acc = [Fraction(0)] * euler_phi(L)
             for t in terms:
                 acc = [u + v for u, v in zip(acc, fraction_embed(t, L))]
-            row.append(Cyclotomic(L, tuple(acc)))
+            row.append(cyclotomic(L, acc))
         rows.append(row)
     return CycMatrix(rows)
+
+
+# -- rationals through Fraction(str): an oracle for the int parser ------------
+
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def fraction_rational(x) -> Fraction:
+    """An input rational read by Fraction(), with the errors scalars.rational_parts
+    must raise: an oracle for its int parser."""
+    if not (isinstance(x, int) or isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x)):
+        raise MalformedInput(f"bad rational {x!r}: expected p/q")
+    try:
+        q = Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"bad rational {x!r}: {exc}") from None
+    bound = 10 ** MAX_RATIONAL_DIGITS
+    if abs(q.numerator) >= bound or q.denominator >= bound:
+        raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
+                            f"in its numerator or denominator")
+    return q
+
+
+def fraction_cochain_value(value, m: int) -> int:
+    """A cochain table value as the exponent k of zeta_m, read as (Fraction % 1) * m."""
+    k = fraction_rational(value) % 1 * m
+    if k.denominator != 1:
+        raise MalformedInput(f"value {value!r} is not an m-th root of unity exponent")
+    return k.numerator
 
 
 # -- pseudorepresentations by brute force: oracles for the generator-row check --

@@ -1,9 +1,11 @@
 """The integer-numerator product kernel against the per-term Fraction oracle
-in helpers, against sympy, and for the invariants of its internal results."""
+in helpers, against sympy, and for the invariants of its internal results:
+every operation keeps the stored form canonical, and the hot paths build no
+Fraction."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -11,10 +13,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from orbipar.cli import run_command
+from orbipar.jsonio import cyclotomic_from_json, cyclotomic_to_json
 from orbipar.matrices import CycMatrix
-from orbipar.scalars import Cyclotomic, euler_phi
+from orbipar.scalars import Cyclotomic, dot, euler_phi
 
-from helpers import fraction_embed, fraction_matmul, fraction_product
+from helpers import cyclotomic, fraction_embed, fraction_matmul, fraction_product
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -44,7 +47,7 @@ def cyclotomics(draw, orders=ORDERS, dense_up_to=None):
         count = 1 if kind == "monomial" else draw(st.integers(1, 3))
         for i in draw(st.lists(st.integers(0, phi - 1), min_size=count, max_size=count)):
             coeffs[i] = draw(FRACTIONS)
-    return Cyclotomic(M, tuple(coeffs))
+    return cyclotomic(M, coeffs)
 
 
 @st.composite
@@ -79,7 +82,7 @@ def test_product_matches_fraction_oracle(pair):
     got = a * b
     assert same(got, fraction_product(a, b)) and all_fractions(got)
     L = lcm(a.order, b.order)
-    assert same(a.embed(L), Cyclotomic(L, tuple(fraction_embed(a, L))))
+    assert same(a.embed(L), cyclotomic(L, fraction_embed(a, L)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +114,7 @@ def test_matmul_matches_sympy_remainder(M):
         coeffs = [Fraction(0)] * phi
         for i in rng.sample(range(phi), min(phi, rng.choice([0, 1, 3, phi]))):
             coeffs[i] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        return Cyclotomic(M, tuple(coeffs))
+        return cyclotomic(M, coeffs)
 
     A = CycMatrix([[entry() for _ in range(3)] for _ in range(3)])
     B = CycMatrix([[entry() for _ in range(3)] for _ in range(3)])
@@ -130,15 +133,15 @@ def test_internal_results_keep_the_constructor_invariants(monkeypatch):
     built = []
     init = Cyclotomic.__init__
 
-    def recording_init(self, order, coeffs):
-        init(self, order, coeffs)
+    def recording_init(self, order, nums, den):
+        init(self, order, nums, den)
         built.append(self)
 
     monkeypatch.setattr(Cyclotomic, "__init__", recording_init)
     rng = random.Random(5)
     for M in (1, 4, 6, 9, 12, 36):
-        x = Cyclotomic(M, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                                for _ in range(euler_phi(M))))
+        x = cyclotomic(M, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                           for _ in range(euler_phi(M))])
         y = Cyclotomic.zeta_power(M, 5) + Cyclotomic.from_rational(Fraction(1, 3), M)
         z = Cyclotomic.zeta_power(M, 1)
         for value in (x * y, x + y, x - y, -x, x * 3, x / 2, x.embed(2 * M), y.inverse(),
@@ -150,3 +153,86 @@ def test_internal_results_keep_the_constructor_invariants(monkeypatch):
     assert len(built) > 500
     bad = [x for x in built if not (type(x.order) is int and x.order >= 1 and all_fractions(x))]
     assert bad == []
+    assert [x for x in built if not canonical(x)] == []
+
+
+# -- the stored form: ints over one denominator, in lowest terms ---------------
+
+def canonical(x: Cyclotomic) -> bool:
+    return (type(x.nums) is tuple and len(x.nums) == euler_phi(x.order)
+            and all(type(n) is int for n in x.nums) and type(x.den) is int and x.den > 0
+            and gcd(x.den, *x.nums) == 1 and (any(x.nums) or x.den == 1))
+
+
+def _sum_oracle(a, b, sign):
+    L = lcm(a.order, b.order)
+    return [u + sign * v for u, v in zip(fraction_embed(a, L), fraction_embed(b, L))]
+
+
+SCALARS = st.one_of(st.integers(-12, 12), FRACTIONS)
+
+
+@st.composite
+def field_triples(draw):
+    """Three elements whose orders divide one field of ORDERS up to 36, sparse
+    past phi = 12; the Fraction oracles are slow in the larger fields."""
+    M = draw(st.sampled_from([M for M in ORDERS if M <= 36]))
+    elements = cyclotomics(SUBFIELDS[M], dense_up_to=12)
+    return draw(elements), draw(elements), draw(elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple=field_triples(), k=SCALARS)
+def test_every_operation_keeps_the_canonical_form(triple, k):
+    a, b, extra = triple
+    L = lcm(a.order, b.order)
+    M = lcm(L, extra.order)
+    built = [
+        (a + b, _sum_oracle(a, b, 1)),
+        (a - b, _sum_oracle(a, b, -1)),
+        (a * b, list(fraction_product(a, b).coeffs)),
+        (a * k, [c * k for c in a.coeffs]),
+        (k * b, [c * k for c in b.coeffs]),
+        (a.embed(M), fraction_embed(a, M)),
+        (dot(M, [(a, b), (extra, a)]),
+         [u + v for u, v in zip(fraction_embed(fraction_product(a, b), M),
+                                fraction_embed(fraction_product(extra, a), M))]),
+    ]
+    A = CycMatrix([[a, b], [extra, Cyclotomic.zero()]])
+    B = CycMatrix([[b, extra], [a, a]])
+    for got, expected in zip((A @ B).rows, fraction_matmul(A, B).rows):
+        built += [(x, list(y.coeffs)) for x, y in zip(got, expected)]
+    for got, x in zip(A.scale(b).rows, A.rows):
+        built += [(y, list(fraction_product(b, z).coeffs)) for y, z in zip(got, x)]
+    for x, expected in built:
+        assert canonical(x) and list(x.coeffs) == expected
+    for x, y in [(a, b), (a + b - b, a), (a * k, k * a), (a.embed(M), a), (a, extra)]:
+        N = lcm(x.order, y.order)
+        assert (x == y) == (fraction_embed(x, N) == fraction_embed(y, N))
+
+
+def test_int_paths_build_no_fractions(monkeypatch):
+    rng = random.Random(12)
+    texts = ["0", "0", "1", "-1", "1/2", "-2/3", "5/6", "3"]
+    wire = [[{"order": 12, "coeffs": [rng.choice(texts) for _ in range(4)]} for _ in range(4)]
+            for _ in range(4)]
+    A = CycMatrix([[cyclotomic_from_json(x) for x in row] for row in wire])
+    fresh = {"order": 12, "coeffs": ["987654321987/123456789123", "-0006/0004", "0", "7"]}
+    A @ A, [cyclotomic_to_json(x) for row in (A @ A).rows for x in row]  # warm the caches
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert len(built) == 1  # the counter sees a Fraction being built
+    C = A @ A
+    encoded = [cyclotomic_to_json(x) for row in C.rows for x in row]
+    parsed = cyclotomic_from_json(fresh), [cyclotomic_from_json(x) for row in wire for x in row]
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert C == fraction_matmul(A, A) and parsed[0].coeffs[1] == Fraction(-3, 2)
+    assert [cyclotomic_from_json(x) for x in encoded] == [x for row in C.rows for x in row]

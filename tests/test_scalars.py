@@ -9,7 +9,7 @@ from orbipar.errors import DenominatorNotDividing, IncompatibleOrders
 from orbipar.scalars import (Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity,
                              signed_mod1)
 
-import helpers  # noqa: F401  (attaches Cyclotomic.multiplicative_order, is_one)
+from helpers import cyclotomic  # also attaches Cyclotomic.multiplicative_order, is_one
 
 
 def test_cyclotomic_polynomials():
@@ -78,7 +78,7 @@ def test_field_axioms_random():
     rng = random.Random(2)
 
     def rand(M):
-        return Cyclotomic(M, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return cyclotomic(M, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                               for _ in range(euler_phi(M))])
 
     for M in (1, 2, 3, 4, 6, 8, 12):
@@ -108,7 +108,7 @@ def test_embedding_commutes_with_comparison():
     rng = random.Random(3)
     for _ in range(50):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(6))]
-        x = Cyclotomic(6, coeffs)
+        x = cyclotomic(6, coeffs)
         assert x.embed(12) == x
 
 
@@ -152,7 +152,7 @@ def test_sparse_times_dense_matches_sympy_remainder(M):
         for i in rng.sample(range(phi), 3):
             sparse[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         dense = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(phi)]
-        product = Cyclotomic(M, sparse) * Cyclotomic(M, dense)
+        product = cyclotomic(M, sparse) * cyclotomic(M, dense)
         expected = (_as_poly(sparse) * _as_poly(dense)).rem(modulus).all_coeffs()[::-1]
         expected = [Fraction(int(c.p), int(c.q)) for c in expected]
         assert list(product.coeffs) == expected + [Fraction(0)] * (phi - len(expected))

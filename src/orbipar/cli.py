@@ -26,7 +26,7 @@ from .moduli import (degree_pairing, degree_scaling_check, enumerate_strata,
                      riemann_hurwitz, stability_verdict)
 from .pseudoreps import (classify, deck_transport, enumerate_classes,
                          project_mod_center, verify_pseudorep)
-from .scalars import check_order, rational
+from .scalars import check_order
 
 
 # -- command handlers ---------------------------------------------------------
@@ -41,7 +41,7 @@ def cmd_cocycle_verify(payload, args):
     witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
     return ({"is_cocycle": verdict.ok, "witness": witness},
             _audit("cocycle verify", group=list(c.group.factors),
-                   coeff_order=c.coefficients.order))
+                   coeff_order=c.coeff_order))
 
 
 def cmd_cocycle_h2(payload, args):
@@ -59,7 +59,7 @@ def cmd_cocycle_extend(payload, args):
     ext = central_extension(c)
     return (jsonio.extension_to_json(ext),
             _audit("cocycle extend", group=list(c.group.factors),
-                   coeff_order=c.coefficients.order))
+                   coeff_order=c.coeff_order))
 
 
 def cmd_cocycle_zeta(payload, args):
@@ -70,7 +70,7 @@ def cmd_cocycle_zeta(payload, args):
     value = zeta(c, element)
     return ({"zeta": str(value), "element_order": c.group.element_order(element)},
             _audit("cocycle zeta", group=list(c.group.factors),
-                   coeff_order=c.coefficients.order))
+                   coeff_order=c.coeff_order))
 
 
 def cmd_pseudorep_verify(payload, args):
@@ -79,7 +79,7 @@ def cmd_pseudorep_verify(payload, args):
     witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
     return ({"valid": verdict.ok, "witness": witness},
             _audit("pseudorep verify", order=sigma.order,
-                   coeff_order=sigma.cochain.coefficients.order, rank=sigma.size))
+                   coeff_order=sigma.cochain.coeff_order, rank=sigma.size))
 
 
 def cmd_pseudorep_classify(payload, args):
@@ -185,7 +185,7 @@ def _local_audit(command, series, M, twist=None):
 
 def cmd_local_check(payload, args):
     series = jsonio.series_from_json(payload)
-    twist = rational(args.twist) if args.twist is not None else None
+    twist = None if args.twist is None else jsonio.rational_from_json(args.twist)
     report = check_invariance(series, twist)
     M = _resolve_order(series.working_field_order(), args.working_order)
     return (jsonio.invariance_to_json(report),
@@ -246,7 +246,7 @@ def cmd_moduli_stability(payload, args):
                   for f in jsonio._need(payload, "candidates", list)]
     mode = jsonio._need(payload, "mode", str)
     verdict = stability_verdict(candidates, mode)
-    return ({"mode": verdict.mode, "ok": verdict.ok,
+    return ({"mode": mode, "ok": verdict.ok,
              "violator": verdict.violator,
              "pairing": None if verdict.pairing is None else str(verdict.pairing)},
             _audit("moduli stability", mode=mode, candidates=len(candidates)))

@@ -12,18 +12,20 @@ span of the d(e_g), put in Howell form; one cocycle per class comes from the
 universal coefficient theorem (carry cocycles and alternating bilinear
 forms), and reducing it against the Howell form gives the lexicographically
 least table of its class.
+
+A check returns the named tuple Verdict(ok, witness); a tuple is always
+true, so callers read .ok.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
                      ScaleExceeded)
-from .scalars import Cyclotomic, root_of_unity
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_SCALE_BOUND = 2 ** 21  # classes or strata in one output
@@ -95,32 +97,23 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup{self.factors}"
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
-    """Cyclic group of m-th roots of unity with trivial group action."""
-
-    order: int
-
-    def value(self, k: int) -> Cyclotomic:
-        return root_of_unity(Fraction(k % self.order, self.order), self.order)
-
-
 class Cochain2:
     """A normalized 2-cochain: total table G x G -> Z/m with identity rows zero.
 
-    Only normalized cochains are representable; construction raises if the
-    identity row or column is nonzero.
+    The coefficients are the m-th roots of unity with trivial action, so the
+    int m is all they carry.  Only normalized cochains are representable;
+    construction raises if the identity row or column is nonzero.
     """
 
-    def __init__(self, group: FiniteAbelianGroup, coefficients: CoefficientGroup, table):
-        m, n = coefficients.order, group.order
+    def __init__(self, group: FiniteAbelianGroup, coeff_order: int, table):
+        m, n = coeff_order, group.order
         table = tuple(tuple([x % m for x in row]) for row in table)
         if len(table) != n or any(len(row) != n for row in table):
             raise MalformedInput(f"table is not {n} x {n}")
         if any(table[0]) or any(row[0] for row in table):
             raise NotNormalized("c(gamma, 1) and c(1, gamma) must equal 1")
         self.group = group
-        self.coefficients = coefficients
+        self.coeff_order = m
         self.table = table
 
     def value(self, a, b) -> int:
@@ -128,28 +121,23 @@ class Cochain2:
 
     def __eq__(self, other):
         return (isinstance(other, Cochain2) and self.group == other.group
-                and self.coefficients == other.coefficients and self.table == other.table)
+                and self.coeff_order == other.coeff_order and self.table == other.table)
 
     def __repr__(self):
-        return f"Cochain2({self.group}, m={self.coefficients.order})"
+        return f"Cochain2({self.group}, m={self.coeff_order})"
 
 
-@dataclass(frozen=True)
-class CocycleVerdict:
-    ok: bool
-    witness: tuple | None  # first violating (a, b, d) on failure
-
-    def __bool__(self):
-        return self.ok
+# a decision and, when it fails, its first violating tuple of elements
+Verdict = namedtuple("Verdict", "ok witness")
 
 
-def is_cocycle(c: Cochain2) -> CocycleVerdict:
+def is_cocycle(c: Cochain2) -> Verdict:
     """Check c(ab,d) c(a,b) = c(a,bd) c(b,d) on every triple.
 
     The witness is the first failing triple in row-major order.  Triples
     holding the identity pass for any normalized cochain and are skipped.
     """
-    g, t, m = c.group, c.table, c.coefficients.order
+    g, t, m = c.group, c.table, c.coeff_order
     p, span = g.prod, range(1, g.order)
     for a in span:
         ta, pa = t[a], p[a]
@@ -158,8 +146,8 @@ def is_cocycle(c: Cochain2) -> CocycleVerdict:
             cab = ta[b]
             for d in span:
                 if (tab[d] + cab - ta[pb[d]] - tb[d]) % m:
-                    return CocycleVerdict(False, (g.elements[a], g.elements[b], g.elements[d]))
-    return CocycleVerdict(True, None)
+                    return Verdict(False, (g.elements[a], g.elements[b], g.elements[d]))
+    return Verdict(True, None)
 
 
 def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
@@ -173,7 +161,7 @@ def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
     if f[0] != 0:
         raise MalformedInput("f(1) must equal 1")
     table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
-    return Cochain2(group, CoefficientGroup(m), table)
+    return Cochain2(group, m, table)
 
 
 def _gcdex(a: int, b: int):
@@ -279,19 +267,18 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
     for order, t in zip(orders, tables):
         rows = [[(x + k * y) % m for x, y in zip(row, t)] for row in rows for k in range(order)]
     reps = sorted(_reduce(row + [0] * (n - 1), form, m)[:n * n] for row in rows)
-    coeff = CoefficientGroup(m)
-    return [Cochain2(group, coeff, [row[i:i + n] for i in range(0, n * n, n)]) for row in reps]
+    return [Cochain2(group, m, [row[i:i + n] for i in range(0, n * n, n)]) for row in reps]
 
 
 def are_cohomologous(c1: Cochain2, c2: Cochain2):
     """Whether c2 = (df) * c1 for a normalized f; returns (bool, f|None)."""
-    if c1.group != c2.group or c1.coefficients.order != c2.coefficients.order:
+    if c1.group != c2.group or c1.coeff_order != c2.coeff_order:
         raise MalformedInput("cochains live over different (group, coefficients)")
     for c in (c1, c2):
         v = is_cocycle(c)
-        if not v:
+        if not v.ok:
             raise NotACocycle(f"cocycle condition fails at {v.witness}")
-    g, m = c1.group, c1.coefficients.order
+    g, m = c1.group, c1.coeff_order
     n = g.order
     diff = [(y - x) % m for r1, r2 in zip(c1.table, c2.table) for x, y in zip(r1, r2)]
     rest = _reduce(diff + [0] * (n - 1), _coboundary_form(g, m), m)
@@ -303,9 +290,9 @@ def are_cohomologous(c1: Cochain2, c2: Cochain2):
 def zeta(c: Cochain2, gamma) -> Fraction:
     """The product of c(gamma, gamma^i) for i = 1..ord(gamma)-1, as k/m in [0,1)."""
     v = is_cocycle(c)
-    if not v:
+    if not v.ok:
         raise NotACocycle(f"cocycle condition fails at {v.witness}")
-    g, m = c.group, c.coefficients.order
+    g, m = c.group, c.coeff_order
     powers = g.powers(gamma)
     total = 0
     for p in powers[1:]:
@@ -335,7 +322,7 @@ def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
         raise NotASubgroup("embedding is not injective")
     table = [[c.value(embed[a], embed[b]) for b in subgroup.elements]
              for a in subgroup.elements]
-    return Cochain2(subgroup, c.coefficients, table)
+    return Cochain2(subgroup, c.coeff_order, table)
 
 
 # -- central extensions ------------------------------------------------------
@@ -348,7 +335,7 @@ class ExtensionGroup:
 
     def __init__(self, cochain: Cochain2):
         self.cochain = cochain
-        self.coeff_order = cochain.coefficients.order
+        self.coeff_order = cochain.coeff_order
         self.group = cochain.group
         self.order = self.coeff_order * self.group.order
         self.table = extension_table(cochain)
@@ -379,7 +366,7 @@ def table_is_associative(table) -> bool:
 
 def extension_table(c: Cochain2):
     """Raw Cayley table of Z' x G without any group-axiom checks."""
-    m, n = c.coefficients.order, c.group.order
+    m, n = c.coeff_order, c.group.order
     if m * n > MAX_EXTENSION_ORDER:
         raise ScaleExceeded(f"extension order {m * n} exceeds bound {MAX_EXTENSION_ORDER}")
     t, p = c.table, c.group.prod

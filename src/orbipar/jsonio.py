@@ -14,13 +14,13 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cocycles import Cochain2, CoefficientGroup, ExtensionGroup, FiniteAbelianGroup
+from .cocycles import Cochain2, ExtensionGroup, FiniteAbelianGroup
 from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, FlagPiece
-from .pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
+from .pseudoreps import MAX_ENUMERATION, PseudoRep, PseudoRepClass, QuotientClass
 from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational_parts
 
 MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
@@ -173,7 +173,7 @@ def cyclotomic_from_json(data) -> Cyclotomic:
 # -- cohomology ---------------------------------------------------------------
 
 def cochain_to_json(c: Cochain2) -> dict:
-    m = c.coefficients.order
+    m = c.coeff_order
     text = {k: _ratio_text(k, m) for k in set().union(*c.table)}  # not range(m): m may be 2^40
     table = [[i, j, text[k]] for i, row in enumerate(c.table) for j, k in enumerate(row)]
     return {"group": list(c.group.factors), "coeff_order": m, "table": table}
@@ -214,7 +214,7 @@ def cochain_from_json(data) -> Cochain2:
             raise MalformedInput(f"duplicate table entry ({i}, {j})")
         seen.add((i, j))
         table[i][j] = p * (m // q) % m
-    return Cochain2(group, CoefficientGroup(m), table)
+    return Cochain2(group, m, table)
 
 
 def extension_to_json(ext: ExtensionGroup) -> dict:
@@ -273,12 +273,16 @@ def rep_class_to_json(cls: PseudoRepClass) -> dict:
 
 
 def rep_class_from_json(data) -> PseudoRepClass:
+    """A class of at most MAX_ENUMERATION exponents, as many as any class
+    orbipar prints: projecting it sorts them once per distinct shift."""
     n = _need(data, "order", int)
     if n < 1:
         raise MalformedInput(f"class order {n} must be positive")
     z = rational_from_json(_need(data, "zeta")) % 1
-    exps = [rational_from_json(x) % 1 for x in _need(data, "exponents", list)]
-    return PseudoRepClass(n, z, tuple(exps))
+    raw = _need(data, "exponents", list)
+    if len(raw) > MAX_ENUMERATION:
+        raise ScaleExceeded(f"{len(raw)} exponents exceed the bound {MAX_ENUMERATION}")
+    return PseudoRepClass(n, z, tuple(rational_from_json(x) % 1 for x in raw))
 
 
 def quotient_class_to_json(cls: QuotientClass) -> dict:

@@ -12,13 +12,15 @@ representatives:
 
 Subspaces cut out by a rational diagonal s are represented as entry masks:
 (i, j) lies in p_s iff s_i <= s_j (that is exactly boundedness of
-e^{t(s_i - s_j)} as t grows), in the Levi iff s_i = s_j.
+e^{t(s_i - s_j)} as t grows), in the Levi iff s_i = s_j.  A weight vector
+is a named tuple of its model and its entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
 from .matrices import CycMatrix
 from .scalars import Cyclotomic, signed_mod1
@@ -118,12 +120,11 @@ class GroupModel:
         return f"GroupModel({self.kind}, r={self.size})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """An alcove representative: one weight per diagonal slot, block-sorted."""
+class WeightVector(namedtuple("WeightVector", "model entries")):
+    """An alcove representative: one Fraction weight per diagonal slot, in
+    model.weight_convention(), block-sorted."""
 
-    model: GroupModel
-    entries: tuple  # one Fraction per slot, in model.weight_convention()
+    __slots__ = ()
 
     def values(self):
         return self.entries

@@ -22,11 +22,13 @@ valid-through exponent of their output as one below the image of the first
 unknown slot, minimized over eigencomponents; terms landing above that are
 dropped rather than overclaimed.  This is what makes round trips exact on
 the common range.
+
+The invariance and residue reports are named tuples, read by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -114,16 +116,9 @@ def decompose_by_beta(series: GradedSeries):
     return out
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    invariant: bool
-    by_index: bool
-    by_substitution: bool
-    twist: Fraction
-    violations: tuple  # (beta, k, basis_key) triples
-
-    def __bool__(self):
-        return self.invariant
+# violations are (beta, k, basis_key) triples
+InvarianceReport = namedtuple("InvarianceReport",
+                              "invariant by_index by_substitution twist violations")
 
 
 def _twist_fraction(twist, N: int) -> Fraction:
@@ -176,13 +171,9 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
                             tuple(index_violations))
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    residue: CycMatrix
-    support_in_negative_beta: bool
-    nilpotent: bool
-    nilpotency_index: int | None  # least p with residue^p = 0
-    levi_projection_zero: bool
+# nilpotency_index is the least p with residue^p = 0, or None
+ResidueReport = namedtuple("ResidueReport", "residue support_in_negative_beta nilpotent "
+                                            "nilpotency_index levi_projection_zero")
 
 
 def residue_report(series: GradedSeries) -> ResidueReport:
@@ -257,7 +248,7 @@ def descend(series: GradedSeries):
     if series.variable != UPSTAIRS:
         raise MalformedInput("descend expects an upstairs (z) series")
     report = check_invariance(series, twist=None)
-    if not report:
+    if not report.invariant:
         raise NotInvariant(f"series is not invariant: violations {report.violations}")
     N = series.N
     out_trunc = _descend_trunc(series)

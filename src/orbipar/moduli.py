@@ -5,16 +5,18 @@ The stratum enumeration indexes fixed-point components by a cohomology class
 together with one pseudorepresentation quotient class per branch orbit (one
 per orbit, not per point: deck transport identifies the classes at points of
 a single orbit).  No nonemptiness claim is attached to an index.
+
+Covering data, stratum indices, flag pieces and the verdicts are named
+tuples; a verdict is read by its field, never by its truth value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .cocycles import (DEFAULT_SCALE_BOUND, Cochain2, FiniteAbelianGroup,
-                       h2_classes)
+from .cocycles import DEFAULT_SCALE_BOUND, FiniteAbelianGroup, h2_classes
 from .errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                      ScaleExceeded, UnsupportedModel)
 from .liemodel import GroupModel
@@ -23,24 +25,23 @@ from .pseudoreps import enumerate_classes, project_mod_center
 MAX_STRATA_CELLS = 2 ** 16  # cochain table rows plus exponents over all strata of one output
 
 
-@dataclass(frozen=True)
-class CoveringData:
-    """A degree-N ramified cover: upstairs genus, deck group order, and the
-    ramification order of each branch orbit (each orbit has N/N_j points)."""
+class CoveringData(namedtuple("CoveringData", "genus_x group_order orbit_orders")):
+    """A degree-N ramified cover: upstairs genus, deck group order N, and the
+    ramification order N_j of each branch orbit (each orbit has N/N_j points),
+    each dividing N and >= 2."""
 
-    genus_x: int
-    group_order: int
-    orbit_orders: tuple  # N_j per branch orbit, each dividing N and >= 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus_x < 2:
+    def __new__(cls, genus_x, group_order, orbit_orders):
+        if genus_x < 2:
             raise MalformedInput("upstairs genus must be at least 2")
-        if self.group_order < 1:
+        if group_order < 1:
             raise MalformedInput("group order must be positive")
-        for nj in self.orbit_orders:
-            if nj < 2 or self.group_order % nj != 0:
+        for nj in orbit_orders:
+            if nj < 2 or group_order % nj != 0:
                 raise MalformedInput(
-                    f"ramification order {nj} must be >= 2 and divide {self.group_order}")
+                    f"ramification order {nj} must be >= 2 and divide {group_order}")
+        return super().__new__(cls, genus_x, group_order, orbit_orders)
 
 
 def riemann_hurwitz(data: CoveringData) -> int:
@@ -55,13 +56,9 @@ def riemann_hurwitz(data: CoveringData) -> int:
     return int(g_y)
 
 
-@dataclass(frozen=True)
-class StratumIndex:
-    """One fixed-point stratum label: a cocycle class representative plus a
-    quotient pseudorep class per branch orbit."""
-
-    cocycle: Cochain2
-    orbit_classes: tuple  # QuotientClass per orbit
+# one fixed-point stratum label: a cocycle class representative plus a tuple
+# of quotient pseudorep classes, one per branch orbit
+StratumIndex = namedtuple("StratumIndex", "cocycle orbit_classes")
 
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
@@ -100,11 +97,8 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
             for combo in product(cocycle_reps, *per_orbit)]
 
 
-@dataclass(frozen=True)
-class FlagPiece:
-    value: Fraction  # the s-eigenvalue of this graded piece
-    rank: int
-    degree: int
+# one graded piece of a flag: its s-eigenvalue (a Fraction), rank and degree
+FlagPiece = namedtuple("FlagPiece", "value rank degree")
 
 
 class FlagDegreeData:
@@ -145,15 +139,9 @@ def degree_pairing(flag: FlagDegreeData) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    mode: str  # "semistable" | "stable"
-    ok: bool
-    violator: int | None  # index of the first failing candidate
-    pairing: Fraction | None  # its pairing value
-
-    def __bool__(self):
-        return self.ok
+# violator is the index of the first failing candidate and pairing its
+# pairing value, both None when every candidate passes
+StabilityVerdict = namedtuple("StabilityVerdict", "ok violator pairing")
 
 
 def stability_verdict(candidates, mode: str) -> StabilityVerdict:
@@ -167,17 +155,13 @@ def stability_verdict(candidates, mode: str) -> StabilityVerdict:
     for i, cand in enumerate(candidates):
         value = degree_pairing(cand)
         if (mode == "semistable" and value < 0) or (mode == "stable" and value <= 0):
-            return StabilityVerdict(mode, False, i, value)
-    return StabilityVerdict(mode, True, None, None)
+            return StabilityVerdict(False, i, value)
+    return StabilityVerdict(True, None, None)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    scaling_ok: bool  # claimed degree upstairs equals N times the parabolic degree
-    integral: bool    # the upstairs degree is an integer
-
-    def __bool__(self):
-        return self.scaling_ok
+# scaling_ok: the claimed upstairs degree is N times the parabolic degree;
+# integral: the upstairs degree is an integer
+ScalingReport = namedtuple("ScalingReport", "scaling_ok integral")
 
 
 def degree_scaling_check(par_deg_y, group_order: int, claimed_deg_x) -> ScalingReport:

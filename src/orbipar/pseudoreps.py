@@ -11,22 +11,25 @@ c(g, g^i), the generator row forces sigma(g)^j = zeta_m^T_j sigma(g^j) and
 sigma(g)^n = e^{2 pi i zeta} Id with zeta = T_n/m, which makes the eigenvalue
 exponents of sigma(g) a complete conjugacy invariant: they are the n
 solutions of lambda^n = e^{2 pi i zeta}, counted with multiplicity.
+
+Classes and quotient classes are named tuples, and verify_pseudorep returns
+the cocycles module's Verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import comb, lcm
 
-from .cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, is_cocycle
+from .cocycles import Cochain2, FiniteAbelianGroup, Verdict, is_cocycle
 from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                      NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from .matrices import root_of_unity_eigenvalues
-from .scalars import check_order
+from .scalars import check_order, root_of_unity
 
-MAX_ENUMERATION = 24  # bound on n * r for class enumeration
+MAX_ENUMERATION = 24  # bound on n * r for class enumeration, and on an input class's exponents
 
 
 class PseudoRep:
@@ -42,7 +45,7 @@ class PseudoRep:
         sizes = {im.size for im in images}
         if len(sizes) != 1:
             raise SizeMismatch(f"inhomogeneous matrix sizes {sorted(sizes)}")
-        check_order(lcm(group.order * cochain.coefficients.order,
+        check_order(lcm(group.order * cochain.coeff_order,
                         *(x.order for im in images for row in im.rows for x in row)))
         self.cochain = cochain
         self.group = group
@@ -54,21 +57,12 @@ class PseudoRep:
         return self.group.order
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    witness: tuple | None  # first violating (a, b) pair
-
-    def __bool__(self):
-        return self.ok
-
-
 def _generator_sums(sigma: PseudoRep) -> list[int]:
     """T_j = sum_{i<j} c(g, g^i) for j = 0..n, g the canonical generator."""
     return list(accumulate(sigma.cochain.table[1 % sigma.order], initial=0))
 
 
-def verify_pseudorep(sigma: PseudoRep) -> VerifyReport:
+def verify_pseudorep(sigma: PseudoRep) -> Verdict:
     """The composition rule on all pairs, plus sigma(1) = Id.
 
     Only the generator row is multiplied out.  Once it holds, sigma(g) is
@@ -80,60 +74,56 @@ def verify_pseudorep(sigma: PseudoRep) -> VerifyReport:
     g = sigma.group
     images = sigma.images
     if not images[0].is_identity():
-        return VerifyReport(False, (g.identity, g.identity))
+        return Verdict(False, (g.identity, g.identity))
     n = sigma.order
-    coeff = sigma.cochain.coefficients
+    m = sigma.cochain.coeff_order
     table = sigma.cochain.table
     gen = 1 % n
     for j in range(n):
-        if images[gen] @ images[j] != images[(gen + j) % n].scale(coeff.value(table[gen][j])):
-            return VerifyReport(False, (g.elements[gen], g.elements[j]))
+        scalar = root_of_unity(Fraction(table[gen][j], m), m)
+        if images[gen] @ images[j] != images[(gen + j) % n].scale(scalar):
+            return Verdict(False, (g.elements[gen], g.elements[j]))
     T = _generator_sums(sigma)
     for a in range(n):
         for b in range(n):
             d = T[(a + b) % n] + (T[n] if a + b >= n else 0) - T[a] - T[b]
-            if (table[a][b] - d) % coeff.order:
-                return VerifyReport(False, (g.elements[a], g.elements[b]))
-    return VerifyReport(True, None)
+            if (table[a][b] - d) % m:
+                return Verdict(False, (g.elements[a], g.elements[b]))
+    return Verdict(True, None)
 
 
-@dataclass(frozen=True)
-class PseudoRepClass:
-    """Conjugacy invariant: order, zeta, and the eigenvalue exponent multiset."""
+class PseudoRepClass(namedtuple("PseudoRepClass", "order zeta exponents")):
+    """Conjugacy invariant: order, zeta in [0,1), and the eigenvalue exponent
+    multiset as Fractions q in [0,1), sorted descending."""
 
-    order: int
-    zeta: Fraction  # in [0,1)
-    exponents: tuple  # Fractions q in [0,1), sorted descending
+    __slots__ = ()
 
-    def __post_init__(self):
-        for q in (self.zeta, *self.exponents):
+    def __new__(cls, order, zeta, exponents):
+        for q in (zeta, *exponents):
             if not 0 <= q < 1:
                 raise MalformedInput(f"{q} outside [0,1)")
-        if list(self.exponents) != sorted(self.exponents, reverse=True):
+        if list(exponents) != sorted(exponents, reverse=True):
             raise MalformedInput("exponents must be sorted descending")
-        for q in self.exponents:
-            if (self.order * q - self.zeta).denominator != 1:
-                raise MalformedInput(
-                    f"exponent {q} does not satisfy lambda^{self.order} = zeta")
+        for q in exponents:
+            if (order * q - zeta).denominator != 1:
+                raise MalformedInput(f"exponent {q} does not satisfy lambda^{order} = zeta")
+        return super().__new__(cls, order, zeta, exponents)
 
 
-@dataclass(frozen=True)
-class QuotientClass:
-    """A pseudorep class modulo simultaneous shift by the scalar subgroup."""
-
-    order: int
-    exponents: tuple  # Fractions in [0,1), sorted descending
+# a pseudorep class modulo simultaneous shift by the scalar subgroup: its
+# exponents are Fractions in [0,1), sorted descending
+QuotientClass = namedtuple("QuotientClass", "order exponents")
 
 
 def classify(sigma: PseudoRep) -> PseudoRepClass:
     """Eigenvalue exponents of sigma(g), from its power traces zeta_m^T_j tr sigma(g^j)."""
     verdict = verify_pseudorep(sigma)
-    if not verdict:
+    if not verdict.ok:
         raise NotAPseudoRep(f"composition rule fails at {verdict.witness}")
-    coeff = sigma.cochain.coefficients
+    m = sigma.cochain.coeff_order
     T = _generator_sums(sigma)
-    z = Fraction(T[-1] % coeff.order, coeff.order)
-    traces = [im.trace() * coeff.value(t) for im, t in zip(sigma.images, T)]
+    z = Fraction(T[-1] % m, m)
+    traces = [im.trace() * root_of_unity(Fraction(t, m), m) for im, t in zip(sigma.images, T)]
     exps = root_of_unity_eigenvalues(traces, z, sigma.size)
     return PseudoRepClass(sigma.order, z, tuple(exps))
 
@@ -203,11 +193,11 @@ def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Coc
 
     The map zeta_m -> zeta_m'^t is a homomorphism iff m' divides t*m.
     """
-    m, t, m2 = c.coefficients.order, generator_image, target_order
+    m, t, m2 = c.coeff_order, generator_image, target_order
     if m2 < 1 or (t * m) % m2 != 0:
         raise NotAHomomorphism(
             f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")
-    out = Cochain2(c.group, CoefficientGroup(m2), [[x * t for x in row] for row in c.table])
+    out = Cochain2(c.group, m2, [[x * t for x in row] for row in c.table])
     verdict = is_cocycle(out)
     if not verdict.ok:
         raise AssertionError("homomorphic image of a cocycle must be a cocycle")

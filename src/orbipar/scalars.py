@@ -16,8 +16,8 @@ so equality is a tuple comparison, and the arithmetic runs on ints alone:
 polynomial over the lcm of their denominators, ``CycMatrix.__matmul__`` calls
 it once per output entry, and each result is normalised by one gcd.
 ``coeffs`` builds Fractions for a reader.  Beyond ``rational_parts``, which
-only ``jsonio`` and the CLI's ``--twist`` reach, nothing here parses or
-coerces, and ``Cyclotomic(order, nums, den)`` stores its arguments as given.
+only ``jsonio`` reaches, nothing here parses or coerces, and
+``Cyclotomic(order, nums, den)`` stores its arguments as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -85,11 +85,6 @@ def rational_parts(x) -> tuple[int, int]:
         raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
                             f"in its numerator or denominator")
     return p, q
-
-
-def rational(x) -> Fraction:
-    """The input rational x, as rational_parts reads it."""
-    return Fraction(*rational_parts(x))
 
 
 def signed_mod1(x: Fraction) -> Fraction:

@@ -24,16 +24,16 @@ from math import lcm
 
 import numpy as np
 
-from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, CoefficientGroup,
-                              ExtensionGroup, FiniteAbelianGroup, is_cocycle, zeta)
+from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, ExtensionGroup,
+                              FiniteAbelianGroup, Verdict, is_cocycle, zeta)
 from orbipar.errors import MalformedInput, ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
-from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass, VerifyReport
+from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
 from orbipar.scalars import (MAX_RATIONAL_DIGITS, Cyclotomic, cyclotomic_poly, euler_phi,
-                             root_of_unity)
+                             rational_parts, root_of_unity)
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -81,7 +81,7 @@ def random_cochain(rng, factors, m):
     n = g.order
     table = np.zeros((n, n), dtype=np.int64)
     table[1:, 1:] = [[rng.randrange(m) for _ in range(n - 1)] for _ in range(n - 1)]
-    return Cochain2(g, CoefficientGroup(m), table.tolist())
+    return Cochain2(g, m, table.tolist())
 
 
 def random_cyclic_cochain(rng, n, m):
@@ -102,7 +102,7 @@ def random_cyclic_cocycle(rng, n, m):
         # c(a, g^{b+1}) = c(a + g^b, g) + c(a, g^b) - c(g^b, g)
         for a in range(n):
             table[a, b + 1] = (table[(a + b) % n, 1] + table[a, b] - table[b, 1]) % m
-    c = Cochain2(g, CoefficientGroup(m), table.tolist())
+    c = Cochain2(g, m, table.tolist())
     assert is_cocycle(c).ok
     return c
 
@@ -266,7 +266,7 @@ def brute_force_h2(group: FiniteAbelianGroup, m: int) -> list[Cochain2]:
     for row in cocycles[np.lexsort(cocycles.T[::-1])]:
         if row.tobytes() in seen:
             continue
-        reps.append(Cochain2(group, CoefficientGroup(m), row.reshape(n, n).tolist()))
+        reps.append(Cochain2(group, m, row.reshape(n, n).tolist()))
         seen.update(r.tobytes() for r in (row[None, :] + cob) % m)
     return reps
 
@@ -437,13 +437,14 @@ CycMatrix.scalar = classmethod(lambda cls, r, value: cls.diagonal([value] * r))
 def _from_generator(cls, cochain: Cochain2, gen_image: CycMatrix) -> PseudoRep:
     """Extend an image of the canonical generator along the composition rule."""
     group = cochain.group
-    coeff = cochain.coefficients
+    m = cochain.coeff_order
     images = [CycMatrix.identity(gen_image.size)]
     gen = (1 % group.order,)
     cur_elt = group.identity
     for _ in range(group.order - 1):
         # sigma(g) sigma(g^k) = c(g, g^k) sigma(g^{k+1})
-        nxt = (gen_image @ images[-1]).scale(coeff.value(-cochain.value(gen, cur_elt)))
+        scalar = root_of_unity(Fraction(-cochain.value(gen, cur_elt), m), m)
+        nxt = (gen_image @ images[-1]).scale(scalar)
         images.append(nxt)
         cur_elt = group.add(cur_elt, gen)
     return cls(cochain, images)
@@ -464,14 +465,14 @@ def _cochain_key(self: Cochain2):
 
 
 def _cochain_mul(self: Cochain2, other: Cochain2) -> Cochain2:
-    if self.group != other.group or self.coefficients.order != other.coefficients.order:
+    if self.group != other.group or self.coeff_order != other.coeff_order:
         raise MalformedInput("cochains live over different (group, coefficients)")
-    return Cochain2(self.group, self.coefficients,
+    return Cochain2(self.group, self.coeff_order,
                     [[x + y for x, y in zip(r, s)] for r, s in zip(self.table, other.table)])
 
 
 Cochain2.trivial = classmethod(
-    lambda cls, group, m: cls(group, CoefficientGroup(m), [[0] * group.order] * group.order))
+    lambda cls, group, m: cls(group, m, [[0] * group.order] * group.order))
 Cochain2.key = _cochain_key
 Cochain2.mul = _cochain_mul
 StratumIndex.canonical_key = lambda self: (
@@ -567,6 +568,11 @@ def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def rational(x) -> Fraction:
+    """An input rational as scalars.rational_parts reads it."""
+    return Fraction(*rational_parts(x))
+
+
 def fraction_rational(x) -> Fraction:
     """An input rational read by Fraction(), with the errors scalars.rational_parts
     must raise: an oracle for its int parser."""
@@ -593,20 +599,21 @@ def fraction_cochain_value(value, m: int) -> int:
 
 # -- pseudorepresentations by brute force: oracles for the generator-row check --
 
-def exhaustive_verify(sigma: PseudoRep) -> VerifyReport:
+def exhaustive_verify(sigma: PseudoRep) -> Verdict:
     """The composition rule multiplied out on all n^2 pairs, plus sigma(1) = Id."""
     if not sigma.images[0].is_identity():
-        return VerifyReport(False, (sigma.group.identity, sigma.group.identity))
+        return Verdict(False, (sigma.group.identity, sigma.group.identity))
     g = sigma.group
-    coeff = sigma.cochain.coefficients
+    m = sigma.cochain.coeff_order
     for a in g.elements:
         sa = sigma.image(a)
         for b in g.elements:
             lhs = sa @ sigma.image(b)
-            rhs = sigma.image(g.add(a, b)).scale(coeff.value(sigma.cochain.value(a, b)))
+            scalar = root_of_unity(Fraction(sigma.cochain.value(a, b), m), m)
+            rhs = sigma.image(g.add(a, b)).scale(scalar)
             if lhs != rhs:
-                return VerifyReport(False, (a, b))
-    return VerifyReport(True, None)
+                return Verdict(False, (a, b))
+    return Verdict(True, None)
 
 
 def exhaustive_project(cls, m: int) -> QuotientClass:
@@ -662,7 +669,7 @@ def charpoly_classify(sigma: PseudoRep) -> PseudoRepClass:
     """classify of a valid pseudorep through zeta of the cocycle and the trial
     roots of the characteristic polynomial of sigma(g)."""
     n = sigma.order
-    m = sigma.cochain.coefficients.order
+    m = sigma.cochain.coeff_order
     gen = (1 % n,)
     exps = charpoly_eigenvalues(sigma.image(gen), lcm(n * m, 2))
     return PseudoRepClass(n, zeta(sigma.cochain, gen), tuple(exps))

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from orbipar.cli import run_command
-from orbipar.cocycles import (Cochain2, CoefficientGroup, ExtensionGroup,
-                              FiniteAbelianGroup, extension_table, h2_classes,
-                              is_cocycle, table_is_associative, zeta)
+from orbipar.cocycles import (Cochain2, ExtensionGroup, FiniteAbelianGroup,
+                              extension_table, h2_classes, is_cocycle,
+                              table_is_associative, zeta)
 from orbipar.errors import NegativeGenus, NonIntegralGenus
 from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
                               isotropy_eigenspaces, parabolic_from_s)
@@ -86,15 +86,14 @@ def test_criterion_02_extension_soundness():
                 [t.reshape(t.shape[0], n * n)
                  for _, t in _coboundary_batches(g, m)]), axis=0)
             seen = {}
-            coeff = CoefficientGroup(m)
             for row in cocycles[np.lexsort(cocycles.T[::-1])]:
                 key = row.tobytes()
                 if key not in seen:
-                    rep = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n).tolist()))
+                    rep = ExtensionGroup(Cochain2(g, m, row.reshape(n, n).tolist()))
                     for member in (row[None, :] + cob) % m:
                         seen[member.tobytes()] = rep
                     continue
-                ext = ExtensionGroup(Cochain2(g, coeff, row.reshape(n, n).tolist()))
+                ext = ExtensionGroup(Cochain2(g, m, row.reshape(n, n).tolist()))
                 assert ext.isomorphic_to(seen[key]), (factors, m)
                 pairs_checked += 1
         assert pairs_checked > 0

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.cocycles import Cochain2, CoefficientGroup, FiniteAbelianGroup, zeta
+from orbipar.cocycles import Cochain2, FiniteAbelianGroup, Verdict, zeta
 from orbipar.errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
                             NotAPseudoRep, ScaleExceeded, SizeMismatch)
 from orbipar.matrices import CycMatrix
-from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass, VerifyReport,
+from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass,
                                 classify,
                                 deck_transport, enumerate_classes,
                                 induced_cocycle, project_mod_center,
@@ -28,7 +28,7 @@ MINUS_I4 = root_of_unity(Fraction(3, 4), 4)
 
 
 def neg_cocycle():
-    return Cochain2(Z2, CoefficientGroup(2), [[0, 0], [0, 1]])
+    return Cochain2(Z2, 2, [[0, 0], [0, 1]])
 
 
 def diag_pseudorep():
@@ -86,8 +86,8 @@ def test_verify_matches_exhaustive_oracle(seed, n, m, r, kind):
 def test_verify_witness_past_a_passing_generator_row():
     # c(2, 2) = -1 on Z/3 is no cocycle; every product of the generator row holds
     table = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    sigma = PseudoRep(Cochain2(Z3, CoefficientGroup(2), table), [matrix([[1]])] * 3)
-    report = VerifyReport(False, ((2,), (2,)))
+    sigma = PseudoRep(Cochain2(Z3, 2, table), [matrix([[1]])] * 3)
+    report = Verdict(False, ((2,), (2,)))
     assert verify_pseudorep(sigma) == exhaustive_verify(sigma) == report
 
 
@@ -254,7 +254,7 @@ def test_project_matches_exhaustive_oracle(exps, m):
 
 
 def test_induced_cocycle_examples():
-    c = Cochain2(Z2, CoefficientGroup(4), [[0, 0], [0, 1]])  # c(g,g) = i
+    c = Cochain2(Z2, 4, [[0, 0], [0, 1]])  # c(g,g) = i
     out = induced_cocycle(c, 4, 2)  # z -> z^2
     assert out.value((1,), (1,)) == 2
     assert induced_cocycle(c, 4, 1) == c

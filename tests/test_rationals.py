@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbipar.errors import MalformedInput
 from orbipar.jsonio import cochain_from_json, rational_from_json
-from orbipar.scalars import MAX_RATIONAL_DIGITS, rational, rational_parts
+from orbipar.scalars import MAX_RATIONAL_DIGITS, rational_parts
 
-from helpers import fraction_cochain_value, fraction_rational
+from helpers import fraction_cochain_value, fraction_rational, rational
 
 BOUND = 10 ** MAX_RATIONAL_DIGITS
 # magnitudes around the digit cap, and multiples of it that reduce below it

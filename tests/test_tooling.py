@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar import jsonio
 from orbipar.cli import run_command
+from orbipar.errors import ScaleExceeded
 from orbipar.jsonio import cyclotomic_to_json
 from orbipar.liemodel import beta_of_basis
 from orbipar.scalars import MAX_RATIONAL_DIGITS, root_of_unity
@@ -74,12 +75,15 @@ def test_benchmark_tracer_installs():
 
 
 def test_cli_import_leaves_numpy_out():
+    # numpy is for tests only; dataclasses would pull in inspect, ast and dis
+    # on every cold start
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import orbipar.cli, sys; print('numpy' in sys.modules)"
+    code = ("import orbipar.cli, sys; "
+            "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 CELL = st.one_of(st.integers(-3, 40), st.booleans(), st.none(),
@@ -344,6 +348,16 @@ def test_fuzz_group_payloads(tmp_path, data, verb, scale_bound):
     if verb == "cocycle h2":
         argv += ["--scale-bound", str(scale_bound)]
     run_bounded(tmp_path, argv, data.draw(group_payloads(verb)))
+
+
+def test_project_of_a_long_class_is_refused_in_budget(tmp_path):
+    # a 25 KB class of order n = r with the exponents j/n: projecting it
+    # would sort all r exponents once for each of its r distinct shifts
+    r = 2000
+    cls = {"order": r, "zeta": "0", "exponents": [str(Fraction(j, r)) for j in range(r)][::-1]}
+    run_bounded(tmp_path, ["pseudorep", "project"], {"class": cls, "scalar_order": r})
+    with pytest.raises(ScaleExceeded, match=f"{r} exponents exceed the bound 24"):
+        jsonio.rep_class_from_json(cls)
 
 
 @st.composite

@@ -10,6 +10,7 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -387,14 +388,24 @@ def run_corpus(directory) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    code, text = _execute(args)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    """One invocation, with the cyclic garbage collector off: a one-shot
+    process frees everything at exit, and a large output's rows would set the
+    collector off again and again.  The caller's collector state comes back
+    on the way out, so run_command and run_corpus keep theirs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        code, text = _execute(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -39,21 +39,26 @@ def dumps(obj) -> str:
     """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n".
 
     With an indent the stdlib encodes in pure Python, token by token.  This
-    renders each subtree to one string, so a subtree that recurs renders once:
-    a row of scalars per (depth, values, types) -- 1 == True, yet they render
-    differently -- and any other container per (id, depth).  A container's
-    text is kept only from its second appearance on, so a tree without
-    repeats keeps none.  Every container is reachable from obj for the whole
-    call, so no id is reused while it is a key."""
-    rows, texts, seen = {}, {}, set()
+    appends the text's pieces (brackets with their indents, separators, keys,
+    scalars) to one list and joins that list once, at the end, so no nesting
+    level copies the text below it.  A subtree that recurs renders once: a
+    row of scalars is one piece per (depth, values, types) -- 1 == True, yet
+    they render differently -- and any other container is kept per (id,
+    depth) from its second appearance on.  At that appearance its pieces are
+    the tail of the list; they are joined into its text, which replaces them
+    as one piece.  A tree without repeats keeps no container's text.  Every
+    container is reachable from obj for the whole call, so no id is reused
+    while it is a key."""
+    out, rows, texts, seen = [], {}, {}, set()
+    append = out.append
 
     def emit(o, depth):
         kind = type(o)
         if kind in _SCALARS:
-            return _SCALARS[kind](o)
+            return append(_SCALARS[kind](o))
         if isinstance(o, (list, tuple)):
             if not o:
-                return "[]"
+                return append("[]")
             types = tuple(map(type, o))
             if _SCALAR_TYPES.issuperset(types):
                 key = (depth, types, *o)
@@ -61,34 +66,47 @@ def dumps(obj) -> str:
                 if text is None:
                     text = rows[key] = _wrap(
                         "[", [_SCALARS[t](v) for t, v in zip(types, o)], depth, "]")
-                return text
+                return append(text)
         elif isinstance(o, dict):
             if not o:
-                return "{}"
+                return append("{}")
         elif isinstance(o, str):
-            return _encode_str(o)
+            return append(_encode_str(o))
         elif isinstance(o, int):
-            return int.__repr__(o)
+            return append(int.__repr__(o))
         else:
-            return _stdlib(o, depth)
+            return append(_stdlib(o, depth))
         key = (id(o), depth)
         text = texts.get(key)
         if text is not None:
-            return text
+            return append(text)
+        if isinstance(o, dict) and not all(isinstance(k, str) for k in o):
+            return append(_stdlib(o, depth))
+        start = len(out)
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
         if isinstance(o, dict):
-            if not all(isinstance(k, str) for k in o):
-                return _stdlib(o, depth)
-            parts = [f"{_encode_str(k)}: {emit(o[k], depth + 1)}" for k in sorted(o)]
-            text = _wrap("{", parts, depth, "}")
+            lead, close = "{" + inner, "}"
+            for k in sorted(o):
+                append(f"{lead}{_encode_str(k)}: ")
+                lead = sep
+                emit(o[k], depth + 1)
         else:
-            text = _wrap("[", [emit(v, depth + 1) for v in o], depth, "]")
+            lead, close = "[" + inner, "]"
+            for v in o:
+                append(lead)
+                lead = sep
+                emit(v, depth + 1)
+        append(f"\n{'  ' * depth}{close}")
         if key in seen:
-            texts[key] = text
+            text = texts[key] = "".join(out[start:])
+            out[start:] = [text]
         else:
             seen.add(key)
-        return text
 
-    return emit(obj, 0) + "\n"
+    emit(obj, 0)
+    append("\n")
+    return "".join(out)
 
 
 def _wrap(open_, parts, depth, close) -> str:

@@ -99,13 +99,16 @@ class PseudoRepClass(namedtuple("PseudoRepClass", "order zeta exponents")):
     __slots__ = ()
 
     def __new__(cls, order, zeta, exponents):
-        for q in (zeta, *exponents):
-            if not 0 <= q < 1:
+        # on each Fraction's ints: a numerator over a positive denominator
+        parts = [(q.numerator, q.denominator) for q in (zeta, *exponents)]
+        for q, (p, d) in zip((zeta, *exponents), parts):
+            if not 0 <= p < d:
                 raise MalformedInput(f"{q} outside [0,1)")
-        if list(exponents) != sorted(exponents, reverse=True):
+        (zp, zd), *exps = parts
+        if any(p * d2 < p2 * d for (p, d), (p2, d2) in zip(exps, exps[1:])):
             raise MalformedInput("exponents must be sorted descending")
-        for q in exponents:
-            if (order * q - zeta).denominator != 1:
+        for q, (p, d) in zip(exponents, exps):
+            if (order * p * zd - zp * d) % (d * zd):
                 raise MalformedInput(f"exponent {q} does not satisfy lambda^{order} = zeta")
         return super().__new__(cls, order, zeta, exponents)
 
@@ -133,7 +136,9 @@ def enumerate_classes(n: int, r: int, zeta_value: Fraction,
     """All exponent multisets of size r with e^{2 pi i n q} = e^{2 pi i zeta_value}.
 
     For "sl" only multisets with integral exponent sum survive.  The GL count
-    is C(n + r - 1, r).
+    is C(n + r - 1, r).  With zeta = a/b in [0,1), the exponents (zeta + j)/n
+    are the int residues a + j b over D = n b, so the multisets are combined,
+    filtered (sum % D) and sorted as ints; one Fraction is built per residue.
     """
     if model not in ("gl", "sl"):
         raise MalformedInput(f"model must be 'gl' or 'sl', got {model!r}")
@@ -142,18 +147,17 @@ def enumerate_classes(n: int, r: int, zeta_value: Fraction,
     if n * r > MAX_ENUMERATION:
         raise ScaleExceeded(f"n*r = {n * r} exceeds {MAX_ENUMERATION}")
     z = zeta_value % 1
-    base = z / n
-    candidates = sorted((base + Fraction(j, n)) % 1 for j in range(n))
-    classes = []
-    for combo in combinations_with_replacement(candidates, r):
-        if model == "sl" and sum(combo).denominator != 1:
-            continue
-        classes.append(PseudoRepClass(n, z, tuple(sorted(combo, reverse=True))))
+    a, b = z.numerator, z.denominator
+    D = n * b
+    residues = [a + j * b for j in range(n)]  # ascending, and below D as a < b
+    combos = [combo[::-1] for combo in combinations_with_replacement(residues, r)
+              if model == "gl" or sum(combo) % D == 0]
     if model == "gl":
-        if len(classes) != comb(n + r - 1, r):
-            raise AssertionError(f"{len(classes)} classes, expected C({n + r - 1}, {r})")
-    classes.sort(key=lambda c: c.exponents)
-    return classes
+        if len(combos) != comb(n + r - 1, r):
+            raise AssertionError(f"{len(combos)} classes, expected C({n + r - 1}, {r})")
+    combos.sort()
+    exponent = {u: Fraction(u, D) for u in residues}
+    return [PseudoRepClass(n, z, tuple(map(exponent.__getitem__, combo))) for combo in combos]
 
 
 def deck_transport(sigma: PseudoRep, gamma0: tuple, ambient: FiniteAbelianGroup,
@@ -178,14 +182,18 @@ def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientC
 
     The least shift takes some exponent q below 1/m, since otherwise shifting
     by one step less lowers every exponent.  So only k = -floor(q m) mod m,
-    one per exponent, is tried, and the work does not grow with m.
+    one per exponent, is tried, and the work does not grow with m.  The
+    exponents are int residues u over L = lcm(m, denominators), a shift is k
+    steps of L/m, and Fractions are built only for the winning tuple.
     """
     if m < 1:
         raise MalformedInput("scalar subgroup order must be positive")
-    shifts = {-(q * m // 1) % m for q in cls.exponents} or {0}
-    best = min(tuple(sorted(((v + Fraction(k, m)) % 1 for v in cls.exponents), reverse=True))
-               for k in shifts)
-    return QuotientClass(cls.order, best)
+    L = lcm(m, *(q.denominator for q in cls.exponents))
+    step = L // m
+    units = [q.numerator * (L // q.denominator) for q in cls.exponents]
+    shifts = {-(u // step) % m * step for u in units} or {0}
+    best = min(tuple(sorted(((u + k) % L for u in units), reverse=True)) for k in shifts)
+    return QuotientClass(cls.order, tuple(Fraction(u, L) for u in best))
 
 
 def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Cochain2:

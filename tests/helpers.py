@@ -5,9 +5,10 @@ exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
 coboundary cosets, an exhaustive isomorphism search between Cayley tables,
 the order of a root of unity by trial exponentiation, cyclotomic and
 matrix products computed with a Fraction for every term, the composition
-rule of a pseudorepresentation checked on all n^2 pairs, eigenvalues by
-a trial search over the roots of the characteristic polynomial, and input
-rationals read by Fraction().
+rule of a pseudorepresentation checked on all n^2 pairs, pseudorep classes
+enumerated, projected and checked with a Fraction for every exponent,
+eigenvalues by a trial search over the roots of the characteristic
+polynomial, and input rationals read by Fraction().
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers and
@@ -19,7 +20,7 @@ series sums and comparisons.
 import operator
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 import numpy as np
@@ -614,6 +615,44 @@ def exhaustive_verify(sigma: PseudoRep) -> Verdict:
             if lhs != rhs:
                 return Verdict(False, (a, b))
     return Verdict(True, None)
+
+
+# -- pseudorep classes with a Fraction for every exponent: oracles for the ----
+# -- int residues of enumerate_classes, project_mod_center and the class checks
+
+def fraction_enumerate_classes(n: int, r: int, zeta_value: Fraction,
+                               model: str = "gl") -> list[PseudoRepClass]:
+    """enumerate_classes on valid arguments, combining and sorting Fractions."""
+    z = zeta_value % 1
+    base = z / n
+    candidates = sorted((base + Fraction(j, n)) % 1 for j in range(n))
+    classes = []
+    for combo in combinations_with_replacement(candidates, r):
+        if model == "sl" and sum(combo).denominator != 1:
+            continue
+        classes.append(PseudoRepClass(n, z, tuple(sorted(combo, reverse=True))))
+    classes.sort(key=lambda c: c.exponents)
+    return classes
+
+
+def fraction_project(cls, m: int) -> QuotientClass:
+    """project_mod_center on valid arguments, shifting Fractions."""
+    shifts = {-(q * m // 1) % m for q in cls.exponents} or {0}
+    best = min(tuple(sorted(((v + Fraction(k, m)) % 1 for v in cls.exponents), reverse=True))
+               for k in shifts)
+    return QuotientClass(cls.order, best)
+
+
+def fraction_class_check(order, zeta, exponents) -> None:
+    """PseudoRepClass's checks, compared as Fractions."""
+    for q in (zeta, *exponents):
+        if not 0 <= q < 1:
+            raise MalformedInput(f"{q} outside [0,1)")
+    if list(exponents) != sorted(exponents, reverse=True):
+        raise MalformedInput("exponents must be sorted descending")
+    for q in exponents:
+        if (order * q - zeta).denominator != 1:
+            raise MalformedInput(f"exponent {q} does not satisfy lambda^{order} = zeta")
 
 
 def exhaustive_project(cls, m: int) -> QuotientClass:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -113,6 +114,25 @@ def test_out_flag_writes_file(tmp_path, capsys, flags):
     code = main(["cocycle", "h2", str(path), *[f.format(out) for f in flags]])
     assert code == 0 and capsys.readouterr().out == ""
     assert out.read_text() == run_command(["cocycle", "h2", str(path)])[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["cocycle", "h2", "{}"], ["cocycle", "h2", "{}", "-o", "{}.out"],
+                                  ["cocycle", "nope", "{}"], ["cocycle", "h2", "{}", "--bad"]])
+def test_main_restores_the_collector_state(tmp_path, capsys, enabled, argv):
+    # main turns the cyclic collector off for its call only: it runs in process here
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"group": [2], "coeff_order": 2}))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            assert main([a.format(path) for a in argv]) == 0
+        except SystemExit:  # argparse refuses the verb or the flag
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_cocycle_verify_and_zeta(tmp_path):
@@ -506,7 +526,14 @@ def test_dumps_is_the_stdlib_rendering(shared, other):
     row = [1, True, "1"]
     tree = {"twice": [shared, shared], "once": shared, "é\n": other,
             "rows": ROWS + [row], "deeper": [[row, ROWS], {"k": ROWS}]}
-    for obj in (shared, other, tree, [tree, tree]):
+    # shared first renders inside a shared container that recurs at three depths,
+    # so a kept text holds kept texts; and shared empty containers
+    outer = {"s": shared, "t": [shared, other]}
+    nested = {"a": outer, "b": [outer, outer, shared], "c": [[outer], shared]}
+    empty_list, empty_dict = [], {}
+    empties = {"l": [empty_list, empty_list, {"x": empty_list}],
+               "d": [empty_dict, [empty_dict, empty_dict]], "both": [empty_list, empty_dict] * 2}
+    for obj in (shared, other, tree, [tree, tree], nested, [nested, [nested]], empties):
         assert jsonio.dumps(obj) == stdlib_dumps(obj)
 
 

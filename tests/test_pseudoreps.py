@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbipar.cocycles import Cochain2, FiniteAbelianGroup, Verdict, zeta
 from orbipar.errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
@@ -17,7 +17,10 @@ from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass,
                                 verify_pseudorep)
 from orbipar.scalars import root_of_unity
 
-from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify, matrix,
+from orbipar import jsonio
+
+from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify,
+                     fraction_class_check, fraction_enumerate_classes, fraction_project, matrix,
                      random_cochain, random_invertible, random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
@@ -251,6 +254,86 @@ def test_project_matches_exhaustive_oracle(exps, m):
     values = sorted((Fraction(a % b, b) for a, b in exps), reverse=True)
     cls = QuotientClass(1, tuple(values))
     assert project_mod_center(cls, m) == exhaustive_project(cls, m)
+
+
+# (n, r) with n * r <= MAX_ENUMERATION, and zeta = a/b with b <= 12
+SIZES = st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 24 // n)))
+ZETAS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=SIZES, z=ZETAS, kind=st.sampled_from(["gl", "sl"]))
+def test_enumerate_classes_matches_fraction_oracle(size, z, kind):
+    n, r = size
+    classes = enumerate_classes(n, r, z, kind)
+    assert classes == fraction_enumerate_classes(n, r, z, kind)  # same list, same order
+    assert all(type(q) is Fraction for c in classes for q in (c.zeta, *c.exponents))
+
+
+@st.composite
+def wire_classes(draw):
+    """A class read by rep_class_from_json, from exponents (zeta + j)/n written
+    unreduced and off [0,1) by whole turns, so their denominators are n b."""
+    n = draw(st.integers(1, 12))
+    a, b = draw(st.integers(-30, 30)), draw(st.integers(1, 12))
+    js = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=24 // n))
+    turns = draw(st.lists(st.integers(-2, 2), min_size=len(js), max_size=len(js)))
+    z = Fraction(a, b) % 1
+    exps = sorted(((z + j) / n for j in js), reverse=True)
+    return jsonio.rep_class_from_json({
+        "order": n, "zeta": f"{a}/{b}",
+        "exponents": [f"{(q + t).numerator * b}/{(q + t).denominator * b}"
+                      for q, t in zip(exps, turns)]})
+
+
+@st.composite
+def enumerated_classes(draw):
+    (n, r), z = draw(SIZES), draw(ZETAS)
+    classes = enumerate_classes(n, r, z, draw(st.sampled_from(["gl", "sl"])))
+    assume(classes)  # an sl enumeration can be empty
+    return draw(st.sampled_from(classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cls=st.one_of(wire_classes(), enumerated_classes()), m=st.integers(1, 60))
+def test_project_matches_fraction_and_exhaustive_oracles(cls, m):
+    out = project_mod_center(cls, m)
+    assert out == fraction_project(cls, m) == exhaustive_project(cls, m)
+    assert all(type(q) is Fraction for q in out.exponents)
+
+
+def test_project_of_wire_classes_off_the_scalar_grid():
+    # denominators 9 and 12 do not divide m; -4/18 and 13/9 read as 7/9 and 4/9
+    cls = jsonio.rep_class_from_json({"order": 3, "zeta": "1/3",
+                                      "exponents": ["-4/18", "13/9", "1/9"]})
+    assert cls.exponents == (Fraction(7, 9), Fraction(4, 9), Fraction(1, 9))
+    for m in (2, 4, 7, 60):
+        assert project_mod_center(cls, m) == fraction_project(cls, m) == exhaustive_project(cls, m)
+    cls = jsonio.rep_class_from_json({"order": 4, "zeta": "1/3", "exponents": ["19/12", "1/12"]})
+    for m, best in [(2, (Fraction(7, 12), Fraction(1, 12))),
+                    (7, (Fraction(43, 84), Fraction(1, 84)))]:
+        assert project_mod_center(cls, m).exponents == best == exhaustive_project(cls, m).exponents
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-3, 30), st.integers(1, 24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 12), z=FRACTIONS, exps=st.lists(FRACTIONS, max_size=5),
+       js=st.lists(st.integers(0, 11), max_size=5), sort=st.booleans())
+def test_class_checks_match_fraction_oracle(order, z, exps, js, sort):
+    # exponents (z + j)/order pass the lambda check whenever z is in range
+    exps = exps + [(z + j) / order for j in js]
+    if sort:
+        exps.sort(reverse=True)
+    try:
+        fraction_class_check(order, z, exps)
+    except MalformedInput as exc:
+        with pytest.raises(MalformedInput) as got:
+            PseudoRepClass(order, z, tuple(exps))
+        assert str(got.value) == str(exc)
+    else:
+        assert PseudoRepClass(order, z, tuple(exps)).exponents == tuple(exps)
 
 
 def test_induced_cocycle_examples():

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
                      ScaleExceeded)
@@ -36,7 +36,8 @@ class FiniteAbelianGroup:
     """Direct sum of cyclic groups Z/n_1 x ... x Z/n_t; elements are exponent tuples.
 
     Elements are indexed in lexicographic (row-major) order, so index 0 is the
-    identity.  The full product table is precomputed; groups are desk scale.
+    identity.  The full product table is precomputed; groups are desk scale,
+    in their order and in their number of factors.
     """
 
     def __init__(self, cyclic_factors):
@@ -49,6 +50,9 @@ class FiniteAbelianGroup:
             if order > DEFAULT_MAX_ORDER:
                 raise ScaleExceeded(f"the first {i} factors have order {order}, "
                                     f"above the bound {DEFAULT_MAX_ORDER}")
+        if len(factors) > DEFAULT_MAX_ORDER:
+            raise ScaleExceeded(f"{len(factors)} cyclic factors exceed the bound "
+                                f"{DEFAULT_MAX_ORDER}")
         self.factors = factors
         self.order = order
         self.elements = list(product(*map(range, factors)))
@@ -64,11 +68,7 @@ class FiniteAbelianGroup:
         return self.elements[0]
 
     def element_order(self, a) -> int:
-        cur, k = a, 1
-        while any(cur):
-            cur = self.add(cur, a)
-            k += 1
-        return k
+        return lcm(*(n // gcd(x, n) for x, n in zip(a, self.factors)))
 
     def generators(self):
         """The standard basis elements, one per cyclic factor of size > 1."""
@@ -78,17 +78,9 @@ class FiniteAbelianGroup:
                 gens.append(tuple(1 if i == j else 0 for i in range(len(self.factors))))
         return gens
 
-    def powers(self, a):
-        """[identity, a, a^2, ...] up to the order of a."""
-        out = [self.identity]
-        cur = a
-        while any(cur):
-            out.append(cur)
-            cur = self.add(cur, a)
-        return out
-
     def is_cyclic(self) -> bool:
-        return any(self.element_order(e) == self.order for e in self.elements)
+        """Z/n_1 x ... x Z/n_t is cyclic iff the n_i are pairwise coprime (CRT)."""
+        return all(gcd(a, b) == 1 for a, b in combinations(self.factors, 2))
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -287,17 +279,24 @@ def are_cohomologous(c1: Cochain2, c2: Cochain2):
     return True, [0] + [-x % m for x in rest[n * n:]]
 
 
+def _power_sum(c: Cochain2, a: int):
+    """(k, T) for the element of index a: its order k and T = sum_{0<i<k} c(a, a^i)."""
+    t, p = c.table[a], c.group.prod[a]
+    k, total, cur = 1, 0, a
+    while cur:
+        total += t[cur]
+        cur = p[cur]
+        k += 1
+    return k, total
+
+
 def zeta(c: Cochain2, gamma) -> Fraction:
     """The product of c(gamma, gamma^i) for i = 1..ord(gamma)-1, as k/m in [0,1)."""
     v = is_cocycle(c)
     if not v.ok:
         raise NotACocycle(f"cocycle condition fails at {v.witness}")
-    g, m = c.group, c.coeff_order
-    powers = g.powers(gamma)
-    total = 0
-    for p in powers[1:]:
-        total += c.value(gamma, p)
-    return Fraction(total % m, m)
+    _, total = _power_sum(c, c.group.index[gamma])
+    return Fraction(total % c.coeff_order, c.coeff_order)
 
 
 def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
@@ -327,72 +326,30 @@ def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
 
 # -- central extensions ------------------------------------------------------
 
-class ExtensionGroup:
-    """The group Z' x G with (z,a)(z',b) = (z + z' + c(a,b), ab), as a Cayley table.
+# the group Z/m x G with (z,a)(z',b) = (z + z' + c(a,b), ab): its order, its
+# sorted element orders and its Cayley table, element z * |G| + (index of a)
+Extension = namedtuple("Extension", "order is_abelian order_profile table")
 
-    Element index is z * |G| + (index of a); identity is 0.
+
+def central_extension(c: Cochain2) -> Extension:
+    """The central extension of G by Z/m that a cocycle defines, read off the cocycle.
+
+    It is abelian iff c is symmetric, since G is.  For a of order k,
+    (z, a)^k = (kz + T, 1) with T = sum_{0<i<k} c(a, a^i), the power sum of
+    zeta, so (z, a) has order k m / gcd(m, kz + T).  The order is capped
+    before the cocycle condition is checked.
     """
-
-    def __init__(self, cochain: Cochain2):
-        self.cochain = cochain
-        self.coeff_order = cochain.coeff_order
-        self.group = cochain.group
-        self.order = self.coeff_order * self.group.order
-        self.table = extension_table(cochain)
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.table[cur][i]
-            k += 1
-        return k
-
-    def order_profile(self):
-        return tuple(sorted(self.element_order(i) for i in range(self.order)))
-
-    def is_abelian(self) -> bool:
-        return self.table == tuple(zip(*self.table))
-
-    def center_contains_coefficients(self) -> bool:
-        n, t = self.group.order, self.table
-        return all(t[z] == tuple(row[z] for row in t) for z in range(0, self.order, n))
-
-
-def table_is_associative(table) -> bool:
-    """(ij)k = i(jk) on every triple, for a table of tuples as `extension_table` builds."""
-    return all(table[ti[j]] == tuple(map(ti.__getitem__, tj))
-               for ti in table for j, tj in enumerate(table))
-
-
-def extension_table(c: Cochain2):
-    """Raw Cayley table of Z' x G without any group-axiom checks."""
     m, n = c.coeff_order, c.group.order
     if m * n > MAX_EXTENSION_ORDER:
         raise ScaleExceeded(f"extension order {m * n} exceeds bound {MAX_EXTENSION_ORDER}")
-    t, p = c.table, c.group.prod
-    return tuple(tuple((z1 + z2 + t[a][b]) % m * n + p[a][b] for z2 in range(m) for b in range(n))
-                 for z1 in range(m) for a in range(n))
-
-
-def central_extension(c: Cochain2) -> ExtensionGroup:
-    """The extension group of a cocycle, with all group axioms verified.
-
-    Associativity of the table and the cocycle condition are checked
-    independently; they must agree, and both fail together on non-cocycles.
-    """
-    ext = ExtensionGroup(c)
     verdict = is_cocycle(c)
-    if table_is_associative(ext.table) != verdict.ok:
-        raise AssertionError("associativity and cocycle verdicts disagree")
     if not verdict.ok:
         raise NotACocycle(f"cocycle condition fails at {verdict.witness}")
-    # identity, inverses, centrality of the coefficient copy
-    t, identity = ext.table, tuple(range(ext.order))
-    if t[0] != identity or tuple(row[0] for row in t) != identity:
-        raise AssertionError("index 0 is not the identity")
-    for i, row in enumerate(t):
-        if 0 not in row:
-            raise AssertionError(f"no inverse for element {i}")
-    if not ext.center_contains_coefficients():
-        raise AssertionError("the coefficient copy is not central")
-    return ext
+    t, p = c.table, c.group.prod
+    table = tuple(tuple((z1 + z2 + t[a][b]) % m * n + p[a][b] for z2 in range(m) for b in range(n))
+                  for z1 in range(m) for a in range(n))
+    orders = []
+    for a in range(n):
+        k, total = _power_sum(c, a)
+        orders += [k * m // gcd(m, k * z + total) for z in range(m)]
+    return Extension(m * n, t == tuple(zip(*t)), tuple(sorted(orders)), table)

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cocycles import Cochain2, ExtensionGroup, FiniteAbelianGroup
+from .cocycles import Cochain2, Extension, FiniteAbelianGroup
 from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
@@ -235,11 +235,11 @@ def cochain_from_json(data) -> Cochain2:
     return Cochain2(group, m, table)
 
 
-def extension_to_json(ext: ExtensionGroup) -> dict:
+def extension_to_json(ext: Extension) -> dict:
     return {
         "order": ext.order,
-        "is_abelian": ext.is_abelian(),
-        "order_profile": list(ext.order_profile()),
+        "is_abelian": ext.is_abelian,
+        "order_profile": list(ext.order_profile),
         "table": [list(row) for row in ext.table],
     }
 

@@ -9,12 +9,13 @@ e^{2 pi i (beta + (k+1)/N)}, so invariance is the index condition
 
 which is checked both by that congruence and by honest substitution: the
 torus element diag(t_i), t_i = e^{2 pi i alpha_i}, acts on the (i, j) entry
-of a basis element by t_i / t_j.  Descent pushes an invariant
-field through the meromorphic gauge z^{N alpha} and the substitution
-w = z^N; per component the gauge acts as the integer exponent shift N*beta,
-so for beta < 0 the l-th term lands on w^{l-1} dw with a simple pole at
-l = 0, and for beta >= 0 on w^l dw with no pole; both pick up the factor
-1/N from dw = N z^{N-1} dz.  Ascent is the exact inverse, multiplying by N.
+of a basis element by t_i / t_j, the exponent alpha_i - alpha_j mod 1.
+Descent pushes an invariant field through the meromorphic gauge z^{N alpha}
+and the substitution w = z^N; per component the gauge acts as the integer
+exponent shift N*beta, so for beta < 0 the l-th term lands on w^{l-1} dw
+with a simple pole at l = 0, and for beta >= 0 on w^l dw with no pole; both
+pick up the factor 1/N from dw = N z^{N-1} dz.  Ascent is the exact
+inverse, multiplying by N.
 
 Truncation is a valid-through exponent: absent exponents at or below it are
 exactly zero, larger ones are unknown.  Descent and ascent compute the exact
@@ -37,7 +38,7 @@ from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
 from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
                        parabolic_from_s)
 from .matrices import CycMatrix
-from .scalars import check_order, root_of_unity
+from .scalars import check_order
 
 UPSTAIRS = "z"
 DOWNSTAIRS = "w"
@@ -135,8 +136,9 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
     Two independent verdicts are computed and must agree: the index criterion
     k + 1 + N*beta = N*twist (mod N), and direct substitution, which acts on
     each nonzero entry (i, j) of the term's basis element by t_i / t_j and
-    e^{2 pi i (k+1)/N}.  The substitution reads t_i = e^{2 pi i alpha_i} from
-    the weight and never beta.
+    e^{2 pi i (k+1)/N}, that is alpha_i - alpha_j + (k+1)/N - twist in Z.
+    The substitution reads t_i = e^{2 pi i alpha_i} from the weight and
+    never beta.
     """
     if series.variable != UPSTAIRS:
         raise MalformedInput("invariance is defined for upstairs (z) series")
@@ -150,15 +152,15 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
             index_violations.append((beta, k, series.model.basis_key(b)))
     by_index = not index_violations
 
-    torus = [root_of_unity(v) for v in series.weight.values()]
-    twist_scalar = root_of_unity(t)
+    alpha = series.weight.values()
     subst_violations = []
     for (b, k), _ in series.sorted_terms():
-        # t_i e_ij c t_j^-1 zeta_N^(k+1) = e_ij c e^{2 pi i twist} on each entry;
-        # the coefficient c cancels because GradedSeries drops zero terms
-        phase = root_of_unity(Fraction((k + 1) % N, N), N)
-        rows = series.model.basis_matrix(b).rows
-        if any(torus[i] * phase != torus[j] * twist_scalar
+        # t_i e_ij c t_j^-1 zeta_N^(k+1) = e_ij c e^{2 pi i twist} on each entry,
+        # as exponents mod 1; the coefficient c cancels because GradedSeries
+        # drops zero terms
+        shift = Fraction(k + 1, N) - t
+        rows = series.model.basis_array(series.model.m_basis[b])
+        if any((alpha[i] - alpha[j] + shift) % 1
                for i, row in enumerate(rows) for j, e in enumerate(row) if e):
             subst_violations.append((series.beta_of(b), k, series.model.basis_key(b)))
     by_substitution = not subst_violations

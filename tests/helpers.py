@@ -2,13 +2,17 @@
 
 Also the brute-force oracles the tests compare against: the
 exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
-coboundary cosets, an exhaustive isomorphism search between Cayley tables,
-the order of a root of unity by trial exponentiation, cyclotomic and
-matrix products computed with a Fraction for every term, the composition
-rule of a pseudorepresentation checked on all n^2 pairs, pseudorep classes
-enumerated, projected and checked with a Fraction for every exponent,
-eigenvalues by a trial search over the roots of the characteristic
-polynomial, and input rationals read by Fraction().
+coboundary cosets, element orders and cyclicity by repeated addition,
+central extensions as Cayley tables with every group axiom scanned and
+element orders by repeated multiplication, an exhaustive isomorphism search
+between Cayley tables, the order of a root of unity by trial
+exponentiation, cyclotomic and matrix products computed with a Fraction for
+every term, the composition rule of a pseudorepresentation checked on all
+n^2 pairs, pseudorep classes enumerated, projected and checked with a
+Fraction for every exponent, eigenvalues by a trial search over the roots
+of the characteristic polynomial, the parabolic masks checked by brackets
+of basis pairs, invariance by substituting roots of unity into each basis
+matrix, and input rationals read by Fraction().
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers and
@@ -25,10 +29,10 @@ from math import lcm
 
 import numpy as np
 
-from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, ExtensionGroup,
+from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
                               FiniteAbelianGroup, Verdict, is_cocycle, zeta)
 from orbipar.errors import MalformedInput, ScaleExceeded
-from orbipar.liemodel import GroupModel, alcove_normalize, beta_of_basis
+from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
@@ -364,12 +368,146 @@ def tables_isomorphic(ta, tb) -> bool:
     return extend({})
 
 
-def _isomorphic_to(self, other: ExtensionGroup) -> bool:
+def _isomorphic_to(self, other) -> bool:
     return tables_isomorphic(self.table, other.table)
 
 
 # the isomorphism search is a test oracle only; tests call it as a method
-ExtensionGroup.isomorphic_to = _isomorphic_to
+Extension.isomorphic_to = _isomorphic_to
+
+
+# -- groups and their extensions by repeated multiplication: oracles for the --
+# -- closed forms of FiniteAbelianGroup and central_extension
+
+def brute_force_element_order(group: FiniteAbelianGroup, a) -> int:
+    """The order of a, adding it to itself until the identity comes back."""
+    cur, k = a, 1
+    while any(cur):
+        cur = group.add(cur, a)
+        k += 1
+    return k
+
+
+def brute_force_is_cyclic(group: FiniteAbelianGroup) -> bool:
+    return any(brute_force_element_order(group, e) == group.order for e in group.elements)
+
+
+def extension_table(c: Cochain2):
+    """Cayley table of Z/m x G with (z,a)(z',b) = (z + z' + c(a,b), ab), element
+    z * |G| + (index of a), without any group-axiom checks."""
+    m, n = c.coeff_order, c.group.order
+    t, p = c.table, c.group.prod
+    return tuple(tuple((z1 + z2 + t[a][b]) % m * n + p[a][b] for z2 in range(m) for b in range(n))
+                 for z1 in range(m) for a in range(n))
+
+
+def table_is_associative(table) -> bool:
+    """(ij)k = i(jk) on every triple, for a table of tuples as `extension_table` builds."""
+    return all(table[ti[j]] == tuple(map(ti.__getitem__, tj))
+               for ti in table for j, tj in enumerate(table))
+
+
+class ExtensionGroup:
+    """The extension of a cochain as its Cayley table, its facts scanned off it."""
+
+    def __init__(self, cochain: Cochain2):
+        self.order = cochain.coeff_order * cochain.group.order
+        self.table = extension_table(cochain)
+
+    def element_order(self, i: int) -> int:
+        k, cur = 1, i
+        while cur != 0:
+            cur = self.table[cur][i]
+            k += 1
+        return k
+
+    def order_profile(self):
+        return tuple(sorted(self.element_order(i) for i in range(self.order)))
+
+    def is_abelian(self) -> bool:
+        return self.table == tuple(zip(*self.table))
+
+    isomorphic_to = _isomorphic_to
+
+
+def brute_force_extension(c: Cochain2) -> ExtensionGroup:
+    """The extension of a cocycle with every group axiom checked on its table:
+    associativity, the identity at index 0, inverses, and a central copy of Z/m."""
+    ext = ExtensionGroup(c)
+    t, identity = ext.table, tuple(range(ext.order))
+    assert table_is_associative(t)
+    assert t[0] == identity and tuple(row[0] for row in t) == identity
+    assert all(0 in row for row in t)
+    n = c.group.order
+    assert all(t[z] == tuple(row[z] for row in t) for z in range(0, ext.order, n))
+    return ext
+
+
+# -- parabolic closure by brackets of basis pairs: an oracle for the mask rule --
+
+def _h_basis(model: GroupModel):
+    """Basis of h^C: matrix units on its mask, with diagonal differences for sl."""
+    n = model.size
+    basis = [("unit", i, j) for i in range(n) for j in range(n)
+             if model.h_mask[i][j] and not (i == j and model.kind == "sl")]
+    if model.kind == "sl":
+        basis += [("diagdiff", i) for i in range(n - 1)]
+    return basis
+
+
+def _brackets_inside(model: GroupModel, xs, x_mask, ys, y_mask, target) -> bool:
+    """[x, y] supported in target for every basis pair supported in the two masks."""
+    outside = ~np.asarray(target)
+
+    def supported(elems, mask):
+        arrays = (np.asarray(model.basis_array(e)) for e in elems)
+        return [a for a in arrays if not ((a != 0) & ~np.asarray(mask)).any()]
+
+    return all(not ((x @ y - y @ x != 0) & outside).any()
+               for x in supported(xs, x_mask) for y in supported(ys, y_mask))
+
+
+def _levi_is_intersection(self: ParabolicData) -> bool:
+    opposite = ParabolicData(self.model, [-x for x in self.s])
+    return np.array_equal(self.l_mask, np.asarray(self.p_mask) & np.asarray(opposite.p_mask))
+
+
+ParabolicData.levi_is_intersection = _levi_is_intersection
+ParabolicData.bracket_closed = lambda self: _brackets_inside(
+    self.model, _h_basis(self.model), self.p_mask, _h_basis(self.model), self.p_mask,
+    self.p_mask)
+ParabolicData.p_preserves_m = lambda self: _brackets_inside(
+    self.model, _h_basis(self.model), self.p_mask, self.model.m_basis, self.ms_mask,
+    self.ms_mask)
+ParabolicData.levi_preserves_m0 = lambda self: _brackets_inside(
+    self.model, _h_basis(self.model), self.l_mask, self.model.m_basis, self.m0_mask,
+    self.m0_mask)
+
+
+def bracket_scan_verify(data: ParabolicData) -> bool:
+    """ParabolicData.verify by brackets of basis pairs and the opposite parabolic."""
+    return (data.levi_is_intersection() and data.bracket_closed()
+            and data.p_preserves_m() and data.levi_preserves_m0())
+
+
+# -- invariance by cyclotomic substitution: an oracle for the exponent test ---
+
+def cyclotomic_substitution(series: GradedSeries, twist=None):
+    """The violations of check_invariance's substitution verdict, multiplying
+    roots of unity: t_i zeta_N^(k+1) against t_j e^{2 pi i twist} on each
+    nonzero entry (i, j) of the term's basis matrix."""
+    t = Fraction(0) if twist is None else twist % 1
+    N = series.N
+    torus = [root_of_unity(v) for v in series.weight.values()]
+    twist_scalar = root_of_unity(t)
+    violations = []
+    for (b, k), _ in series.sorted_terms():
+        phase = root_of_unity(Fraction((k + 1) % N, N), N)
+        rows = series.model.basis_matrix(b).rows
+        if any(torus[i] * phase != torus[j] * twist_scalar
+               for i, row in enumerate(rows) for j, e in enumerate(row) if e):
+            violations.append((series.beta_of(b), k, series.model.basis_key(b)))
+    return violations
 
 
 def _multiplicative_order(self: Cyclotomic):

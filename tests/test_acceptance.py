@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 
 from orbipar.cli import run_command
-from orbipar.cocycles import (Cochain2, ExtensionGroup, FiniteAbelianGroup,
-                              extension_table, h2_classes, is_cocycle,
-                              table_is_associative, zeta)
+from orbipar.cocycles import Cochain2, FiniteAbelianGroup, h2_classes, is_cocycle, zeta
 from orbipar.errors import NegativeGenus, NonIntegralGenus
 from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
                               isotropy_eigenspaces, parabolic_from_s)
@@ -30,10 +28,10 @@ from orbipar.moduli import CoveringData, degree_scaling_check, riemann_hurwitz
 from orbipar.pseudoreps import enumerate_classes
 from orbipar.scalars import root_of_unity
 
-from helpers import (MODELS_GRID, N_GRID, _coboundary_batches, _cocycle_batches,
-                     interior_weights, random_cochain, random_downstairs_series,
-                     random_invariant_series, random_nonzero_cyclotomic,
-                     random_pseudorep)
+from helpers import (MODELS_GRID, N_GRID, ExtensionGroup, _coboundary_batches,
+                     _cocycle_batches, extension_table, interior_weights, random_cochain,
+                     random_downstairs_series, random_invariant_series,
+                     random_nonzero_cyclotomic, random_pseudorep, table_is_associative)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

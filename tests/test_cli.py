@@ -516,11 +516,20 @@ TREES = st.recursive(
                            | st.dictionaries(st.integers(), kids, max_size=3)),
     max_leaves=25)
 ROWS = [[1], [True], ["1"], [1, 0], [True, False]]
+COLUMNS = st.sampled_from([st.integers(), st.integers(-3, 3), st.booleans(), STRINGS])
+
+
+@st.composite
+def uniform_rows(draw):
+    """A list of rows of one length and one type per column, mixing int, bool
+    and str columns, as the `[i, j, "v"]` rows of a cochain table are."""
+    columns = draw(st.lists(COLUMNS, min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(*columns).map(list), max_size=8))
 
 
 @settings(max_examples=150, deadline=None)
-@given(shared=TREES, other=TREES)
-def test_dumps_is_the_stdlib_rendering(shared, other):
+@given(shared=TREES, other=TREES, uniform=uniform_rows())
+def test_dumps_is_the_stdlib_rendering(shared, other, uniform):
     # the same subtree object twice at one depth and once at another, next to
     # rows that are equal (1 == True) or alike (1, "1") but render differently
     row = [1, True, "1"]
@@ -533,7 +542,9 @@ def test_dumps_is_the_stdlib_rendering(shared, other):
     empty_list, empty_dict = [], {}
     empties = {"l": [empty_list, empty_list, {"x": empty_list}],
                "d": [empty_dict, [empty_dict, empty_dict]], "both": [empty_list, empty_dict] * 2}
-    for obj in (shared, other, tree, [tree, tree], nested, [nested, [nested]], empties):
+    tables = {"rows": uniform, "again": [uniform, uniform[:1], shared]}
+    for obj in (shared, other, tree, [tree, tree], nested, [nested, [nested]], empties,
+                uniform, tables):
         assert jsonio.dumps(obj) == stdlib_dumps(obj)
 
 
@@ -917,14 +928,24 @@ def test_corpus_run_reports_a_long_int_in_a_case_file(tmp_path):
         "0/1 cases passed"]
 
 
+def test_corpus_run_fails_a_case_of_corpus_run(tmp_path):
+    # `corpus run` takes a directory, not an input, so no case can run it
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    case = json.loads((corpus / "moduli_rh_elliptic_quotient.json").read_text())
+    (tmp_path / "a.json").write_text(json.dumps({**case, "command": ["corpus", "run"]}))
+    code, text = run_command(["corpus", "run", str(tmp_path)])
+    assert code == 1
+    assert text.splitlines() == ["FAIL a.json (exit 2, expected 0)", "0/1 cases passed"]
+
+
 def test_corpus_run_lets_a_program_bug_surface(tmp_path, monkeypatch):
     # a bug in a command is not a bad case file: it must reach the caller
     import orbipar.cli
 
-    def broken(argv):
+    def broken(args, payload):
         raise TypeError("a program bug")
 
-    monkeypatch.setattr(orbipar.cli, "run_command", broken)
+    monkeypatch.setattr(orbipar.cli, "_dispatch", broken)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     (tmp_path / "a.json").write_text((corpus / "moduli_rh_elliptic_quotient.json").read_text())
     with pytest.raises(TypeError, match="a program bug"):

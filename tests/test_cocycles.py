@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.cocycles import (Cochain2, FiniteAbelianGroup, are_cohomologous,
-                              central_extension, coboundary, extension_table,
-                              h2_classes, is_cocycle, restrict,
-                              table_is_associative, zeta)
+from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, FiniteAbelianGroup,
+                              are_cohomologous, central_extension, coboundary,
+                              h2_classes, is_cocycle, restrict, zeta)
 from orbipar.errors import NotACocycle, NotASubgroup, NotNormalized, ScaleExceeded
 
-from helpers import (_coboundary_batches, brute_force_h2, random_cyclic_cochain,
-                     random_cyclic_cocycle)
+from helpers import (ExtensionGroup, _coboundary_batches, brute_force_element_order,
+                     brute_force_extension, brute_force_h2, brute_force_is_cyclic,
+                     extension_table, random_cyclic_cochain, random_cyclic_cocycle,
+                     table_is_associative)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -197,12 +198,52 @@ def test_are_cohomologous_finds_a_witness(factors, m, data):
 
 def test_central_extension_examples():
     ext = central_extension(Cochain2.trivial(Z2, 2))
-    assert ext.order_profile() == (1, 2, 2, 2)  # Z/2 x Z/2
+    assert ext.order_profile == (1, 2, 2, 2)  # Z/2 x Z/2
     ext2 = central_extension(neg_cocycle())
-    assert ext2.order_profile() == (1, 2, 4, 4)  # Z/4
+    assert ext2.order_profile == (1, 2, 4, 4)  # Z/4
     ext3 = central_extension(Cochain2.trivial(Z3, 2))
-    assert ext3.order_profile() == (1, 2, 3, 3, 6, 6)  # Z/6
-    assert ext3.element_order(np.asarray(ext3.table)[Z3.order, 1]) in (2, 3, 6)
+    assert ext3.order_profile == (1, 2, 3, 3, 6, 6)  # Z/6
+    assert ExtensionGroup(Cochain2.trivial(Z3, 2)).element_order(
+        np.asarray(ext3.table)[Z3.order, 1]) in (2, 3, 6)
+
+
+EXTENSION_GROUPS = [[1], [2], [3], [4], [6], [8], [12], [2, 2], [2, 4], [3, 3], [2, 6],
+                    [2, 2, 2], [2, 2, 4], [2, 3]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(EXTENSION_GROUPS), st.data())
+def test_central_extension_matches_the_table_scan(factors, data):
+    # a random cocycle: an H^2 representative times a random coboundary; on a
+    # non-cyclic group it need not be symmetric
+    g = FiniteAbelianGroup(factors)
+    m = data.draw(st.integers(1, MAX_EXTENSION_ORDER // g.order))
+    reps = h2_classes(g, m)
+    f = [0] + data.draw(st.lists(st.integers(0, m - 1), min_size=g.order - 1,
+                                 max_size=g.order - 1))
+    c = reps[data.draw(st.integers(0, len(reps) - 1))].mul(coboundary(g, m, f))
+    ext, oracle = central_extension(c), brute_force_extension(c)
+    assert (ext.order, ext.table) == (oracle.order, oracle.table)
+    assert ext.is_abelian == oracle.is_abelian()
+    assert ext.order_profile == oracle.order_profile()
+
+
+def ordered_factors(limit):
+    """Every tuple of factors >= 2, in every order, whose product is at most limit."""
+    out, frontier = [()], [()]
+    while frontier:
+        frontier = [t + (n,) for t in frontier for n in range(2, limit // prod(t) + 1)]
+        out += frontier
+    return out
+
+
+def test_cyclic_and_element_orders_match_the_scan_on_every_small_group():
+    groups = ordered_factors(24)
+    for factors in groups + [(1,) + t for t in groups] + [t + (1, 1) for t in groups]:
+        g = FiniteAbelianGroup(factors)
+        assert g.is_cyclic() == brute_force_is_cyclic(g), factors
+        assert [g.element_order(a) for a in g.elements] == \
+            [brute_force_element_order(g, a) for a in g.elements], factors
 
 
 def test_central_extension_rejects_noncocycles():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotAlcoveForm, NotInIH, RankMismatch
 from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
@@ -10,7 +11,7 @@ from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
 from orbipar.matrices import CycMatrix
 from orbipar.scalars import root_of_unity
 
-import helpers  # noqa: F401  (attaches CycMatrix.diagonal)
+from helpers import bracket_scan_verify  # also attaches CycMatrix.diagonal
 
 GL2 = GroupModel("gl", r=2)
 GL3 = GroupModel("gl", r=3)
@@ -168,3 +169,25 @@ def test_parabolic_invariants_random():
             assert p.bracket_closed()
             assert p.p_preserves_m()
             assert p.levi_preserves_m0()
+
+
+def diagonals(model):
+    """A rational diagonal s for the model; traceless for sl."""
+    entries = st.lists(st.fractions(-6, 6, max_denominator=4),
+                       min_size=model.size, max_size=model.size)
+    if model.kind == "sl":
+        return entries.map(lambda s: s[:-1] + [-sum(s[:-1])])
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_MODELS), st.data())
+def test_verify_matches_the_bracket_scan(model, data):
+    p = parabolic_from_s(model, data.draw(diagonals(model)))
+    assert p.verify() and bracket_scan_verify(p)
+    # masks of a second diagonal in place of some of the first's: the mask rule
+    # and the scan must then fail alike
+    q = parabolic_from_s(model, data.draw(diagonals(model)))
+    for name in data.draw(st.sets(st.sampled_from(["l_mask", "ms_mask", "m0_mask"]))):
+        setattr(p, name, getattr(q, name))
+    assert p.verify() == bracket_scan_verify(p)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbipar import liemodel, localseries
 from orbipar.errors import (BadResidueSupport, MalformedInput, NotInvariant,
@@ -11,7 +12,7 @@ from orbipar.localseries import (GradedSeries, ascend, check_invariance,
                                  decompose_by_beta, descend, residue_report)
 from orbipar.scalars import Cyclotomic
 
-from helpers import (MODELS_GRID, N_GRID, interior_weights,
+from helpers import (MODELS_GRID, N_GRID, cyclotomic_substitution, interior_weights,
                      random_downstairs_series, random_invariant_series,
                      random_nonzero_cyclotomic)
 
@@ -86,6 +87,26 @@ def test_substitution_verdict_does_not_read_beta(monkeypatch):
     s1 = series(GL2, W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
     with pytest.raises(AssertionError, match="invariance oracles disagree"):
         check_invariance(s1)
+
+
+LOCAL_MODELS = [(model, N, weight) for model in MODELS_GRID for N in N_GRID
+                for weight in interior_weights(model, N)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LOCAL_MODELS), st.data())
+def test_substitution_matches_the_cyclotomic_oracle(local, data):
+    # terms at any exponent, so most series are not invariant, under any twist
+    model, N, weight = local
+    trunc = 2 * N + 1
+    keys = data.draw(st.sets(st.tuples(st.integers(0, model.dim_m - 1),
+                                       st.integers(0, trunc)), max_size=6))
+    twist = data.draw(st.none() | st.integers(-N, 2 * N).map(lambda j: Fraction(j, N)))
+    s = GradedSeries(model, weight, N, "z", trunc, {key: Cyclotomic.one() for key in keys})
+    report = check_invariance(s, twist)
+    expected = cyclotomic_substitution(s, twist)
+    assert list(report.violations) == expected
+    assert report.by_substitution == (not expected)
 
 
 def test_twist():

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar import jsonio
 from orbipar.cli import run_command
+from orbipar.cocycles import DEFAULT_MAX_ORDER
 from orbipar.errors import ScaleExceeded
 from orbipar.jsonio import cyclotomic_to_json
 from orbipar.liemodel import beta_of_basis
@@ -57,10 +58,12 @@ def test_no_except_clause_catches_program_errors():
 
 
 def test_cli_execute_catches_only_input_and_domain_errors():
+    # _execute reads the input file and hands its payload to _dispatch
     tree = ast.parse((SRC / "cli.py").read_text())
-    execute = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_execute")
-    caught = [_caught(node) for node in ast.walk(execute) if isinstance(node, ast.ExceptHandler)]
+    path = [node for name in ("_execute", "_dispatch") for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+    caught = [_caught(node) for function in path for node in ast.walk(function)
+              if isinstance(node, ast.ExceptHandler)]
     assert caught == [{"OSError", "ValueError"}, {"MalformedInput"}, {"DomainError"}]
 
 
@@ -84,6 +87,17 @@ def test_cli_import_leaves_numpy_out():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_tempfile_out():
+    # corpus run hands each case's input to its verb as loaded; -S keeps out
+    # site-packages, which may import tempfile before orbipar runs
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import orbipar.cli, sys; print('tempfile' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 CELL = st.one_of(st.integers(-3, 40), st.booleans(), st.none(),
@@ -118,6 +132,7 @@ def run_bounded(tmp_path, argv, payload):
     assert code in (0, 1, 2)
     body = json.loads(text)
     assert ("result" in body) == (code == 0)
+    return code, body
 
 
 def test_run_bounded_fails_a_hang_at_the_budget(tmp_path, monkeypatch):
@@ -348,6 +363,19 @@ def test_fuzz_group_payloads(tmp_path, data, verb, scale_bound):
     if verb == "cocycle h2":
         argv += ["--scale-bound", str(scale_bound)]
     run_bounded(tmp_path, argv, data.draw(group_payloads(verb)))
+
+
+@pytest.mark.parametrize("verb", ["cocycle h2", "moduli strata"])
+def test_many_trivial_factors_are_refused_in_budget(tmp_path, verb):
+    # 10,000 factors of 1 (30 KB) make a group of order 1, but H^2 loops over
+    # the pairs of factors
+    payload = {"group": [1] * 10000, "coeff_order": 2}
+    if verb == "moduli strata":
+        payload.update(covering={"genus_x": 2, "group_order": 1, "orbit_orders": []},
+                       model={"kind": "gl", "r": 1})
+    code, body = run_bounded(tmp_path, verb.split(), payload)
+    assert code == 1 and body["error"] == "scale_exceeded"
+    assert body["detail"] == f"10000 cyclic factors exceed the bound {DEFAULT_MAX_ORDER}"
 
 
 def test_project_of_a_long_class_is_refused_in_budget(tmp_path):

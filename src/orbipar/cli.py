@@ -136,11 +136,8 @@ def cmd_lie_eigenspaces(payload, args):
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     weight = jsonio.weight_vector_from_json(model, jsonio._need(payload, "alpha", list))
     spaces = isotropy_eigenspaces(model, weight)
-    out = []
-    for beta, idxs in spaces:
-        keys = sorted(model.basis_key(i) for i in idxs)
-        out.append({"beta": str(beta), "dimension": len(idxs),
-                    "basis": [[i, j] for i, j in keys]})
+    out = [{"beta": str(beta), "dimension": len(keys),
+            "basis": [list(key) for key in sorted(keys)]} for beta, keys in spaces]
     return ({"dim_m": model.dim_m, "eigenspaces": out},
             _audit("lie eigenspaces", model=jsonio.model_to_json(model),
                    alpha=jsonio.weights_to_json(weight), convention="signed"))

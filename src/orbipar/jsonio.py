@@ -323,13 +323,13 @@ def model_from_json(data) -> GroupModel:
 
 
 def weights_to_json(weight: WeightVector) -> list:
-    return [str(v) for v in weight.values()]
+    return [str(v) for v in weight.entries]
 
 
 def weight_vector_from_json(model: GroupModel, data: list) -> WeightVector:
     vals = [rational_from_json(x) for x in data]
     weight = alcove_normalize(model, vals)
-    if weight.values() != tuple(vals):
+    if weight.entries != tuple(vals):
         raise MalformedInput(f"alpha {data} is not in alcove form")
     return weight
 
@@ -351,11 +351,8 @@ def parabolic_to_json(p: ParabolicData) -> dict:
 # -- series ---------------------------------------------------------------------
 
 def series_to_json(s: GradedSeries) -> dict:
-    terms = []
-    for (b, k), coeff in s.sorted_terms():
-        key = s.model.basis_key(b)
-        terms.append({"basis": [key[0], key[1]], "k": k,
-                      "coeff": cyclotomic_to_json(coeff)})
+    terms = [{"basis": list(key), "k": k, "coeff": cyclotomic_to_json(coeff)}
+             for (key, k), coeff in s.sorted_terms()]
     return {
         "model": model_to_json(s.model),
         "alpha": weights_to_json(s.weight),
@@ -375,14 +372,12 @@ def series_from_json(data) -> GradedSeries:
     terms = {}
     for entry in _need(data, "terms", list):
         basis = int_list_from_json(entry, "basis")
-        if len(basis) != 2:
-            raise MalformedInput(f"bad basis key {basis!r}")
-        idx = model.basis_index(basis)
         k = _need(entry, "k", int)
         coeff = cyclotomic_from_json(_need(entry, "coeff"))
-        if (idx, k) in terms:
+        key = (tuple(basis), k)
+        if key in terms:
             raise MalformedInput(f"duplicate term at basis {basis}, k={k}")
-        terms[(idx, k)] = coeff
+        terms[key] = coeff
     return GradedSeries(model, weight, N, variable, trunc, terms)
 
 
@@ -392,7 +387,7 @@ def invariance_to_json(report: InvarianceReport) -> dict:
         "by_index": report.by_index,
         "by_substitution": report.by_substitution,
         "twist": str(report.twist),
-        "violations": [{"beta": str(beta), "k": k, "basis": [key[0], key[1]]}
+        "violations": [{"beta": str(beta), "k": k, "basis": list(key)}
                        for beta, k, key in report.violations],
     }
 

@@ -10,6 +10,12 @@ representatives:
             (the bracket of two off-block elements is block diagonal, which
             is the Cartan relation [m, m] in h).
 
+A basis element of m^C is its key (i, j), the same key the wire format
+uses: the matrix unit E_ij, Ad-eigenvector of the torus e^{2 pi i alpha}
+with exponent alpha_i - alpha_j.  For sl the diagonal units are replaced by
+H_i = E_ii - E_{i+1,i+1}, keyed (i, i), exponent 0; ``GroupModel.entries``
+is the one place that spells a key out as matrix entries.
+
 Subspaces cut out by a rational diagonal s are represented as entry masks:
 (i, j) lies in p_s iff s_i <= s_j (that is exactly boundedness of
 e^{t(s_i - s_j)} as t grows), in the Levi iff s_i = s_j.  A weight vector
@@ -19,17 +25,15 @@ is a named tuple of its model and its entries.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
-from .matrices import CycMatrix
-from .scalars import Cyclotomic, signed_mod1
+from .scalars import signed_mod1
 
 MAX_MODEL_SIZE = 4
 
 
 class GroupModel:
-    """A matrix model: its kind, ambient size, blocks, and basis of m^C."""
+    """A matrix model: its kind, ambient size, blocks, and basis keys of m^C."""
 
     def __init__(self, kind: str, r: int | None = None,
                  p: int | None = None, q: int | None = None):
@@ -59,43 +63,23 @@ class GroupModel:
         else:
             self.h_mask = self.m_mask = ((True,) * n,) * n
 
-        # basis of m^C: matrix units, plus diagonal differences for sl
-        self.m_basis = [("unit", i, j) for i in range(n) for j in range(n)
-                        if self.m_mask[i][j] and not (i == j and kind == "sl")]
+        # basis of m^C by key: matrix units row-major, then the sl diagonals
+        self.basis = tuple((i, j) for i in range(n) for j in range(n)
+                           if self.m_mask[i][j] and not (i == j and kind == "sl"))
         if kind == "sl":
-            self.m_basis += [("diagdiff", i) for i in range(n - 1)]
-        self._basis_by_key = {self.basis_key(b): b for b in range(len(self.m_basis))}
+            self.basis += tuple((i, i) for i in range(n - 1))
 
     @property
     def dim_m(self) -> int:
-        return len(self.m_basis)
+        return len(self.basis)
 
-    def basis_key(self, idx: int) -> tuple:
-        """The (i, j) key used on the wire: E_ij -> (i, j), H_i -> (i, i)."""
-        kind = self.m_basis[idx]
-        if kind[0] == "unit":
-            return (kind[1], kind[2])
-        return (kind[1], kind[1])
-
-    def basis_index(self, key) -> int:
-        key = tuple(key)
-        if key not in self._basis_by_key:
-            raise MalformedInput(f"{key} is not a basis key of this model")
-        return self._basis_by_key[key]
-
-    def basis_array(self, elem) -> list:
-        out = [[0] * self.size for _ in range(self.size)]
-        if elem[0] == "unit":
-            out[elem[1]][elem[2]] = 1
-        else:
-            i = elem[1]
-            out[i][i] = 1
-            out[i + 1][i + 1] = -1
-        return out
-
-    def basis_matrix(self, idx: int) -> CycMatrix:
-        return CycMatrix([[Cyclotomic.from_rational(x) for x in row]
-                          for row in self.basis_array(self.m_basis[idx])])
+    def entries(self, key) -> tuple:
+        """The nonzero entries (i, j, sign) of the basis element with this key:
+        E_ij, or for sl and i == j the diagonal difference E_ii - E_{i+1,i+1}."""
+        i, j = key
+        if i == j and self.kind == "sl":
+            return ((i, i, 1), (i + 1, i + 1, -1))
+        return ((i, j, 1),)
 
     def weight_convention(self) -> str:
         """The audit name of the alcove weights' range: (-1,1) for sl, else [0,1)."""
@@ -122,12 +106,9 @@ class WeightVector(namedtuple("WeightVector", "model entries")):
 
     __slots__ = ()
 
-    def values(self):
-        return self.entries
-
     def is_interior(self) -> bool:
         """Strict inequalities inside each block, and strictly within the affine wall."""
-        vals = self.values()
+        vals = self.entries
         for blk in self.model.blocks:
             b = [vals[i] for i in blk]
             if any(x <= y for x, y in zip(b, b[1:])):
@@ -168,37 +149,29 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
 def check_alcove(model: GroupModel, weight: WeightVector):
     if weight.model != model:
         raise NotAlcoveForm("weight vector belongs to a different model")
-    renorm = alcove_normalize(model, weight.values())
-    if renorm.values() != weight.values():
-        raise NotAlcoveForm(f"{weight.values()} is not in alcove form")
+    if alcove_normalize(model, weight.entries).entries != weight.entries:
+        raise NotAlcoveForm(f"{weight.entries} is not in alcove form")
 
 
 def isotropy_eigenspaces(model: GroupModel, weight: WeightVector):
     """Split m^C into Ad(e^{2 pi i alpha}) eigenspaces.
 
-    Each matrix unit E_ij is an eigenvector with exponent alpha_i - alpha_j
-    (signed representative); diagonal basis elements sit in the zero
-    eigenspace.  Returns [(beta, [basis indices])], beta descending.
+    The basis element with key (i, j) is an eigenvector with exponent
+    alpha_i - alpha_j (signed representative), so the diagonal keys, sl's
+    H_i among them, sit in the zero eigenspace.  Returns [(beta, [keys])],
+    beta descending, keys in model.basis order.
     """
     check_alcove(model, weight)
-    vals = weight.values()
-    by_beta: dict[Fraction, list[int]] = {}
-    for idx, elem in enumerate(model.m_basis):
-        if elem[0] == "unit":
-            beta = signed_mod1(vals[elem[1]] - vals[elem[2]])
-        else:
-            beta = Fraction(0)
-        by_beta.setdefault(beta, []).append(idx)
+    vals = weight.entries
+    by_beta = {}
+    for i, j in model.basis:
+        by_beta.setdefault(signed_mod1(vals[i] - vals[j]), []).append((i, j))
     return sorted(by_beta.items(), key=lambda kv: kv[0], reverse=True)
 
 
-def beta_of_basis(model: GroupModel, weight: WeightVector):
-    """Exponent beta per basis index, as a list aligned with model.m_basis."""
-    out = [None] * model.dim_m
-    for beta, idxs in isotropy_eigenspaces(model, weight):
-        for i in idxs:
-            out[i] = beta
-    return out
+def beta_of_basis(model: GroupModel, weight: WeightVector) -> dict:
+    """The exponent beta of each basis key."""
+    return {key: beta for beta, keys in isotropy_eigenspaces(model, weight) for key in keys}
 
 
 class ParabolicData:

@@ -1,15 +1,18 @@
 """Graded truncated series of local Higgs fields and the descent engine.
 
 Upstairs a local field is f(z) dz with f valued in m^C, expanded over the
-eigenbasis of Ad(e^{2 pi i alpha}); a term is (basis element, exponent k,
-cyclotomic coefficient).  The finite-order action multiplies such a term by
-e^{2 pi i (beta + (k+1)/N)}, so invariance is the index condition
+eigenbasis of Ad(e^{2 pi i alpha}); a term is (basis key, exponent k,
+cyclotomic coefficient), where the key (i, j) names a basis element as in
+``liemodel`` and is also its name on the wire.  The finite-order action
+multiplies such a term by e^{2 pi i (beta + (k+1)/N)}, so invariance is the
+index condition
 
     k = N*l - N*beta - 1   for some integer l,
 
 which is checked both by that congruence and by honest substitution: the
-torus element diag(t_i), t_i = e^{2 pi i alpha_i}, acts on the (i, j) entry
-of a basis element by t_i / t_j, the exponent alpha_i - alpha_j mod 1.
+torus element diag(t_i), t_i = e^{2 pi i alpha_i}, acts on each entry (i, j)
+of a basis element (``GroupModel.entries``) by t_i / t_j, the exponent
+alpha_i - alpha_j mod 1.
 Descent pushes an invariant field through the meromorphic gauge z^{N alpha}
 and the substitution w = z^N; per component the gauge acts as the integer
 exponent shift N*beta, so for beta < 0 the l-th term lands on w^{l-1} dw
@@ -38,7 +41,7 @@ from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
 from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
                        parabolic_from_s)
 from .matrices import CycMatrix
-from .scalars import check_order
+from .scalars import Cyclotomic, check_order
 
 UPSTAIRS = "z"
 DOWNSTAIRS = "w"
@@ -49,17 +52,18 @@ class GradedSeries:
 
     Upstairs (variable z) series are holomorphic: exponents k >= 0.
     Downstairs (variable w) series may carry a simple pole: k >= -1.
-    Terms map (basis index, k) to a Cyclotomic; zero terms are dropped.
+    Terms map (basis key, k) to a Cyclotomic; zero terms are dropped, and
+    beta maps each basis key to its exponent.
     """
 
     def __init__(self, model: GroupModel, weight: WeightVector, N: int,
                  variable: str, trunc: int, terms):
         check_alcove(model, weight)
         if not weight.is_interior():
-            raise WeightOnWall(f"{weight.values()} lies on an alcove wall")
+            raise WeightOnWall(f"{weight.entries} lies on an alcove wall")
         if N < 1:
             raise MalformedInput("N must be a positive integer")
-        for v in weight.values():
+        for v in weight.entries:
             if (N * v).denominator != 1:
                 raise NonIntegralGauge(f"N*alpha is not integral: {N}*{v}")
         if variable not in (UPSTAIRS, DOWNSTAIRS):
@@ -68,15 +72,15 @@ class GradedSeries:
         if trunc < floor - 1:
             raise MalformedInput(f"truncation {trunc} below {floor - 1}")
         clean = {}
-        for (b, k), coeff in terms.items():
-            if not 0 <= b < model.dim_m:
-                raise MalformedInput(f"basis index {b} out of range")
+        for (key, k), coeff in terms.items():
+            if key not in model.basis:
+                raise MalformedInput(f"{key} is not a basis key of this model")
             if k < floor:
                 raise MalformedInput(f"exponent {k} below {floor} for variable {variable}")
             if k > trunc:
                 raise MalformedInput(f"exponent {k} above truncation {trunc}")
             if coeff:
-                clean[(b, k)] = coeff
+                clean[(key, k)] = coeff
         self.model = model
         self.weight = weight
         self.N = N
@@ -86,12 +90,8 @@ class GradedSeries:
         check_order(self.working_field_order())
         self.beta = beta_of_basis(model, weight)
 
-    def beta_of(self, basis_idx: int) -> Fraction:
-        return self.beta[basis_idx]
-
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (self.model.basis_key(kv[0][0]), kv[0][1]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def with_terms(self, terms) -> "GradedSeries":
         return GradedSeries(self.model, self.weight, self.N, self.variable,
@@ -102,22 +102,11 @@ class GradedSeries:
 
         A twist that check_invariance accepts has a denominator dividing N.
         """
-        return lcm(self.N, *(v.denominator for v in self.weight.values()),
+        return lcm(self.N, *(v.denominator for v in self.weight.entries),
                    *(c.order for c in self.terms.values()))
 
 
-def decompose_by_beta(series: GradedSeries):
-    """Split into eigencomponents; the direct sum reassembles the input."""
-    out: dict[Fraction, GradedSeries] = {}
-    buckets: dict[Fraction, dict] = {}
-    for (b, k), coeff in series.terms.items():
-        buckets.setdefault(series.beta_of(b), {})[(b, k)] = coeff
-    for beta in sorted(buckets, reverse=True):
-        out[beta] = series.with_terms(buckets[beta])
-    return out
-
-
-# violations are (beta, k, basis_key) triples
+# violations are (beta, k, basis key) triples
 InvarianceReport = namedtuple("InvarianceReport",
                               "invariant by_index by_substitution twist violations")
 
@@ -146,23 +135,21 @@ def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
     N = series.N
 
     index_violations = []
-    for (b, k), _ in series.sorted_terms():
-        beta = series.beta_of(b)
+    for (key, k), _ in series.sorted_terms():
+        beta = series.beta[key]
         if (k + 1 + N * beta - N * t) % N != 0:
-            index_violations.append((beta, k, series.model.basis_key(b)))
+            index_violations.append((beta, k, key))
     by_index = not index_violations
 
-    alpha = series.weight.values()
+    alpha = series.weight.entries
     subst_violations = []
-    for (b, k), _ in series.sorted_terms():
+    for (key, k), _ in series.sorted_terms():
         # t_i e_ij c t_j^-1 zeta_N^(k+1) = e_ij c e^{2 pi i twist} on each entry,
         # as exponents mod 1; the coefficient c cancels because GradedSeries
         # drops zero terms
         shift = Fraction(k + 1, N) - t
-        rows = series.model.basis_array(series.model.m_basis[b])
-        if any((alpha[i] - alpha[j] + shift) % 1
-               for i, row in enumerate(rows) for j, e in enumerate(row) if e):
-            subst_violations.append((series.beta_of(b), k, series.model.basis_key(b)))
+        if any((alpha[i] - alpha[j] + shift) % 1 for i, j, _ in series.model.entries(key)):
+            subst_violations.append((series.beta[key], k, key))
     by_substitution = not subst_violations
 
     if by_index != by_substitution or index_violations != subst_violations:
@@ -179,18 +166,23 @@ ResidueReport = namedtuple("ResidueReport", "residue support_in_negative_beta ni
 
 
 def residue_report(series: GradedSeries) -> ResidueReport:
-    """Analyze the simple-pole coefficient of a downstairs series."""
+    """Analyze the simple-pole coefficient of a downstairs series.
+
+    Each pole coefficient is added into the entries of its basis element.
+    Every entry, zeros included, lies in Q(zeta_L) for L the lcm of the pole
+    coefficients' orders; without poles every entry is the order-1 zero.
+    """
     if series.variable != DOWNSTAIRS:
         raise MalformedInput("residues live downstairs (variable w)")
     n = series.model.size
-    residue = CycMatrix.zero(n)
-    support_ok = True
-    for (b, k), coeff in series.terms.items():
-        if k != -1:
-            continue
-        residue = residue + series.model.basis_matrix(b).scale(coeff)
-        if series.beta_of(b) >= 0:
-            support_ok = False
+    poles = [(key, coeff) for (key, k), coeff in series.terms.items() if k == -1]
+    zero = Cyclotomic.zero(lcm(*(coeff.order for _, coeff in poles)))
+    rows = [[zero] * n for _ in range(n)]
+    for key, coeff in poles:
+        for i, j, sign in series.model.entries(key):
+            rows[i][j] = rows[i][j] + coeff * sign
+    residue = CycMatrix(rows)
+    support_ok = all(series.beta[key] < 0 for key, _ in poles)
 
     nilpotency_index = None
     power = residue
@@ -200,7 +192,7 @@ def residue_report(series: GradedSeries) -> ResidueReport:
             break
         power = power @ residue
 
-    para = parabolic_from_s(series.model, series.weight.values())
+    para = parabolic_from_s(series.model, series.weight.entries)
     levi_zero = True
     for i in range(n):
         for j in range(n):
@@ -218,7 +210,7 @@ def _descend_trunc(series: GradedSeries) -> int:
     """
     N, T = series.N, series.trunc
     best = None
-    for beta in set(series.beta):
+    for beta in set(series.beta.values()):
         nb = int(N * beta)
         r = (-nb - 1) % N
         k_star = T + 1 + ((r - (T + 1)) % N)  # least k > T with k = r (mod N)
@@ -235,7 +227,7 @@ def _ascend_trunc(series: GradedSeries) -> int:
     """
     N, Tw = series.N, series.trunc
     best = None
-    for beta in set(series.beta):
+    for beta in set(series.beta.values()):
         k_unknown = N * (Tw + 2) - int(N * beta) - 1
         best = k_unknown - 1 if best is None else min(best, k_unknown - 1)
     return max(best, -1)
@@ -255,14 +247,14 @@ def descend(series: GradedSeries):
     N = series.N
     out_trunc = _descend_trunc(series)
     terms = {}
-    for (b, k), coeff in series.terms.items():
-        nl = k + 1 + N * series.beta_of(b)  # = N*l, integral by invariance
+    for (key, k), coeff in series.terms.items():
+        nl = k + 1 + N * series.beta[key]  # = N*l, integral by invariance
         if nl.denominator != 1 or int(nl) % N:
             raise AssertionError(f"k + 1 + N*beta = {nl} is not a multiple of N")
         j = int(nl) // N - 1
         if j > out_trunc:
             continue
-        terms[(b, j)] = coeff * Fraction(1, N)
+        terms[(key, j)] = coeff * Fraction(1, N)
     down = GradedSeries(series.model, series.weight, N, DOWNSTAIRS, out_trunc, terms)
     return down, residue_report(down)
 
@@ -276,20 +268,19 @@ def ascend(series: GradedSeries) -> GradedSeries:
     if series.variable != DOWNSTAIRS:
         raise MalformedInput("ascend expects a downstairs (w) series")
     N = series.N
-    for (b, k), _ in series.sorted_terms():
-        if k == -1 and series.beta_of(b) >= 0:
+    for (key, k), _ in series.sorted_terms():
+        if k == -1 and series.beta[key] >= 0:
             raise BadResidueSupport(
-                f"pole coefficient at basis {series.model.basis_key(b)} has "
-                f"beta = {series.beta_of(b)} >= 0")
+                f"pole coefficient at basis {key} has beta = {series.beta[key]} >= 0")
     out_trunc = _ascend_trunc(series)
     terms = {}
-    for (b, j), coeff in series.terms.items():
-        k = N * (j + 1) - int(N * series.beta_of(b)) - 1
+    for (key, j), coeff in series.terms.items():
+        k = N * (j + 1) - int(N * series.beta[key]) - 1
         if k < 0:
             raise AssertionError("support precondition guarantees holomorphy")
         if k > out_trunc:
             continue
-        terms[(b, k)] = coeff * N
+        terms[(key, k)] = coeff * N
     up = GradedSeries(series.model, series.weight, N, UPSTAIRS, out_trunc, terms)
     if not check_invariance(up).invariant:
         raise AssertionError("ascended series must be invariant")

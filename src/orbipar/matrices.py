@@ -1,6 +1,6 @@
 """Small exact matrices over cyclotomic fields.
 
-Sizes are desk scale (at most 4).  On the product path a matrix is added,
+Sizes are desk scale (at most 4).  On the product path a matrix is
 multiplied, scaled, compared and traced; eigenvalues of a finite-order
 element come from its power traces alone (``root_of_unity_eigenvalues``).
 No verb reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz
@@ -50,10 +50,6 @@ class CycMatrix:
         one, zero = Cyclotomic.one(), Cyclotomic.zero()
         return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
 
-    @classmethod
-    def zero(cls, r: int) -> "CycMatrix":
-        return cls([[Cyclotomic.zero()] * r for _ in range(r)])
-
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.rows[i][j]
 
@@ -62,16 +58,6 @@ class CycMatrix:
             raise SizeMismatch("expected a matrix")
         if other.size != self.size:
             raise SizeMismatch(f"sizes {self.size} and {other.size} differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return CycMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return CycMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
 
     def __matmul__(self, other):
         self._check(other)

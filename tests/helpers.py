@@ -12,13 +12,15 @@ n^2 pairs, pseudorep classes enumerated, projected and checked with a
 Fraction for every exponent, eigenvalues by a trial search over the roots
 of the characteristic polynomial, the parabolic masks checked by brackets
 of basis pairs, invariance by substituting roots of unity into each basis
-matrix, and input rationals read by Fraction().
+matrix, the basis matrix of a key read from the README's definition (not
+from GroupModel.entries), and input rationals read by Fraction().
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers and
 diagonal and scalar matrices, pseudorepresentations from a generator image,
 their images by element and their conjugates, cochain keys and products, and
-series sums and comparisons.
+series sums and comparisons.  decompose_by_beta splits a series into its
+eigencomponents.
 """
 
 import operator
@@ -56,6 +58,23 @@ def matrix(rows) -> CycMatrix:
     """A CycMatrix from rows of ints, Fractions and Cyclotomics, as tests write them."""
     return CycMatrix([[x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
                        for x in row] for row in rows])
+
+
+def basis_array(model: GroupModel, key) -> np.ndarray:
+    """The basis element of m^C (or h^C) with wire key [i, j], read from the
+    README's definition: the matrix unit E_ij, and for sl models with i == j
+    the diagonal difference E_ii - E_{i+1,i+1}."""
+    i, j = key
+    out = np.zeros((model.size, model.size), dtype=np.int64)
+    out[i, j] = 1
+    if model.kind == "sl" and i == j:
+        out[i + 1, i + 1] = -1
+    return out
+
+
+def basis_matrix(model: GroupModel, key) -> CycMatrix:
+    """basis_array as a CycMatrix of rationals."""
+    return matrix(basis_array(model, key).tolist())
 
 
 def random_cyclotomic(rng, orders=(1, 2, 3, 4), span=5):
@@ -138,8 +157,8 @@ def interior_weights(model, N):
             if sum(combo).denominator != 1:
                 continue
             w = alcove_normalize(model, list(combo))
-            if w.values() not in seen:
-                seen.add(w.values())
+            if w.entries not in seen:
+                seen.add(w.entries)
                 out.append(w)
     else:
         blocks = [combinations(grid, len(blk)) for blk in model.blocks]
@@ -158,10 +177,10 @@ def invariant_exponents(beta, N, trunc):
 def random_invariant_series(rng, model, weight, N, trunc, density=0.5):
     betas = beta_of_basis(model, weight)
     terms = {}
-    for b in range(model.dim_m):
-        for k in invariant_exponents(betas[b], N, trunc):
+    for key in model.basis:
+        for k in invariant_exponents(betas[key], N, trunc):
             if rng.random() < density:
-                terms[(b, k)] = random_nonzero_cyclotomic(rng)
+                terms[(key, k)] = random_nonzero_cyclotomic(rng)
     return GradedSeries(model, weight, N, UPSTAIRS, trunc, terms)
 
 
@@ -169,11 +188,11 @@ def random_downstairs_series(rng, model, weight, N, trunc, density=0.5):
     """A downstairs series with poles supported only on negative components."""
     betas = beta_of_basis(model, weight)
     terms = {}
-    for b in range(model.dim_m):
-        lo = -1 if betas[b] < 0 else 0
+    for key in model.basis:
+        lo = -1 if betas[key] < 0 else 0
         for k in range(lo, trunc + 1):
             if rng.random() < density:
-                terms[(b, k)] = random_nonzero_cyclotomic(rng)
+                terms[(key, k)] = random_nonzero_cyclotomic(rng)
     return GradedSeries(model, weight, N, DOWNSTAIRS, trunc, terms)
 
 
@@ -446,12 +465,13 @@ def brute_force_extension(c: Cochain2) -> ExtensionGroup:
 # -- parabolic closure by brackets of basis pairs: an oracle for the mask rule --
 
 def _h_basis(model: GroupModel):
-    """Basis of h^C: matrix units on its mask, with diagonal differences for sl."""
+    """Keys of a basis of h^C: matrix units on its mask, with the diagonal
+    differences (i, i), i < n - 1, in place of the diagonal units for sl."""
     n = model.size
-    basis = [("unit", i, j) for i in range(n) for j in range(n)
+    basis = [(i, j) for i in range(n) for j in range(n)
              if model.h_mask[i][j] and not (i == j and model.kind == "sl")]
     if model.kind == "sl":
-        basis += [("diagdiff", i) for i in range(n - 1)]
+        basis += [(i, i) for i in range(n - 1)]
     return basis
 
 
@@ -459,8 +479,8 @@ def _brackets_inside(model: GroupModel, xs, x_mask, ys, y_mask, target) -> bool:
     """[x, y] supported in target for every basis pair supported in the two masks."""
     outside = ~np.asarray(target)
 
-    def supported(elems, mask):
-        arrays = (np.asarray(model.basis_array(e)) for e in elems)
+    def supported(keys, mask):
+        arrays = (basis_array(model, key) for key in keys)
         return [a for a in arrays if not ((a != 0) & ~np.asarray(mask)).any()]
 
     return all(not ((x @ y - y @ x != 0) & outside).any()
@@ -477,10 +497,10 @@ ParabolicData.bracket_closed = lambda self: _brackets_inside(
     self.model, _h_basis(self.model), self.p_mask, _h_basis(self.model), self.p_mask,
     self.p_mask)
 ParabolicData.p_preserves_m = lambda self: _brackets_inside(
-    self.model, _h_basis(self.model), self.p_mask, self.model.m_basis, self.ms_mask,
+    self.model, _h_basis(self.model), self.p_mask, self.model.basis, self.ms_mask,
     self.ms_mask)
 ParabolicData.levi_preserves_m0 = lambda self: _brackets_inside(
-    self.model, _h_basis(self.model), self.l_mask, self.model.m_basis, self.m0_mask,
+    self.model, _h_basis(self.model), self.l_mask, self.model.basis, self.m0_mask,
     self.m0_mask)
 
 
@@ -498,15 +518,15 @@ def cyclotomic_substitution(series: GradedSeries, twist=None):
     nonzero entry (i, j) of the term's basis matrix."""
     t = Fraction(0) if twist is None else twist % 1
     N = series.N
-    torus = [root_of_unity(v) for v in series.weight.values()]
+    torus = [root_of_unity(v) for v in series.weight.entries]
     twist_scalar = root_of_unity(t)
     violations = []
-    for (b, k), _ in series.sorted_terms():
+    for (key, k), _ in series.sorted_terms():
         phase = root_of_unity(Fraction((k + 1) % N, N), N)
-        rows = series.model.basis_matrix(b).rows
+        rows = basis_matrix(series.model, key).rows
         if any(torus[i] * phase != torus[j] * twist_scalar
                for i, row in enumerate(rows) for j, e in enumerate(row) if e):
-            violations.append((series.beta_of(b), k, series.model.basis_key(b)))
+            violations.append((series.beta[key], k, key))
     return violations
 
 
@@ -623,14 +643,14 @@ def _series_scale(self: GradedSeries, c) -> GradedSeries:
 
 
 def _series_add(self: GradedSeries, other: GradedSeries) -> GradedSeries:
-    if (self.model != other.model or self.weight.values() != other.weight.values()
+    if (self.model != other.model or self.weight.entries != other.weight.entries
             or self.N != other.N or self.variable != other.variable):
         raise MalformedInput("series live on different local models")
     trunc = min(self.trunc, other.trunc)
     terms = {}
-    for (b, k), c in list(self.terms.items()) + list(other.terms.items()):
+    for (key, k), c in list(self.terms.items()) + list(other.terms.items()):
         if k <= trunc:
-            terms[(b, k)] = terms.get((b, k), Cyclotomic.zero()) + c
+            terms[(key, k)] = terms.get((key, k), Cyclotomic.zero()) + c
     return GradedSeries(self.model, self.weight, self.N, self.variable, trunc, terms)
 
 
@@ -642,6 +662,17 @@ def _equal_on_common_range(self: GradedSeries, other: GradedSeries) -> bool:
     if set(mine) != set(theirs):
         return False
     return all(mine[k] == theirs[k] for k in mine)
+
+
+def decompose_by_beta(series: GradedSeries):
+    """Split into eigencomponents; the direct sum reassembles the input."""
+    out: dict[Fraction, GradedSeries] = {}
+    buckets: dict[Fraction, dict] = {}
+    for (key, k), coeff in series.terms.items():
+        buckets.setdefault(series.beta[key], {})[(key, k)] = coeff
+    for beta in sorted(buckets, reverse=True):
+        out[beta] = series.with_terms(buckets[beta])
+    return out
 
 
 GradedSeries.is_zero = lambda self: not self.terms
@@ -673,10 +704,8 @@ def fraction_embed(x: Cyclotomic, L: int) -> list:
     return _fraction_reduce(L, poly)
 
 
-def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """a*b in the lcm field, with a Fraction built for every term."""
-    L = lcm(a.order, b.order)
-    x, y = fraction_embed(a, L), fraction_embed(b, L)
+def _fraction_times(L: int, x: list, y: list) -> Cyclotomic:
+    """The product in Q(zeta_L) of two coefficient lists, a Fraction for every term."""
     poly = [Fraction(0)] * (len(x) + len(y) - 1)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
@@ -684,14 +713,32 @@ def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     return cyclotomic(L, _fraction_reduce(L, poly))
 
 
+def fraction_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """a*b in the lcm field, with a Fraction built for every term."""
+    L = lcm(a.order, b.order)
+    return _fraction_times(L, fraction_embed(a, L), fraction_embed(b, L))
+
+
 def fraction_matmul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
     """A @ B summed term by term from 0: entry ij lies in the lcm field of the
-    orders of its nonzero terms a_ik b_kj, and is the order-1 zero without one."""
+    orders of its nonzero terms a_ik b_kj, and is the order-1 zero without one.
+    Each operand is embedded once per field it meets."""
+    embedded = {}  # (id, L) -> coefficients; A and B keep every operand alive
+
+    def embed(x: Cyclotomic, L: int) -> list:
+        if (id(x), L) not in embedded:
+            embedded[id(x), L] = fraction_embed(x, L)
+        return embedded[id(x), L]
+
+    def product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+        L = lcm(a.order, b.order)
+        return _fraction_times(L, embed(a, L), embed(b, L))
+
     rows = []
     for i in range(A.size):
         row = []
         for j in range(A.size):
-            terms = [fraction_product(A.rows[i][k], B.rows[k][j]) for k in range(A.size)
+            terms = [product(A.rows[i][k], B.rows[k][j]) for k in range(A.size)
                      if not A.rows[i][k].is_zero() and not B.rows[k][j].is_zero()]
             L = lcm(*[t.order for t in terms])
             acc = [Fraction(0)] * euler_phi(L)

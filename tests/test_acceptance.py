@@ -29,8 +29,8 @@ from orbipar.pseudoreps import enumerate_classes
 from orbipar.scalars import root_of_unity
 
 from helpers import (MODELS_GRID, N_GRID, ExtensionGroup, _coboundary_batches,
-                     _cocycle_batches, extension_table, interior_weights, random_cochain,
-                     random_downstairs_series, random_invariant_series,
+                     _cocycle_batches, basis_matrix, extension_table, interior_weights,
+                     random_cochain, random_downstairs_series, random_invariant_series,
                      random_nonzero_cyclotomic, random_pseudorep, table_is_associative)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -156,9 +156,9 @@ def test_criterion_05_invariance_oracle():
                 available += len(weights)
                 for w in weights:
                     terms = {}
-                    for b in range(model.dim_m):
+                    for key in model.basis:
                         for k in range(25):
-                            terms[(b, k)] = random_nonzero_cyclotomic(rng)
+                            terms[(key, k)] = random_nonzero_cyclotomic(rng)
                     series = GradedSeries(model, w, N, "z", 24, terms)
                     # check_invariance computes both oracles and raises if
                     # their per-monomial verdicts differ anywhere
@@ -247,12 +247,12 @@ def test_criterion_08_lie_closure():
                 spaces = isotropy_eigenspaces(model, w)
                 assert sum(len(ix) for _, ix in spaces) == model.dim_m
                 betas = beta_of_basis(model, w)
-                torus = CycMatrix.diagonal([root_of_unity(v) for v in w.values()])
-                inv = CycMatrix.diagonal([root_of_unity(-v % 1) for v in w.values()])
-                for idx in range(model.dim_m):
-                    e = model.basis_matrix(idx)
+                torus = CycMatrix.diagonal([root_of_unity(v) for v in w.entries])
+                inv = CycMatrix.diagonal([root_of_unity(-v % 1) for v in w.entries])
+                for key in model.basis:
+                    e = basis_matrix(model, key)
                     assert torus @ e @ inv == e.scale(
-                        root_of_unity(betas[idx] % 1))
+                        root_of_unity(betas[key] % 1))
 
 
 def test_criterion_09_degree_scaling_and_rh():

@@ -340,6 +340,48 @@ def test_local_twist_flag(tmp_path):
     assert json.loads(text)["audit"]["twist"] == "2/3"
 
 
+def _cyclotomic_json(order, coeffs):
+    return {"order": order, "coeffs": [str(c) for c in coeffs]}
+
+
+def test_residue_entries_lie_in_the_field_of_the_pole_coefficients(tmp_path):
+    # poles zeta_3 at [1, 0] and zeta_5 at [0, 1]: every entry, zeros included,
+    # is printed in Q(zeta_15), where zeta_5 = zeta_15^3 and zeta_3 = zeta_15^5;
+    # the order-7 coefficient off the pole does not enter
+    payload = {"model": {"kind": "gl", "r": 2}, "alpha": ["1/2", "0"], "N": 2,
+               "variable": "w", "trunc": 1,
+               "terms": [{"basis": [1, 0], "k": -1, "coeff": _cyclotomic_json(3, [0, 1])},
+                         {"basis": [0, 1], "k": -1,
+                          "coeff": _cyclotomic_json(5, [0, 1, 0, 0])},
+                         {"basis": [0, 0], "k": 0,
+                          "coeff": _cyclotomic_json(7, [0, 1, 0, 0, 0, 0])}]}
+    code, text = invoke(tmp_path, ["local", "residue"], payload)
+    assert code == 0, text
+
+    def power(e):
+        return _cyclotomic_json(15, [int(i == e) for i in range(8)])
+
+    zero = _cyclotomic_json(15, [0] * 8)
+    assert result_of(text)["residue"] == {"size": 2,
+                                          "entries": [[zero, power(3)], [power(5), zero]]}
+
+
+def test_sl_diagonal_pole_is_a_difference_of_units(tmp_path):
+    # on sl(3) the key [0, 0] is E_00 - E_11, in the zero eigenspace
+    c, minus_c = _cyclotomic_json(3, [1, 2]), _cyclotomic_json(3, [-1, -2])
+    payload = {"model": {"kind": "sl", "r": 3}, "alpha": ["1/3", "0", "-1/3"], "N": 3,
+               "variable": "w", "trunc": 0,
+               "terms": [{"basis": [0, 0], "k": -1, "coeff": c}]}
+    code, text = invoke(tmp_path, ["local", "residue"], payload)
+    assert code == 0, text
+    out = result_of(text)
+    zero = _cyclotomic_json(3, [0, 0])
+    assert out["residue"] == {"size": 3, "entries": [[c, zero, zero],
+                                                     [zero, minus_c, zero],
+                                                     [zero, zero, zero]]}
+    assert out["support_in_negative_beta"] is False
+
+
 SL3_SERIES = {"model": {"kind": "sl", "r": 3}, "alpha": ["1/3", "0", "-1/3"], "N": 3,
               "variable": "z", "trunc": 5,
               "terms": [{"basis": [1, 0], "k": 0, "coeff": "1"},
@@ -484,7 +526,7 @@ def test_serialization_roundtrip():
     model = GroupModel("gl", r=2)
     w = alcove_normalize(model, [Fraction(1, 2), 0])
     series = GradedSeries(model, w, 2, "z", 6,
-                          {(model.basis_index((1, 0)), 0): root_of_unity(Fraction(1, 3), 3)})
+                          {((1, 0), 0): root_of_unity(Fraction(1, 3), 3)})
     again = jsonio.series_from_json(json.loads(json.dumps(jsonio.series_to_json(series))))
     assert again.equal_on_common_range(series) and again.trunc == series.trunc
     c = Cochain2(FiniteAbelianGroup([4]), 2,

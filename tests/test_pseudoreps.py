@@ -232,7 +232,7 @@ def test_classify_then_alcove_is_conjugation_invariant():
         w1 = alcove_normalize(model, classify(sigma).exponents)
         g = random_invertible(rng, 2)
         w2 = alcove_normalize(model, classify(sigma.conjugate(g)).exponents)
-        assert w1.values() == w2.values()
+        assert w1.entries == w2.entries
 
 
 def test_project_mod_center_examples():

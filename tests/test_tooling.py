@@ -265,16 +265,16 @@ def series_payloads(draw, variable):
     model = jsonio.model_from_json(model_json)
     betas = beta_of_basis(model, jsonio.weight_vector_from_json(model, alpha))
     terms = {}
-    for b in draw(st.lists(st.integers(0, model.dim_m - 1), max_size=4)):
-        invariant = (-N * betas[b] - 1) % N  # k = N l - N beta - 1
+    for key in draw(st.lists(st.sampled_from(model.basis), max_size=4)):
+        invariant = (-N * betas[key] - 1) % N  # k = N l - N beta - 1
         k = draw(st.one_of(st.integers(-1 if variable == "w" else 0, 2 * N),
                            st.integers(0, 2).map(lambda t: int(invariant) + N * t)))
-        terms[(b, k)] = draw(COEFF)
+        terms[(key, k)] = draw(COEFF)
     payload = {"model": model_json, "alpha": alpha, "N": N, "variable": variable,
                "trunc": draw(st.one_of(st.just(3 * N), st.integers(-3, 3 * N),
                                        st.just(10 ** 9))),
-               "terms": [{"basis": list(model.basis_key(b)), "k": k, "coeff": c}
-                         for (b, k), c in terms.items()]}
+               "terms": [{"basis": list(key), "k": k, "coeff": c}
+                         for (key, k), c in terms.items()]}
     term_fields = [("terms", i, f) for i in range(len(terms)) for f in ("basis", "k", "coeff")]
     return spoiled(draw, payload, ("model",), ("alpha",), ("N",), ("variable",), ("trunc",),
                    ("terms",), *term_fields, *[(*f, 0) for f in term_fields if f[2] == "basis"])

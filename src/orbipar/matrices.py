@@ -1,11 +1,10 @@
 """Small exact matrices over cyclotomic fields.
 
 Sizes are desk scale (at most 4).  On the product path a matrix is
-multiplied, scaled, compared and traced; eigenvalues of a finite-order
-element come from its power traces alone (``root_of_unity_eigenvalues``).
-No verb reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz
-expansion) or ``inverse`` (the adjugate); perfbench's tracer still wraps them
-by name.
+multiplied, compared and traced; eigenvalues of a finite-order element come
+from its power traces alone (``root_of_unity_eigenvalues``).  No verb
+reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz expansion) or
+``inverse`` (the adjugate); perfbench's tracer still wraps them by name.
 
 Entries are Cyclotomics as they are given; nothing here coerces a rational.
 A product is fused: each entry already is integer numerators over one
@@ -75,11 +74,6 @@ class CycMatrix:
                 new.append(dot(M, pairs, cache))
             out.append(new)
         return CycMatrix(out)
-
-    def scale(self, c: Cyclotomic) -> "CycMatrix":
-        cache = {}
-        return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
-                          for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix) or other.size != self.size:

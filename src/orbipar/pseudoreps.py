@@ -23,11 +23,11 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import comb, lcm
 
-from .cocycles import Cochain2, FiniteAbelianGroup, Verdict, is_cocycle
-from .errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
-                     NotAPseudoRep, ScaleExceeded, SizeMismatch)
+from .cocycles import Cochain2, FiniteAbelianGroup, Verdict
+from .errors import (IsotropyMismatch, MalformedInput, NotAPseudoRep, ScaleExceeded,
+                     SizeMismatch)
 from .matrices import root_of_unity_eigenvalues
-from .scalars import check_order, root_of_unity
+from .scalars import _embedded, _reduce, check_order, euler_phi, root_of_unity
 
 MAX_ENUMERATION = 24  # bound on n * r for class enumeration, and on an input class's exponents
 
@@ -62,27 +62,57 @@ def _generator_sums(sigma: PseudoRep) -> list[int]:
     return list(accumulate(sigma.cochain.table[1 % sigma.order], initial=0))
 
 
+def _in_field(image, L: int, cache: dict):
+    """The entries of image in Q(zeta_L), as rows of nonzero (index, int) terms
+    over one common denominator D, and D."""
+    entries = [[_embedded(x, L, cache) for x in row] for row in image.rows]
+    D = lcm(*(d for row in entries for _, d in row))
+    return [[[(i, a * (D // d)) for i, a in terms] for terms, d in row] for row in entries], D
+
+
 def verify_pseudorep(sigma: PseudoRep) -> Verdict:
     """The composition rule on all pairs, plus sigma(1) = Id.
 
-    Only the generator row is multiplied out.  Once it holds, sigma(g) is
-    invertible and sigma(a) sigma(b) = zeta_m^d sigma(ab) with
-    d = T_((a+b) mod n) + T_n [a+b >= n] - T_a - T_b, so the rule fails exactly
-    where c(a, b) != d mod m.  Rows 0 and 1 hold by then, so the witness is the
-    first failing pair in row-major order, as an exhaustive scan finds it.
+    Only the generator row is multiplied out, in the one field Q(zeta_L) with
+    L = lcm(m, entry orders), and no Cyclotomic or CycMatrix is built.  Each
+    image sigma(g^j) is embedded once, as int terms over one denominator D_j.
+    With c = c(g, g^j), each entry of sigma(g) sigma(g^j) D_(j+1) minus
+    zeta_m^c sigma(g^(j+1)) D_1 D_j is one int convolution, the scalar being
+    the index shift s = c L / m, reduced once mod Phi_L; it must vanish.  Once
+    the row holds, sigma(g) is invertible and sigma(a) sigma(b) = zeta_m^d
+    sigma(ab) with d = T_((a+b) mod n) + T_n [a+b >= n] - T_a - T_b, so the
+    rule fails exactly where c(a, b) != d mod m.  Rows 0 and 1 hold by then,
+    so the witness is the first failing pair in row-major order, as an
+    exhaustive scan finds it.
     """
     g = sigma.group
-    images = sigma.images
-    if not images[0].is_identity():
-        return Verdict(False, (g.identity, g.identity))
     n = sigma.order
     m = sigma.cochain.coeff_order
     table = sigma.cochain.table
     gen = 1 % n
+    L = lcm(m, *(x.order for im in sigma.images for row in im.rows for x in row))
+    cache = {}
+    field = [_in_field(im, L, cache) for im in sigma.images]
+    unit = [[[(0, 1)] if i == k else [] for k in range(sigma.size)] for i in range(sigma.size)]
+    if field[0] != (unit, 1):
+        return Verdict(False, (g.identity, g.identity))
+    phi = euler_phi(L)
     for j in range(n):
-        scalar = root_of_unity(Fraction(table[gen][j], m), m)
-        if images[gen] @ images[j] != images[(gen + j) % n].scale(scalar):
-            return Verdict(False, (g.elements[gen], g.elements[j]))
+        (G, dG), (B, dB), (C, dC) = field[gen], field[j], field[(gen + j) % n]
+        s, f = table[gen][j] * (L // m), dG * dB
+        size = phi + max(phi - 1, s)  # above every product and every shifted degree
+        for Gi, Ci in zip(G, C):
+            for k, right in enumerate(Ci):
+                acc = [0] * size
+                for left, Bt in zip(Gi, B):
+                    for i, a in left:
+                        a *= dC
+                        for l, b in Bt[k]:
+                            acc[i + l] += a * b
+                for i, c in right:
+                    acc[i + s] -= c * f
+                if any(acc) and any(_reduce(L, acc)):
+                    return Verdict(False, (g.elements[gen], g.elements[j]))
     T = _generator_sums(sigma)
     for a in range(n):
         for b in range(n):
@@ -195,18 +225,3 @@ def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientC
     best = min(tuple(sorted(((u + k) % L for u in units), reverse=True)) for k in shifts)
     return QuotientClass(cls.order, tuple(Fraction(u, L) for u in best))
 
-
-def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Cochain2:
-    """Push the coefficient values through z -> z^t seen as mu_m -> mu_m'.
-
-    The map zeta_m -> zeta_m'^t is a homomorphism iff m' divides t*m.
-    """
-    m, t, m2 = c.coeff_order, generator_image, target_order
-    if m2 < 1 or (t * m) % m2 != 0:
-        raise NotAHomomorphism(
-            f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")
-    out = Cochain2(c.group, m2, [[x * t for x in row] for row in c.table])
-    verdict = is_cocycle(out)
-    if not verdict.ok:
-        raise AssertionError("homomorphic image of a cocycle must be a cocycle")
-    return out

@@ -16,11 +16,12 @@ matrix, the basis matrix of a key read from the README's definition (not
 from GroupModel.entries), and input rationals read by Fraction().
 
 And the conveniences that only tests call, attached to the library classes
-as methods: powers, division and is_one on cyclotomics, matrix powers and
-diagonal and scalar matrices, pseudorepresentations from a generator image,
-their images by element and their conjugates, cochain keys and products, and
-series sums and comparisons.  decompose_by_beta splits a series into its
-eigencomponents.
+as methods: powers, division and is_one on cyclotomics, matrix powers,
+scalar multiples and diagonal and scalar matrices, pseudorepresentations
+from a generator image, their images by element and their conjugates,
+cochain keys and products, and series sums and comparisons.
+decompose_by_beta splits a series into its eigencomponents, and
+induced_cocycle pushes a cocycle's values along mu_m -> mu_m'.
 """
 
 import operator
@@ -33,14 +34,14 @@ import numpy as np
 
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
                               FiniteAbelianGroup, Verdict, is_cocycle, zeta)
-from orbipar.errors import MalformedInput, ScaleExceeded
+from orbipar.errors import MalformedInput, NotAHomomorphism, ScaleExceeded
 from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
 from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from orbipar.scalars import (MAX_RATIONAL_DIGITS, Cyclotomic, cyclotomic_poly, euler_phi,
-                             rational_parts, root_of_unity)
+from orbipar.scalars import (MAX_RATIONAL_DIGITS, Cyclotomic, cyclotomic_poly, dot,
+                             euler_phi, rational_parts, root_of_unity)
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -589,8 +590,16 @@ def _diagonal(cls, entries) -> CycMatrix:
     return matrix([[entries[i] if i == j else 0 for j in range(r)] for i in range(r)])
 
 
+def _scale(self: CycMatrix, c: Cyclotomic) -> CycMatrix:
+    """c times every entry, each product in the lcm field of the two orders."""
+    cache = {}
+    return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
+                      for row in self.rows])
+
+
 CycMatrix.diagonal = classmethod(_diagonal)
 CycMatrix.scalar = classmethod(lambda cls, r, value: cls.diagonal([value] * r))
+CycMatrix.scale = _scale
 
 
 def _from_generator(cls, cochain: Cochain2, gen_image: CycMatrix) -> PseudoRep:
@@ -617,6 +626,22 @@ def _conjugate(self: PseudoRep, g: CycMatrix) -> PseudoRep:
 PseudoRep.from_generator = classmethod(_from_generator)
 PseudoRep.conjugate = _conjugate
 PseudoRep.image = lambda self, element: self.images[self.group.index[tuple(element)]]
+
+
+def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Cochain2:
+    """Push the coefficient values through z -> z^t seen as mu_m -> mu_m'.
+
+    The map zeta_m -> zeta_m'^t is a homomorphism iff m' divides t*m.
+    """
+    m, t, m2 = c.coeff_order, generator_image, target_order
+    if m2 < 1 or (t * m) % m2 != 0:
+        raise NotAHomomorphism(
+            f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")
+    out = Cochain2(c.group, m2, [[x * t for x in row] for row in c.table])
+    verdict = is_cocycle(out)
+    if not verdict.ok:
+        raise AssertionError("homomorphic image of a cocycle must be a cocycle")
+    return out
 
 
 def _cochain_key(self: Cochain2):
@@ -705,11 +730,14 @@ def fraction_embed(x: Cyclotomic, L: int) -> list:
 
 
 def _fraction_times(L: int, x: list, y: list) -> Cyclotomic:
-    """The product in Q(zeta_L) of two coefficient lists, a Fraction for every term."""
+    """The product in Q(zeta_L) of two coefficient lists, a Fraction for every
+    product of two nonzero terms."""
     poly = [Fraction(0)] * (len(x) + len(y) - 1)
+    y_terms = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            poly[i + j] += xi * yj
+        if xi:
+            for j, yj in y_terms:
+                poly[i + j] += xi * yj
     return cyclotomic(L, _fraction_reduce(L, poly))
 
 

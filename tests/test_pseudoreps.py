@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -13,15 +13,16 @@ from orbipar.matrices import CycMatrix
 from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass,
                                 classify,
                                 deck_transport, enumerate_classes,
-                                induced_cocycle, project_mod_center,
+                                project_mod_center,
                                 verify_pseudorep)
-from orbipar.scalars import root_of_unity
+from orbipar.scalars import Cyclotomic, root_of_unity
 
 from orbipar import jsonio
 
 from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify,
-                     fraction_class_check, fraction_enumerate_classes, fraction_project, matrix,
-                     random_cochain, random_invertible, random_pseudorep)
+                     fraction_class_check, fraction_enumerate_classes, fraction_project,
+                     induced_cocycle, matrix, random_cochain, random_invertible,
+                     random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -92,6 +93,91 @@ def test_verify_witness_past_a_passing_generator_row():
     sigma = PseudoRep(Cochain2(Z3, 2, table), [matrix([[1]])] * 3)
     report = Verdict(False, ((2,), (2,)))
     assert verify_pseudorep(sigma) == exhaustive_verify(sigma) == report
+
+
+def in_mixed_fields(rng, sigma, identity_order):
+    """sigma conjugated by a rational diagonal matrix, so that its entries carry
+    differing denominators, with about a third of the entries of sigma(g^j),
+    j > 0, re-embedded into twice or three times their order, and sigma(1)
+    written at identity_order ("L", the lcm of m and every entry order, or 1)."""
+    d = CycMatrix.diagonal([Fraction(rng.randint(1, 6), rng.randint(1, 6))
+                            for _ in range(sigma.size)])
+    images = [CycMatrix([[x.embed(x.order * rng.choice([2, 3])) if rng.random() < 0.3 else x
+                          for x in row] for row in im.rows])
+              for im in sigma.conjugate(d).images[1:]]
+    L = lcm(sigma.cochain.coeff_order, *(x.order for im in images for row in im.rows for x in row))
+    M = L if identity_order == "L" else 1
+    one = CycMatrix([[Cyclotomic.one(M) if i == j else Cyclotomic.zero(M)
+                      for j in range(sigma.size)] for i in range(sigma.size)])
+    return PseudoRep(sigma.cochain, [one] + images)
+
+
+def with_image(sigma, k, image):
+    images = list(sigma.images)
+    images[k] = image
+    return PseudoRep(sigma.cochain, images)
+
+
+def spoiled(rng, sigma, how):
+    """sigma with one image changed: an entry moved by a nonzero rational, an entry
+    multiplied by a primitive d-th root of unity, or the image times zeta_m."""
+    k = rng.randrange(sigma.order)
+    rows = [list(row) for row in sigma.images[k].rows]
+    if how == "rational":
+        i, j = rng.randrange(sigma.size), rng.randrange(sigma.size)
+        rows[i][j] = rows[i][j] + Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+    elif how == "root":  # an image is invertible, so it has a nonzero entry
+        i, j = rng.choice([(a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x])
+        d = rng.choice([2, 3, 4, 5, 6])
+        q = Fraction(rng.choice([t for t in range(1, d) if gcd(t, d) == 1]), d)
+        rows[i][j] = rows[i][j] * root_of_unity(q)
+    else:
+        m = sigma.cochain.coeff_order
+        return with_image(sigma, k, sigma.images[k].scale(root_of_unity(Fraction(1, m), m)))
+    return with_image(sigma, k, CycMatrix(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 6),
+       r=st.integers(1, 4), identity_order=st.sampled_from(["L", "1"]),
+       how=st.sampled_from(["none", "rational", "root", "zeta_m"]))
+def test_verify_in_mixed_fields_matches_exhaustive_oracle(seed, n, m, r, identity_order, how):
+    # the generator row is checked in one field Q(zeta_L): entries of any order and
+    # denominator must embed exactly, and zeta_m^c must act as a shift of +c L/m
+    rng = random.Random(seed)
+    sigma = in_mixed_fields(rng, random_pseudorep(rng, n, m, r), identity_order)
+    assert verify_pseudorep(sigma).ok
+    if how != "none":
+        sigma = spoiled(rng, sigma, how)
+    assert verify_pseudorep(sigma) == exhaustive_verify(sigma)
+
+
+def test_verify_builds_no_matrix_product(monkeypatch):
+    # perfbench's costliest verify shape (n, m, rank, k) = (6, 3, 4, 1): a dense
+    # rank-4 pseudorep over Q(zeta_18) for 1 times the carry cocycle, so zeta = 1/3
+    n, m = 6, 3
+    carry = Cochain2(FiniteAbelianGroup([n]), m, [[(a + b) // n for b in range(n)]
+                                                  for a in range(n)])
+    exps = [Fraction(1, 18), Fraction(2, 9), Fraction(7, 18), Fraction(8, 9)]
+    upper = matrix([[1, 2, -1, 3], [0, 1, 2, -1], [0, 0, 1, 2], [0, 0, 0, 1]])
+    lower = matrix([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [1, -2, 2, 1]])
+    h = upper @ lower  # unimodular and dense
+    diag = CycMatrix.diagonal([root_of_unity(q) for q in exps])
+    sigma = PseudoRep.from_generator(carry, h.inverse() @ diag @ h)
+    rows = [list(row) for row in sigma.images[3].rows]
+    rows[2][1] = rows[2][1] + 1
+    bad = with_image(sigma, 3, CycMatrix(rows))
+    expected = exhaustive_verify(bad)
+    assert not expected.ok and {x.order for im in sigma.images[1:]
+                                for row in im.rows for x in row} == {18}
+
+    def refuse(*args):
+        raise AssertionError("a matrix product or scaling on the verify path")
+
+    monkeypatch.setattr(CycMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(CycMatrix, "scale", refuse)
+    assert verify_pseudorep(sigma) == Verdict(True, None)
+    assert verify_pseudorep(bad) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,12 +6,18 @@ and ScaleExceeded on an int or rational past MAX_RATIONAL_DIGITS digits, so
 the library below them takes ints, Fractions and Cyclotomics as given.
 All encoders emit canonically ordered structures (sorted term lists, sorted
 table entries) so that rendering with sorted keys is byte-deterministic.
+dumps renders exactly as the stdlib does; the one value it does not walk is
+a Splice, which appends its own text.  strata_to_json returns one, so that a
+strata list is rendered from the product's factors, each cocycle and class
+once, and not from one object per stratum.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .cocycles import Cochain2, Extension, FiniteAbelianGroup
@@ -19,7 +25,7 @@ from .errors import MalformedInput, ScaleExceeded
 from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
-from .moduli import CoveringData, FlagDegreeData, FlagPiece
+from .moduli import CoveringData, FlagDegreeData, FlagPiece, Strata
 from .pseudoreps import MAX_ENUMERATION, PseudoRep, PseudoRepClass, QuotientClass
 from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational_parts
 
@@ -41,71 +47,74 @@ def dumps(obj) -> str:
     With an indent the stdlib encodes in pure Python, token by token.  This
     appends the text's pieces (brackets with their indents, separators, keys,
     scalars) to one list and joins that list once, at the end, so no nesting
-    level copies the text below it.  A subtree that recurs renders once: a
-    row of scalars is one piece per (depth, values, types) -- 1 == True, yet
-    they render differently -- and any other container is kept per (id,
-    depth) from its second appearance on.  At that appearance its pieces are
-    the tail of the list; they are joined into its text, which replaces them
-    as one piece.  A tree without repeats keeps no container's text.  Every
-    container is reachable from obj for the whole call, so no id is reused
-    while it is a key."""
-    out, rows, texts, seen = [], {}, {}, set()
+    level copies the text below it.  A row of scalars renders once per
+    (depth, values, types) -- 1 == True, yet they render differently.  One
+    rule splices: a Splice value appends its own pieces for the depth it is
+    met at, as strata_to_json's does."""
+    out = []
+    _emit(obj, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+class Splice(namedtuple("Splice", "render")):
+    """A value that dumps does not walk: render(out, depth, rows) appends its
+    text at that depth to out, sharing dumps' row cache."""
+
+    __slots__ = ()
+
+
+def _emit(o, depth, out, rows):
+    """Append the pieces of o's text at depth to out; rows caches row texts."""
+    kind = type(o)
+    if kind in _SCALARS:
+        return out.append(_SCALARS[kind](o))
+    if kind is Splice:
+        return o.render(out, depth, rows)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return out.append("[]")
+        types = tuple(map(type, o))
+        if _SCALAR_TYPES.issuperset(types):
+            key = (depth, types, *o)
+            text = rows.get(key)
+            if text is None:
+                text = rows[key] = _wrap(
+                    "[", [_SCALARS[t](v) for t, v in zip(types, o)], depth, "]")
+            return out.append(text)
+    elif isinstance(o, dict):
+        if not o:
+            return out.append("{}")
+        if not all(isinstance(k, str) for k in o):
+            return out.append(_stdlib(o, depth))
+    elif isinstance(o, str):
+        return out.append(_encode_str(o))
+    elif isinstance(o, int):
+        return out.append(int.__repr__(o))
+    else:
+        return out.append(_stdlib(o, depth))
     append = out.append
+    inner = "\n" + "  " * (depth + 1)
+    sep = "," + inner
+    if isinstance(o, dict):
+        lead, close = "{" + inner, "}"
+        for k in sorted(o):
+            append(f"{lead}{_encode_str(k)}: ")
+            lead = sep
+            _emit(o[k], depth + 1, out, rows)
+    else:
+        lead, close = "[" + inner, "]"
+        for v in o:
+            append(lead)
+            lead = sep
+            _emit(v, depth + 1, out, rows)
+    append(f"\n{'  ' * depth}{close}")
 
-    def emit(o, depth):
-        kind = type(o)
-        if kind in _SCALARS:
-            return append(_SCALARS[kind](o))
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return append("[]")
-            types = tuple(map(type, o))
-            if _SCALAR_TYPES.issuperset(types):
-                key = (depth, types, *o)
-                text = rows.get(key)
-                if text is None:
-                    text = rows[key] = _wrap(
-                        "[", [_SCALARS[t](v) for t, v in zip(types, o)], depth, "]")
-                return append(text)
-        elif isinstance(o, dict):
-            if not o:
-                return append("{}")
-        elif isinstance(o, str):
-            return append(_encode_str(o))
-        elif isinstance(o, int):
-            return append(int.__repr__(o))
-        else:
-            return append(_stdlib(o, depth))
-        key = (id(o), depth)
-        text = texts.get(key)
-        if text is not None:
-            return append(text)
-        if isinstance(o, dict) and not all(isinstance(k, str) for k in o):
-            return append(_stdlib(o, depth))
-        start = len(out)
-        inner = "\n" + "  " * (depth + 1)
-        sep = "," + inner
-        if isinstance(o, dict):
-            lead, close = "{" + inner, "}"
-            for k in sorted(o):
-                append(f"{lead}{_encode_str(k)}: ")
-                lead = sep
-                emit(o[k], depth + 1)
-        else:
-            lead, close = "[" + inner, "]"
-            for v in o:
-                append(lead)
-                lead = sep
-                emit(v, depth + 1)
-        append(f"\n{'  ' * depth}{close}")
-        if key in seen:
-            text = texts[key] = "".join(out[start:])
-            out[start:] = [text]
-        else:
-            seen.add(key)
 
-    emit(obj, 0)
-    append("\n")
+def _text(o, depth, rows) -> str:
+    """o's text at depth, as _emit renders it."""
+    out = []
+    _emit(o, depth, out, rows)
     return "".join(out)
 
 
@@ -430,20 +439,41 @@ def flag_from_json(data) -> FlagDegreeData:
         [rational_from_json(x) for x in corrections])
 
 
-def strata_to_json(strata) -> list:
-    """The strata, with one dict per distinct cocycle and quotient class object
-    and one list per distinct tuple of class objects, shared by every stratum
-    that carries it, so that dumps renders it once."""
-    encoded = {}  # id, or tuple of ids -> encoding; the strata keep every object alive
+def strata_to_json(strata: Strata) -> Splice:
+    """The strata list, rendered by dumps from the product's factors."""
+    return Splice(lambda out, depth, rows: _render_strata(strata, out, depth, rows))
 
-    def once(key, encode, x):
-        if key not in encoded:
-            encoded[key] = encode(x)
-        return encoded[key]
 
-    def classes(cs):
-        return [once(id(c), quotient_class_to_json, c) for c in cs]
-
-    return [{"cocycle": once(id(s.cocycle), cochain_to_json, s.cocycle),
-             "orbit_classes": once(tuple(map(id, s.orbit_classes)), classes, s.orbit_classes)}
-            for s in strata]
+def _render_strata(strata: Strata, out, depth, rows):
+    """Append the text of the list of {"cocycle", "orbit_classes"} objects,
+    one per stratum in order, at depth.  Each cocycle and each quotient class
+    is encoded and rendered once; each orbit-class list is joined from the
+    class texts once per distinct tuple of classes, and each stratum is two
+    pieces of out: its cocycle's head and its orbit-class list's tail."""
+    ind = "\n" + "  " * (depth + 1)
+    key_ind = "\n" + "  " * (depth + 2)
+    cls_ind = "\n" + "  " * (depth + 3)
+    list_end = "\n" + "  " * (depth + 2) + "]"
+    close = "\n" + "  " * (depth + 1) + "}"
+    class_texts, tails = {}, {}  # by id: strata keep every class and tuple alive
+    start = len(out)
+    for cocycle, per_orbit in strata.blocks:
+        if id(per_orbit) not in tails:
+            texts = []
+            for classes in per_orbit:
+                for c in classes:
+                    if id(c) not in class_texts:
+                        class_texts[id(c)] = _text(quotient_class_to_json(c), depth + 3, rows)
+                texts.append([class_texts[id(c)] for c in classes])
+            tails[id(per_orbit)] = [
+                f"[{cls_ind}{(',' + cls_ind).join(combo)}{list_end}{close}" if combo
+                else "[]" + close for combo in product(*texts)]
+        head = (f",{ind}{{{key_ind}\"cocycle\": "
+                f"{_text(cochain_to_json(cocycle), depth + 2, rows)},"
+                f"{key_ind}\"orbit_classes\": ")
+        for tail in tails[id(per_orbit)]:
+            out += (head, tail)
+    if len(out) == start:
+        return out.append("[]")
+    out[start] = "[" + out[start][1:]
+    out.append(f"\n{'  ' * depth}]")

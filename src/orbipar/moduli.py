@@ -7,20 +7,25 @@ per orbit, not per point: deck transport identifies the classes at points of
 a single orbit).  No nonemptiness claim is attached to an index.
 
 Covering data, stratum indices, flag pieces and the verdicts are named
-tuples; a verdict is read by its field, never by its truth value.
+tuples; a verdict is read by its field, never by its truth value.  The
+strata of one enumeration are a Strata sequence that keeps the product's
+factors, one block per cocycle class, and builds a stratum only on demand.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
+from math import prod
+from operator import index
 
 from .cocycles import DEFAULT_SCALE_BOUND, FiniteAbelianGroup, h2_classes
 from .errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                      ScaleExceeded, UnsupportedModel)
 from .liemodel import GroupModel
-from .pseudoreps import enumerate_classes, project_mod_center
+from .pseudoreps import quotient_classes
 
 MAX_STRATA_CELLS = 2 ** 16  # cochain table rows plus exponents over all strata of one output
 
@@ -60,12 +65,52 @@ def riemann_hurwitz(data: CoveringData) -> int:
 # of quotient pseudorep classes, one per branch orbit
 StratumIndex = namedtuple("StratumIndex", "cocycle orbit_classes")
 
+# the strata over one cocycle class representative: the cocycle and, per
+# branch orbit, the list of quotient classes it pairs with
+StrataBlock = namedtuple("StrataBlock", "cocycle orbit_classes")
+
+
+class Strata(Sequence):
+    """The strata as the product they are, one StrataBlock per H^2 class
+    representative.  Stratum i is read off by mixed radix: block by block,
+    and within a block in the order of itertools.product over the orbits, the
+    last orbit fastest.  No stratum is built until it is asked for."""
+
+    __slots__ = ("blocks", "_sizes")
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        self._sizes = tuple(prod(map(len, b.orbit_classes)) for b in self.blocks)
+
+    def __len__(self) -> int:
+        return sum(self._sizes)
+
+    def __iter__(self):
+        for cocycle, per_orbit in self.blocks:
+            for combo in product(*per_orbit):
+                yield StratumIndex(cocycle, combo)
+
+    def __getitem__(self, i) -> StratumIndex:
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        for (cocycle, per_orbit), size in zip(self.blocks, self._sizes):
+            if 0 <= i < size:
+                picks = []
+                for classes in reversed(per_orbit):
+                    i, k = divmod(i, len(classes))
+                    picks.append(classes[k])
+                return StratumIndex(cocycle, tuple(reversed(picks)))
+            i -= size
+        raise IndexError("stratum index out of range")
+
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
                      covering: CoveringData, model: GroupModel,
-                     max_candidates: int = DEFAULT_SCALE_BOUND) -> list[StratumIndex]:
+                     max_candidates: int = DEFAULT_SCALE_BOUND) -> Strata:
     """Cartesian product of H^2 class representatives with, per branch orbit,
-    the center-projected classes of order-N_j diagonal pseudorepresentations.
+    the center-projected classes of order-N_j diagonal pseudorepresentations,
+    kept as its factors.
 
     `max_candidates` bounds the number of strata, and MAX_STRATA_CELLS the
     table rows and exponents they carry in all.  The classes are computed
@@ -78,23 +123,20 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
     if model.kind not in ("gl", "sl"):
         raise UnsupportedModel("class enumeration is defined for gl and sl models")
     cocycle_reps = h2_classes(group, coeff_order, max_candidates)
-    classes = {nj: sorted({project_mod_center(cls, coeff_order) for cls in
-                           enumerate_classes(nj, model.size, Fraction(0), model.kind)},
-                          key=lambda c: c.exponents)
+    classes = {nj: quotient_classes(nj, model.size, Fraction(0), coeff_order, model.kind)
                for nj in dict.fromkeys(covering.orbit_orders)}
     total = len(cocycle_reps)
     for count, nj in enumerate(covering.orbit_orders, 1):
         total *= len(classes[nj])
         if total > max_candidates:
-            raise ScaleExceeded(f"the first {count} orbits already give more than "
-                                f"{max_candidates} strata")
+            raise ScaleExceeded(f"the first {count} orbits already give {total} strata, "
+                                f"above the bound {max_candidates}")
     per_stratum = group.order ** 2 + len(covering.orbit_orders) * model.size
     if total * per_stratum > MAX_STRATA_CELLS:
         raise ScaleExceeded(f"{total} strata carry {per_stratum} table rows and exponents "
                             f"each, above the bound {MAX_STRATA_CELLS} in all")
-    per_orbit = [classes[nj] for nj in covering.orbit_orders]
-    return [StratumIndex(combo[0], tuple(combo[1:]))
-            for combo in product(cocycle_reps, *per_orbit)]
+    per_orbit = tuple(classes[nj] for nj in covering.orbit_orders)
+    return Strata(StrataBlock(c, per_orbit) for c in cocycle_reps)
 
 
 # one graded piece of a flag: its s-eigenvalue (a Fraction), rank and degree

@@ -166,28 +166,36 @@ def enumerate_classes(n: int, r: int, zeta_value: Fraction,
     """All exponent multisets of size r with e^{2 pi i n q} = e^{2 pi i zeta_value}.
 
     For "sl" only multisets with integral exponent sum survive.  The GL count
-    is C(n + r - 1, r).  With zeta = a/b in [0,1), the exponents (zeta + j)/n
-    are the int residues a + j b over D = n b, so the multisets are combined,
-    filtered (sum % D) and sorted as ints; one Fraction is built per residue.
+    is C(n + r - 1, r).  The multisets are combined, filtered and sorted as
+    int residues (see _residue_classes); one Fraction is built per residue.
     """
+    z = zeta_value % 1
+    D, combos = _residue_classes(n, r, z, model)
+    exponent = {u: Fraction(u, D) for u in range(z.numerator, D, z.denominator)}
+    return [PseudoRepClass(n, z, tuple(map(exponent.__getitem__, combo))) for combo in combos]
+
+
+def _residue_classes(n: int, r: int, z: Fraction, model: str):
+    """The classes of enumerate_classes for zeta = z = a/b in [0,1), on ints:
+    the exponents (z + j)/n are the residues a + j b over D = n b, so each
+    class is a descending tuple of residues, and the classes are sorted as
+    their exponents are.  Returns D and the classes."""
     if model not in ("gl", "sl"):
         raise MalformedInput(f"model must be 'gl' or 'sl', got {model!r}")
     if n < 1 or r < 1:
         raise MalformedInput(f"order {n} and rank {r} must be positive")
     if n * r > MAX_ENUMERATION:
         raise ScaleExceeded(f"n*r = {n * r} exceeds {MAX_ENUMERATION}")
-    z = zeta_value % 1
     a, b = z.numerator, z.denominator
     D = n * b
-    residues = [a + j * b for j in range(n)]  # ascending, and below D as a < b
+    residues = range(a, D, b)  # ascending, and below D as a < b
     combos = [combo[::-1] for combo in combinations_with_replacement(residues, r)
               if model == "gl" or sum(combo) % D == 0]
     if model == "gl":
         if len(combos) != comb(n + r - 1, r):
             raise AssertionError(f"{len(combos)} classes, expected C({n + r - 1}, {r})")
     combos.sort()
-    exponent = {u: Fraction(u, D) for u in residues}
-    return [PseudoRepClass(n, z, tuple(map(exponent.__getitem__, combo))) for combo in combos]
+    return D, combos
 
 
 def deck_transport(sigma: PseudoRep, gamma0: tuple, ambient: FiniteAbelianGroup,
@@ -210,18 +218,38 @@ def deck_transport(sigma: PseudoRep, gamma0: tuple, ambient: FiniteAbelianGroup,
 def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientClass:
     """Quotient by simultaneous exponent shifts k/m; lexicographically least shift wins.
 
-    The least shift takes some exponent q below 1/m, since otherwise shifting
-    by one step less lowers every exponent.  So only k = -floor(q m) mod m,
-    one per exponent, is tried, and the work does not grow with m.  The
-    exponents are int residues u over L = lcm(m, denominators), a shift is k
-    steps of L/m, and Fractions are built only for the winning tuple.
+    The exponents are int residues u over L = lcm(m, denominators), a shift
+    is k steps of L/m (see _least_shift), and Fractions are built only for
+    the winning tuple.
     """
     if m < 1:
         raise MalformedInput("scalar subgroup order must be positive")
     L = lcm(m, *(q.denominator for q in cls.exponents))
-    step = L // m
-    units = [q.numerator * (L // q.denominator) for q in cls.exponents]
-    shifts = {-(u // step) % m * step for u in units} or {0}
-    best = min(tuple(sorted(((u + k) % L for u in units), reverse=True)) for k in shifts)
+    best = _least_shift([q.numerator * (L // q.denominator) for q in cls.exponents], L, m)
     return QuotientClass(cls.order, tuple(Fraction(u, L) for u in best))
 
+
+def quotient_classes(n: int, r: int, zeta_value: Fraction, m: int,
+                     model: str) -> list[QuotientClass]:
+    """The distinct project_mod_center(cls, m) over enumerate_classes(n, r,
+    zeta_value, model), sorted by exponents.  The classes are enumerated and
+    projected as int residues, and Fractions are built only for the
+    quotient classes kept."""
+    if m < 1:
+        raise MalformedInput("scalar subgroup order must be positive")
+    D, combos = _residue_classes(n, r, zeta_value % 1, model)
+    L = lcm(m, D)
+    up = L // D
+    kept = sorted({_least_shift([u * up for u in combo], L, m) for combo in combos})
+    return [QuotientClass(n, tuple(Fraction(u, L) for u in best)) for best in kept]
+
+
+def _least_shift(units, L: int, m: int) -> tuple:
+    """The least descending tuple of the residues units over L shifted by
+    some k L/m.  The least shift takes some exponent below 1/m, since
+    otherwise shifting by one step less lowers every exponent.  So only
+    k = -floor(u m / L) mod m, one per residue, is tried, and the work does
+    not grow with m."""
+    step = L // m
+    shifts = {-(u // step) % m * step for u in units} or {0}
+    return min(tuple(sorted(((u + k) % L for u in units), reverse=True)) for k in shifts)

@@ -13,7 +13,8 @@ Fraction for every exponent, eigenvalues by a trial search over the roots
 of the characteristic polynomial, the parabolic masks checked by brackets
 of basis pairs, invariance by substituting roots of unity into each basis
 matrix, the basis matrix of a key read from the README's definition (not
-from GroupModel.entries), and input rationals read by Fraction().
+from GroupModel.entries), input rationals read by Fraction(), and the
+strata encoded as one dict per stratum.
 
 And the conveniences that only tests call, attached to the library classes
 as methods: powers, division and is_one on cyclotomics, matrix powers,
@@ -32,6 +33,7 @@ from math import lcm
 
 import numpy as np
 
+from orbipar import jsonio
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
                               FiniteAbelianGroup, Verdict, is_cocycle, zeta)
 from orbipar.errors import MalformedInput, NotAHomomorphism, ScaleExceeded
@@ -661,6 +663,26 @@ Cochain2.key = _cochain_key
 Cochain2.mul = _cochain_mul
 StratumIndex.canonical_key = lambda self: (
     self.cocycle.key(), tuple(c.exponents for c in self.orbit_classes))
+
+
+def strata_to_json(strata) -> list:
+    """The strata as a list with one {"cocycle", "orbit_classes"} dict per
+    stratum, sharing one dict per distinct cocycle and quotient class object
+    and one list per distinct tuple of class objects: the oracle for
+    jsonio.strata_to_json, whose rendering must equal the stdlib's of this."""
+    encoded = {}  # id, or tuple of ids -> encoding; the strata keep every object alive
+
+    def once(key, encode, x):
+        if key not in encoded:
+            encoded[key] = encode(x)
+        return encoded[key]
+
+    def classes(cs):
+        return [once(id(c), jsonio.quotient_class_to_json, c) for c in cs]
+
+    return [{"cocycle": once(id(s.cocycle), jsonio.cochain_to_json, s.cocycle),
+             "orbit_classes": once(tuple(map(id, s.orbit_classes)), classes, s.orbit_classes)}
+            for s in strata]
 
 
 def _series_scale(self: GradedSeries, c) -> GradedSeries:

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar.cli import HANDLERS, build_parser, main, run_command
 from orbipar import jsonio
-from orbipar.cocycles import MAX_EXTENSION_ORDER, Cochain2, FiniteAbelianGroup
+from orbipar.cocycles import (DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER, Cochain2,
+                              FiniteAbelianGroup)
+from orbipar.errors import ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
@@ -23,7 +25,7 @@ from orbipar.moduli import MAX_STRATA_CELLS, CoveringData, enumerate_strata
 from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, MAX_RATIONAL_DIGITS, root_of_unity
 from fractions import Fraction
 
-import helpers  # noqa: F401  (attaches PseudoRep.from_generator, equal_on_common_range)
+import helpers  # also attaches PseudoRep.from_generator, equal_on_common_range
 
 
 def invoke(tmp_path, command, payload, *extra):
@@ -268,7 +270,7 @@ def test_projection_by_a_huge_scalar_order_is_fast(tmp_path, command, payload, r
 
 
 def test_strata_output_capped_before_rendering(tmp_path):
-    # 6084 strata with a 144-row table each: 74 MB of JSON, and 8 s, when rendered
+    # 6084 strata with a 144-row table each: 74 MB of JSON when rendered
     payload = {"group": [12], "coeff_order": 1, "model": {"kind": "gl", "r": 2},
                "covering": {"genus_x": 2, "group_order": 12, "orbit_orders": [12, 12]}}
     start = time.perf_counter()
@@ -602,14 +604,76 @@ def test_large_outputs_are_the_stdlib_rendering(tmp_path, command, payload, coun
     assert text == stdlib_dumps(json.loads(text))
 
 
-def test_strata_share_one_dict_per_class():
+def test_strata_encode_each_cocycle_and_class_once(monkeypatch):
     # 6 H^2 classes times 10 quotient classes per orbit, both orbits of order 6
     strata = enumerate_strata(FiniteAbelianGroup([6]), 6, CoveringData(20, 6, (6, 6)),
                               GroupModel("gl", r=3))
-    encoded = jsonio.strata_to_json(strata)
-    assert len(encoded) == 600
-    assert len({id(s["cocycle"]) for s in encoded}) == 6
-    assert len({id(c) for s in encoded for c in s["orbit_classes"]}) == 10
+    assert len(strata) == 600
+    calls = {"cochain_to_json": 0, "quotient_class_to_json": 0}
+    for name in calls:
+        def counted(x, name=name, encode=getattr(jsonio, name)):
+            calls[name] += 1
+            return encode(x)
+        monkeypatch.setattr(jsonio, name, counted)
+    dumps = jsonio.dumps
+
+    def reentered(obj):
+        raise AssertionError("the strata renderer called the public dumps")
+    monkeypatch.setattr(jsonio, "dumps", reentered)
+    text = dumps({"strata": jsonio.strata_to_json(strata)})
+    assert calls == {"cochain_to_json": 6, "quotient_class_to_json": 10}
+    monkeypatch.undo()
+    assert text == stdlib_dumps({"strata": helpers.strata_to_json(strata)})
+
+
+@st.composite
+def strata_payloads(draw):
+    """A `moduli strata` request: a cyclic deck group of order at most 8
+    (order 1 included), m <= 6, gl or sl of rank <= 3, and up to three branch
+    orbits (none for the trivial group)."""
+    n = draw(st.integers(1, 8))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    orbits = draw(st.lists(st.sampled_from(divisors), max_size=3)) if divisors else []
+    return {"group": [n], "coeff_order": draw(st.integers(1, 6)),
+            "covering": {"genus_x": draw(st.integers(2, 9)), "group_order": n,
+                         "orbit_orders": orbits},
+            "model": {"kind": draw(st.sampled_from(["gl", "sl"])), "r": draw(st.integers(1, 3))}}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=strata_payloads())
+def test_strata_text_is_the_rendering_of_one_dict_per_stratum(tmp_path, payload):
+    code, text = invoke(tmp_path, ["moduli", "strata"], payload)
+    try:
+        strata = enumerate_strata(FiniteAbelianGroup(payload["group"]), payload["coeff_order"],
+                                  jsonio.covering_from_json(payload["covering"]),
+                                  jsonio.model_from_json(payload["model"]))
+    except ScaleExceeded as exc:  # the cells of three orbits of order 8 can pass the cap
+        assert (code, json.loads(text)) == (1, {"error": exc.code, "detail": exc.detail})
+        return
+    expected = {"count": len(strata), "strata": helpers.strata_to_json(strata)}
+    assert code == 0
+    assert text == stdlib_dumps({"result": expected, "audit": json.loads(text)["audit"]})
+
+
+def test_dumps_leaves_no_reference_cycle():
+    # a recursive emitter that is a closure over itself would leave a cycle
+    # holding the output list and the caches until the collector runs
+    shared = {"a": [1, "x", [True, None]], "b": {"c": [], "d": [[1, 2], [1, 2]]}}
+    tree = {"one": shared, "two": [shared, shared, {"s": shared}], "rows": [[1, "2"]] * 3}
+    strata = enumerate_strata(FiniteAbelianGroup([4]), 2, CoveringData(3, 4, (2, 4)),
+                              GroupModel("gl", r=2))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for obj in (tree, {"strata": jsonio.strata_to_json(strata)}):
+            gc.collect()
+            jsonio.dumps(obj)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _set(payload, path, value):
@@ -868,6 +932,8 @@ def test_strata_count_checked_as_the_orbits_multiply(tmp_path):
     out = json.loads(text)
     assert code == 1 and out["error"] == "scale_exceeded"
     assert "first 5 orbits" in out["detail"]
+    assert out["detail"] == (f"the first 5 orbits already give {24 ** 5} strata, "
+                             f"above the bound {DEFAULT_SCALE_BOUND}")
 
 
 def flag_payload(values, degrees, corrections):

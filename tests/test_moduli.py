@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,11 +8,12 @@ from orbipar.cocycles import FiniteAbelianGroup, are_cohomologous
 from orbipar.errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                             UnsupportedModel)
 from orbipar.liemodel import GroupModel
-from orbipar.moduli import (CoveringData, FlagDegreeData, FlagPiece, degree_pairing,
-                            degree_scaling_check, enumerate_strata,
+from orbipar.moduli import (CoveringData, FlagDegreeData, FlagPiece, StratumIndex,
+                            degree_pairing, degree_scaling_check, enumerate_strata,
                             riemann_hurwitz, stability_verdict)
 
-import helpers  # noqa: F401  (attaches StratumIndex.canonical_key)
+# importing helpers also attaches StratumIndex.canonical_key
+from helpers import fraction_enumerate_classes, fraction_project
 
 
 def test_riemann_hurwitz_examples():
@@ -96,6 +98,27 @@ def test_strata_count_factorizes():
     for orbit_pos, nj in enumerate(covering.orbit_orders):
         got = {s.orbit_classes[orbit_pos].exponents for s in strata}
         assert got == _brute_force_orbit_classes(nj, model.size, 2)
+
+
+def test_strata_index_by_mixed_radix():
+    from orbipar.cocycles import h2_classes
+    g6 = FiniteAbelianGroup([6])
+    strata = enumerate_strata(g6, 6, CoveringData(20, 6, (6, 3, 2)), GroupModel("gl", r=2))
+    # the product in itertools.product order, the classes from the Fraction oracles
+    per_orbit = [sorted({fraction_project(c, 6)
+                         for c in fraction_enumerate_classes(nj, 2, Fraction(0))},
+                        key=lambda c: c.exponents) for nj in (6, 3, 2)]
+    expected = [StratumIndex(c, combo) for c in h2_classes(g6, 6) for combo in product(*per_orbit)]
+    assert len(strata) == len(expected) == 6 * 4 * 2 * 2
+    assert list(strata) == expected
+    assert [strata[i] for i in range(len(strata))] == expected
+    assert strata[-1] == expected[-1] and strata[-len(strata)] == expected[0]
+    assert strata.index(expected[37]) == 37 and expected[37] in strata
+    for i in (len(strata), -len(strata) - 1):
+        with pytest.raises(IndexError):
+            strata[i]
+    with pytest.raises(TypeError):
+        strata["0"]
 
 
 def test_strata_cocycles_are_class_representatives():

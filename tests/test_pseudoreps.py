@@ -13,7 +13,7 @@ from orbipar.matrices import CycMatrix
 from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass,
                                 classify,
                                 deck_transport, enumerate_classes,
-                                project_mod_center,
+                                project_mod_center, quotient_classes,
                                 verify_pseudorep)
 from orbipar.scalars import Cyclotomic, root_of_unity
 
@@ -354,6 +354,28 @@ def test_enumerate_classes_matches_fraction_oracle(size, z, kind):
     classes = enumerate_classes(n, r, z, kind)
     assert classes == fraction_enumerate_classes(n, r, z, kind)  # same list, same order
     assert all(type(q) is Fraction for c in classes for q in (c.zeta, *c.exponents))
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=SIZES, z=st.just(Fraction(0)) | ZETAS, m=st.integers(1, 12),
+       kind=st.sampled_from(["gl", "sl"]))
+def test_quotient_classes_match_fraction_oracle(size, z, m, kind):
+    # every class enumerated and projected with a Fraction for every exponent
+    n, r = size
+    expected = sorted({fraction_project(c, m) for c in fraction_enumerate_classes(n, r, z, kind)},
+                      key=lambda c: c.exponents)
+    got = quotient_classes(n, r, z, m, kind)
+    assert got == expected  # same list, same order
+    assert all(type(q) is Fraction for c in got for q in c.exponents)
+
+
+def test_quotient_classes_checks():
+    with pytest.raises(MalformedInput):
+        quotient_classes(2, 1, Fraction(0), 0, "gl")
+    with pytest.raises(MalformedInput):
+        quotient_classes(2, 1, Fraction(0), 2, "upq")
+    with pytest.raises(ScaleExceeded):
+        quotient_classes(13, 2, Fraction(0), 2, "gl")
 
 
 @st.composite

@@ -330,7 +330,7 @@ def _execute(args) -> tuple[int, str]:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, or an int past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, a long int, deep nesting
         return 2, jsonio.dumps({"error": "malformed_input", "detail": str(exc)})
     return _dispatch(args, payload)
 
@@ -366,7 +366,7 @@ def run_corpus(directory) -> tuple[int, str]:
             expected_code = jsonio._field(case, "expected_exit", int, 0)
             expected = jsonio.dumps(jsonio._need(case, "expected_output"))
             payload = jsonio._need(case, "input")
-        except (OSError, ValueError, MalformedInput, ScaleExceeded) as exc:
+        except (OSError, ValueError, RecursionError, MalformedInput, ScaleExceeded) as exc:
             failures += 1
             lines.append(f"FAIL {name} (bad case file: {exc})")
             continue
@@ -399,8 +399,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         code, text = _execute(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:  # a missing directory, a directory, no permission
+                sys.stdout.write(jsonio.dumps({"error": "malformed_input", "detail": str(exc)}))
+                return 2
         else:
             sys.stdout.write(text)
         return code

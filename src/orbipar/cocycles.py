@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from .errors import (MalformedInput, NotACocycle, NotASubgroup, NotNormalized,
-                     ScaleExceeded)
+from .errors import MalformedInput, NotACocycle, NotNormalized, ScaleExceeded
 
 DEFAULT_MAX_ORDER = 24
 DEFAULT_SCALE_BOUND = 2 ** 21  # classes or strata in one output
@@ -70,14 +69,6 @@ class FiniteAbelianGroup:
     def element_order(self, a) -> int:
         return lcm(*(n // gcd(x, n) for x, n in zip(a, self.factors)))
 
-    def generators(self):
-        """The standard basis elements, one per cyclic factor of size > 1."""
-        gens = []
-        for j, n in enumerate(self.factors):
-            if n > 1:
-                gens.append(tuple(1 if i == j else 0 for i in range(len(self.factors))))
-        return gens
-
     def is_cyclic(self) -> bool:
         """Z/n_1 x ... x Z/n_t is cyclic iff the n_i are pairwise coprime (CRT)."""
         return all(gcd(a, b) == 1 for a, b in combinations(self.factors, 2))
@@ -108,9 +99,6 @@ class Cochain2:
         self.coeff_order = m
         self.table = table
 
-    def value(self, a, b) -> int:
-        return self.table[self.group.index[a]][self.group.index[b]]
-
     def __eq__(self, other):
         return (isinstance(other, Cochain2) and self.group == other.group
                 and self.coeff_order == other.coeff_order and self.table == other.table)
@@ -140,20 +128,6 @@ def is_cocycle(c: Cochain2) -> Verdict:
                 if (tab[d] + cab - ta[pb[d]] - tb[d]) % m:
                     return Verdict(False, (g.elements[a], g.elements[b], g.elements[d]))
     return Verdict(True, None)
-
-
-def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
-    """The 2-cocycle (a,b) -> f(ab) f(a)^-1 f(b)^-1 for a 1-cochain f with f(1)=1.
-
-    f is given as exponents in Z/m, one per element in canonical order.
-    """
-    f = [x % m for x in f]
-    if len(f) != group.order:
-        raise MalformedInput(f"need {group.order} values for f")
-    if f[0] != 0:
-        raise MalformedInput("f(1) must equal 1")
-    table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
-    return Cochain2(group, m, table)
 
 
 def _gcdex(a: int, b: int):
@@ -262,23 +236,6 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
     return [Cochain2(group, m, [row[i:i + n] for i in range(0, n * n, n)]) for row in reps]
 
 
-def are_cohomologous(c1: Cochain2, c2: Cochain2):
-    """Whether c2 = (df) * c1 for a normalized f; returns (bool, f|None)."""
-    if c1.group != c2.group or c1.coeff_order != c2.coeff_order:
-        raise MalformedInput("cochains live over different (group, coefficients)")
-    for c in (c1, c2):
-        v = is_cocycle(c)
-        if not v.ok:
-            raise NotACocycle(f"cocycle condition fails at {v.witness}")
-    g, m = c1.group, c1.coeff_order
-    n = g.order
-    diff = [(y - x) % m for r1, r2 in zip(c1.table, c2.table) for x, y in zip(r1, r2)]
-    rest = _reduce(diff + [0] * (n - 1), _coboundary_form(g, m), m)
-    if any(rest[:n * n]):
-        return False, None
-    return True, [0] + [-x % m for x in rest[n * n:]]
-
-
 def _power_sum(c: Cochain2, a: int):
     """(k, T) for the element of index a: its order k and T = sum_{0<i<k} c(a, a^i)."""
     t, p = c.table[a], c.group.prod[a]
@@ -297,31 +254,6 @@ def zeta(c: Cochain2, gamma) -> Fraction:
         raise NotACocycle(f"cocycle condition fails at {v.witness}")
     _, total = _power_sum(c, c.group.index[gamma])
     return Fraction(total % c.coeff_order, c.coeff_order)
-
-
-def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
-    """Restrict c along an embedding of `subgroup` sending its generators to gen_images."""
-    g = c.group
-    gens = subgroup.generators()
-    if len(gen_images) != len(gens):
-        raise NotASubgroup(f"expected {len(gens)} generator images")
-    gen_images = [tuple(x) for x in gen_images]
-    # build the embedding and check it is an injective homomorphism
-    embed = {}
-    for h in subgroup.elements:
-        img = g.identity
-        for coord, im in zip(h, gen_images):
-            for _ in range(coord):
-                img = g.add(img, im)
-        embed[h] = img
-    for h, im in embed.items():
-        if subgroup.element_order(h) != g.element_order(im):
-            raise NotASubgroup(f"generator image orders do not match at {h}")
-    if len(set(embed.values())) != subgroup.order:
-        raise NotASubgroup("embedding is not injective")
-    table = [[c.value(embed[a], embed[b]) for b in subgroup.elements]
-             for a in subgroup.elements]
-    return Cochain2(subgroup, c.coeff_order, table)
 
 
 # -- central extensions ------------------------------------------------------

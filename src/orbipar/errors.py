@@ -46,10 +46,6 @@ class NotACocycle(DomainError):
     code = "not_a_cocycle"
 
 
-class NotASubgroup(DomainError):
-    code = "not_a_subgroup"
-
-
 class SizeMismatch(DomainError):
     code = "size_mismatch"
 
@@ -60,10 +56,6 @@ class NotAPseudoRep(DomainError):
 
 class IsotropyMismatch(DomainError):
     code = "isotropy_mismatch"
-
-
-class NotAHomomorphism(DomainError):
-    code = "not_a_homomorphism"
 
 
 class RankMismatch(DomainError):

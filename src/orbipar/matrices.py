@@ -44,11 +44,6 @@ class CycMatrix:
     def __setattr__(self, name, val):
         raise AttributeError("CycMatrix is immutable")
 
-    @classmethod
-    def identity(cls, r: int) -> "CycMatrix":
-        one, zero = Cyclotomic.one(), Cyclotomic.zero()
-        return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
-
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.rows[i][j]
 
@@ -83,9 +78,6 @@ class CycMatrix:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
-
-    def is_identity(self) -> bool:
-        return self == CycMatrix.identity(self.size)
 
     def trace(self) -> Cyclotomic:
         acc = self.rows[0][0]

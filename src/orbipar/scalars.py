@@ -15,9 +15,9 @@ so equality is a tuple comparison, and the arithmetic runs on ints alone:
 ``dot`` sums the products of any number of pairs as one unreduced integer
 polynomial over the lcm of their denominators, ``CycMatrix.__matmul__`` calls
 it once per output entry, and each result is normalised by one gcd.
-``coeffs`` builds Fractions for a reader.  Beyond ``rational_parts``, which
-only ``jsonio`` reaches, nothing here parses or coerces, and
-``Cyclotomic(order, nums, den)`` stores its arguments as given.
+Beyond ``rational_parts``, which only ``jsonio`` reaches, nothing here
+parses or coerces, and ``Cyclotomic(order, nums, den)`` stores its arguments
+as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -270,11 +270,6 @@ class Cyclotomic:
     def __setattr__(self, name, val):
         raise AttributeError("Cyclotomic is immutable")
 
-    @property
-    def coeffs(self) -> tuple:
-        """The phi(M) coefficients as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
     # -- construction --------------------------------------------------
 
     @classmethod
@@ -330,12 +325,6 @@ class Cyclotomic:
     def __neg__(self):
         return Cyclotomic(self.order, tuple(-n for n in self.nums), self.den)
 
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """The product with a Cyclotomic, an int or a Fraction."""
         if isinstance(other, Cyclotomic):
@@ -375,7 +364,7 @@ class Cyclotomic:
         return any(self.nums)
 
     def __repr__(self):
-        return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
+        return f"Cyclotomic({self.order}, {[str(Fraction(n, self.den)) for n in self.nums]})"
 
 
 @lru_cache(maxsize=64)

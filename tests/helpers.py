@@ -17,12 +17,17 @@ from GroupModel.entries), input rationals read by Fraction(), and the
 strata encoded as one dict per stratum.
 
 And the conveniences that only tests call, attached to the library classes
-as methods: powers, division and is_one on cyclotomics, matrix powers,
-scalar multiples and diagonal and scalar matrices, pseudorepresentations
-from a generator image, their images by element and their conjugates,
-cochain keys and products, and series sums and comparisons.
+as methods: the Fraction coefficients, subtraction, powers, division and
+is_one on cyclotomics, identity, diagonal and scalar matrices, is_identity,
+matrix powers and scalar multiples, the generators of a group, a cochain's
+value at a pair of elements, its key and products, pseudorepresentations
+from a generator image, their images by element and their conjugates, and
+series sums and comparisons.  coboundary builds df, are_cohomologous finds
+an f with c2 = df * c1, and restrict pulls a cocycle back to a subgroup;
 decompose_by_beta splits a series into its eigencomponents, and
-induced_cocycle pushes a cocycle's values along mu_m -> mu_m'.
+induced_cocycle pushes a cocycle's values along mu_m -> mu_m'.  restrict
+raises NotASubgroup and induced_cocycle NotAHomomorphism, DomainErrors with
+a code like the library's.
 """
 
 import operator
@@ -35,8 +40,9 @@ import numpy as np
 
 from orbipar import jsonio
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
-                              FiniteAbelianGroup, Verdict, is_cocycle, zeta)
-from orbipar.errors import MalformedInput, NotAHomomorphism, ScaleExceeded
+                              FiniteAbelianGroup, Verdict, _coboundary_form, _reduce,
+                              is_cocycle, zeta)
+from orbipar.errors import DomainError, MalformedInput, NotACocycle, ScaleExceeded
 from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize, beta_of_basis
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
@@ -197,6 +203,85 @@ def random_downstairs_series(rng, model, weight, N, trunc, density=0.5):
             if rng.random() < density:
                 terms[(key, k)] = random_nonzero_cyclotomic(rng)
     return GradedSeries(model, weight, N, DOWNSTAIRS, trunc, terms)
+
+
+# -- the cocycle API that no verb reaches; tests call it as functions and methods
+
+class NotASubgroup(DomainError):
+    code = "not_a_subgroup"
+
+
+class NotAHomomorphism(DomainError):
+    code = "not_a_homomorphism"
+
+
+def _generators(self: FiniteAbelianGroup):
+    """The standard basis elements, one per cyclic factor of size > 1."""
+    gens = []
+    for j, n in enumerate(self.factors):
+        if n > 1:
+            gens.append(tuple(1 if i == j else 0 for i in range(len(self.factors))))
+    return gens
+
+
+FiniteAbelianGroup.generators = _generators
+Cochain2.value = lambda self, a, b: self.table[self.group.index[a]][self.group.index[b]]
+
+
+def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
+    """The 2-cocycle (a,b) -> f(ab) f(a)^-1 f(b)^-1 for a 1-cochain f with f(1)=1.
+
+    f is given as exponents in Z/m, one per element in canonical order.
+    """
+    f = [x % m for x in f]
+    if len(f) != group.order:
+        raise MalformedInput(f"need {group.order} values for f")
+    if f[0] != 0:
+        raise MalformedInput("f(1) must equal 1")
+    table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
+    return Cochain2(group, m, table)
+
+
+def are_cohomologous(c1: Cochain2, c2: Cochain2):
+    """Whether c2 = (df) * c1 for a normalized f; returns (bool, f|None)."""
+    if c1.group != c2.group or c1.coeff_order != c2.coeff_order:
+        raise MalformedInput("cochains live over different (group, coefficients)")
+    for c in (c1, c2):
+        v = is_cocycle(c)
+        if not v.ok:
+            raise NotACocycle(f"cocycle condition fails at {v.witness}")
+    g, m = c1.group, c1.coeff_order
+    n = g.order
+    diff = [(y - x) % m for r1, r2 in zip(c1.table, c2.table) for x, y in zip(r1, r2)]
+    rest = _reduce(diff + [0] * (n - 1), _coboundary_form(g, m), m)
+    if any(rest[:n * n]):
+        return False, None
+    return True, [0] + [-x % m for x in rest[n * n:]]
+
+
+def restrict(c: Cochain2, subgroup: FiniteAbelianGroup, gen_images) -> Cochain2:
+    """Restrict c along an embedding of `subgroup` sending its generators to gen_images."""
+    g = c.group
+    gens = subgroup.generators()
+    if len(gen_images) != len(gens):
+        raise NotASubgroup(f"expected {len(gens)} generator images")
+    gen_images = [tuple(x) for x in gen_images]
+    # build the embedding and check it is an injective homomorphism
+    embed = {}
+    for h in subgroup.elements:
+        img = g.identity
+        for coord, im in zip(h, gen_images):
+            for _ in range(coord):
+                img = g.add(img, im)
+        embed[h] = img
+    for h, im in embed.items():
+        if subgroup.element_order(h) != g.element_order(im):
+            raise NotASubgroup(f"generator image orders do not match at {h}")
+    if len(set(embed.values())) != subgroup.order:
+        raise NotASubgroup("embedding is not injective")
+    table = [[c.value(embed[a], embed[b]) for b in subgroup.elements]
+             for a in subgroup.elements]
+    return Cochain2(subgroup, c.coeff_order, table)
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -580,9 +665,20 @@ def _power(identity, mul):
     return power
 
 
+def _identity(cls, r: int) -> CycMatrix:
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
+
+
+Cyclotomic.coeffs = property(lambda self: tuple(Fraction(n, self.den) for n in self.nums),
+                             doc="The phi(M) coefficients as Fractions.")
+Cyclotomic.__sub__ = lambda self, other: self._sum(other, -1)
+Cyclotomic.__rsub__ = lambda self, other: (-self) + other
 Cyclotomic.is_one = _is_one
 Cyclotomic.__truediv__ = _truediv
 Cyclotomic.__pow__ = _power(lambda x: Cyclotomic.one(x.order), operator.mul)
+CycMatrix.identity = classmethod(_identity)
+CycMatrix.is_identity = lambda self: self == CycMatrix.identity(self.size)
 CycMatrix.__pow__ = _power(lambda A: CycMatrix.identity(A.size), operator.matmul)
 
 

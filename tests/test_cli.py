@@ -118,6 +118,28 @@ def test_out_flag_writes_file(tmp_path, capsys, flags):
     assert out.read_text() == run_command(["cocycle", "h2", str(path)])[1]
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing_dir", "a_dir"])
+@pytest.mark.parametrize("command", [["cocycle", "h2"], ["corpus", "run"]],
+                         ids=["h2", "corpus_run"])
+def test_out_flag_to_an_unwritable_path_is_malformed(tmp_path, capsys, command, target):
+    # the output cannot be written: the error goes to stdout as JSON, with exit 2
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"group": [2], "coeff_order": 2}))
+    if command[0] == "corpus":
+        path = Path(__file__).resolve().parent.parent / "corpus"
+    code = main([*command, str(path), "-o", str(tmp_path / target)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"] == "malformed_input"
+    assert str(tmp_path) in out["detail"]
+
+
+def test_deeply_nested_input_is_malformed(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, text = run_command(["cocycle", "verify", str(path)])
+    assert code == 2 and json.loads(text)["error"] == "malformed_input"
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("argv", [["cocycle", "h2", "{}"], ["cocycle", "h2", "{}", "-o", "{}.out"],
                                   ["cocycle", "nope", "{}"], ["cocycle", "h2", "{}", "--bad"]])
@@ -1034,6 +1056,15 @@ def test_corpus_run_reports_a_long_int_in_a_case_file(tmp_path):
     assert text.splitlines() == [
         f"FAIL a.json (bad case file: integer with more than {MAX_RATIONAL_DIGITS} digits)",
         "0/1 cases passed"]
+
+
+def test_corpus_run_reports_a_deeply_nested_case_file(tmp_path):
+    (tmp_path / "a.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, text = run_command(["corpus", "run", str(tmp_path)])
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0].startswith("FAIL a.json (bad case file: maximum recursion depth")
+    assert lines[1:] == ["0/1 cases passed"]
 
 
 def test_corpus_run_fails_a_case_of_corpus_run(tmp_path):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, FiniteAbelianGroup,
-                              are_cohomologous, central_extension, coboundary,
-                              h2_classes, is_cocycle, restrict, zeta)
-from orbipar.errors import NotACocycle, NotASubgroup, NotNormalized, ScaleExceeded
+                              central_extension, h2_classes, is_cocycle, zeta)
+from orbipar.errors import NotACocycle, NotNormalized, ScaleExceeded
 
-from helpers import (ExtensionGroup, _coboundary_batches, brute_force_element_order,
-                     brute_force_extension, brute_force_h2, brute_force_is_cyclic,
-                     extension_table, random_cyclic_cochain, random_cyclic_cocycle,
+from helpers import (ExtensionGroup, NotASubgroup, _coboundary_batches, are_cohomologous,
+                     brute_force_element_order, brute_force_extension, brute_force_h2,
+                     brute_force_is_cyclic, coboundary, extension_table,
+                     random_cyclic_cochain, random_cyclic_cocycle, restrict,
                      table_is_associative)
 
 Z2 = FiniteAbelianGroup([2])

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from orbipar.cocycles import FiniteAbelianGroup, are_cohomologous
+from orbipar.cocycles import FiniteAbelianGroup
 from orbipar.errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
                             UnsupportedModel)
 from orbipar.liemodel import GroupModel
@@ -13,7 +13,7 @@ from orbipar.moduli import (CoveringData, FlagDegreeData, FlagPiece, StratumInde
                             riemann_hurwitz, stability_verdict)
 
 # importing helpers also attaches StratumIndex.canonical_key
-from helpers import fraction_enumerate_classes, fraction_project
+from helpers import are_cohomologous, fraction_enumerate_classes, fraction_project
 
 
 def test_riemann_hurwitz_examples():

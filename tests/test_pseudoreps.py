@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orbipar.cocycles import Cochain2, FiniteAbelianGroup, Verdict, zeta
-from orbipar.errors import (IsotropyMismatch, MalformedInput, NotAHomomorphism,
-                            NotAPseudoRep, ScaleExceeded, SizeMismatch)
+from orbipar.errors import (IsotropyMismatch, MalformedInput, NotAPseudoRep,
+                            ScaleExceeded, SizeMismatch)
 from orbipar.matrices import CycMatrix
 from orbipar.pseudoreps import (PseudoRep, PseudoRepClass, QuotientClass,
                                 classify,
@@ -19,10 +19,10 @@ from orbipar.scalars import Cyclotomic, root_of_unity
 
 from orbipar import jsonio
 
-from helpers import (charpoly_classify, exhaustive_project, exhaustive_verify,
-                     fraction_class_check, fraction_enumerate_classes, fraction_project,
-                     induced_cocycle, matrix, random_cochain, random_invertible,
-                     random_pseudorep)
+from helpers import (NotAHomomorphism, are_cohomologous, charpoly_classify, coboundary,
+                     exhaustive_project, exhaustive_verify, fraction_class_check,
+                     fraction_enumerate_classes, fraction_project, induced_cocycle, matrix,
+                     random_cochain, random_invertible, random_pseudorep)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -455,7 +455,6 @@ def test_induced_cocycle_examples():
 
 
 def test_induced_cocycle_of_coboundary_is_coboundary():
-    from orbipar.cocycles import are_cohomologous, coboundary
     rng = random.Random(11)
     for _ in range(20):
         n = rng.choice([2, 3, 4])

@@ -1,8 +1,8 @@
 """Checks on the package as a whole: no runtime asserts, no except clause
-that could hide a program bug, no numpy on import, the benchmark tracer's
-entry points all present, the corpus script writing the committed corpus,
-and every payload of every verb, however hostile, ending in exit 0, 1 or 2
-within a per-call time budget."""
+that could hide a program bug, every error code raised somewhere, no numpy
+on import, the benchmark tracer's entry points all present, the corpus
+script writing the committed corpus, and every payload of every verb,
+however hostile, ending in exit 0, 1 or 2 within a per-call time budget."""
 
 import ast
 import importlib.util
@@ -64,7 +64,22 @@ def test_cli_execute_catches_only_input_and_domain_errors():
             if isinstance(node, ast.FunctionDef) and node.name == name]
     caught = [_caught(node) for function in path for node in ast.walk(function)
               if isinstance(node, ast.ExceptHandler)]
-    assert caught == [{"OSError", "ValueError"}, {"MalformedInput"}, {"DomainError"}]
+    assert caught == [{"OSError", "ValueError", "RecursionError"}, {"MalformedInput"},
+                      {"DomainError"}]
+
+
+def test_every_error_code_is_raised_in_src():
+    # a DomainError subclass that nothing in src/ raises is a code no verb can emit
+    tree = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(defined - {"DomainError", "MalformedInput"} - raised) == []
 
 
 def test_benchmark_tracer_installs():

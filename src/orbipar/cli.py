@@ -135,7 +135,7 @@ def cmd_lie_alcove(payload, args):
 def cmd_lie_eigenspaces(payload, args):
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     weight = jsonio.weight_vector_from_json(model, jsonio._need(payload, "alpha", list))
-    spaces = isotropy_eigenspaces(model, weight)
+    spaces = isotropy_eigenspaces(weight)
     out = [{"beta": str(beta), "dimension": len(keys),
             "basis": [list(key) for key in sorted(keys)]} for beta, keys in spaces]
     return ({"dim_m": model.dim_m, "eigenspaces": out},

@@ -62,10 +62,6 @@ class RankMismatch(DomainError):
     code = "rank_mismatch"
 
 
-class NotAlcoveForm(DomainError):
-    code = "not_alcove_form"
-
-
 class NotInIH(DomainError):
     code = "not_in_ih"
 

@@ -15,6 +15,7 @@ once, and not from one object per stratum.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -27,11 +28,14 @@ from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, FlagPiece, Strata
 from .pseudoreps import MAX_ENUMERATION, PseudoRep, PseudoRepClass, QuotientClass
-from .scalars import MAX_RATIONAL_DIGITS, Cyclotomic, check_order, euler_phi, rational_parts
+from .scalars import Cyclotomic, check_order, euler_phi
 
 MAX_FLAG_PIECES = 16  # graded pieces of one flag; with the corrections and
 MAX_FLAG_CORRECTIONS = 32  # MAX_RATIONAL_DIGITS they bound a pairing's digits
+MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational, and one input int
 _INT_BOUND = 10 ** MAX_RATIONAL_DIGITS
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_PARSED = {}  # rational text -> (p, q); inputs repeat a few values many times
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -159,15 +163,50 @@ def _is_int(v) -> bool:
 
 # -- scalars -----------------------------------------------------------------
 
-def _rational_parts(data) -> tuple[int, int]:
-    """A wire rational as the ints (p, q) in lowest terms, q > 0."""
-    if not (isinstance(data, str) or _is_int(data)):
+def rational_parts(data) -> tuple[int, int]:
+    """A wire rational, a JSON int or a 'p/q' string, as the ints (p, q) in
+    lowest terms with q > 0.  The parts of up to 1024 strings are cached; an
+    error is raised afresh on every call.
+
+    Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
+    so a short string cannot ask for a huge power of ten.  A zero denominator
+    or a part past Python's int-string limit is reported as Fraction() reports
+    it.  Numerator and denominator must stay below 10^MAX_RATIONAL_DIGITS, so
+    that sums of the few rationals a request may carry print within Python's
+    4300 digits.
+    """
+    if not isinstance(data, str):
+        if _is_int(data):
+            return data, 1
         raise MalformedInput(f"expected a rational string, got {data!r}")
-    return rational_parts(data)
+    parts = _PARSED.get(data)
+    if parts is not None:
+        return parts
+    match = _RATIONAL.fullmatch(data)
+    if not match:
+        raise MalformedInput(f"bad rational {data!r}: expected p/q")
+    sign, num, den = match.groups()
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:
+        raise MalformedInput(f"bad rational {data!r}: {exc}") from None
+    if sign == "-":
+        p = -p
+    if q == 0:
+        raise MalformedInput(f"bad rational {data!r}: Fraction({p}, 0)")
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if abs(p) >= _INT_BOUND or q >= _INT_BOUND:
+        raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
+                            f"in its numerator or denominator")
+    if len(_PARSED) >= 1024:
+        _PARSED.clear()
+    _PARSED[data] = p, q
+    return p, q
 
 
 def rational_from_json(data) -> Fraction:
-    return Fraction(*_rational_parts(data))
+    return Fraction(*rational_parts(data))
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -191,7 +230,7 @@ def cyclotomic_from_json(data) -> Cyclotomic:
         raise MalformedInput(f"cyclotomic of order {order} needs phi(order) coefficients")
     # capped one by one, the lcm of a request's orders prints within 4300 digits
     check_order(order)
-    parts = [_rational_parts(x) for x in coeffs]
+    parts = [rational_parts(x) for x in coeffs]
     den = lcm(*[q for _, q in parts])
     # each p/q is in lowest terms, so no prime of den divides every numerator
     return Cyclotomic(order, tuple(p * (den // q) for p, q in parts), den)
@@ -234,7 +273,7 @@ def cochain_from_json(data) -> Cochain2:
         i, j, value = row
         if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
             raise MalformedInput(f"bad table index in {row!r}")
-        p, q = _rational_parts(value)
+        p, q = rational_parts(value)
         if m % q:  # p/q mod 1 times m is the int k with p*m = k*q (mod q*m)
             raise MalformedInput(f"value {value!r} is not an m-th root of unity exponent")
         if (i, j) in seen:
@@ -387,7 +426,7 @@ def series_from_json(data) -> GradedSeries:
         if key in terms:
             raise MalformedInput(f"duplicate term at basis {basis}, k={k}")
         terms[key] = coeff
-    return GradedSeries(model, weight, N, variable, trunc, terms)
+    return GradedSeries(weight, N, variable, trunc, terms)
 
 
 def invariance_to_json(report: InvarianceReport) -> dict:

@@ -19,14 +19,16 @@ is the one place that spells a key out as matrix entries.
 Subspaces cut out by a rational diagonal s are represented as entry masks:
 (i, j) lies in p_s iff s_i <= s_j (that is exactly boundedness of
 e^{t(s_i - s_j)} as t grows), in the Levi iff s_i = s_j.  A weight vector
-is a named tuple of its model and its entries.
+is a named tuple of its model, its entries and the exponent beta of each
+basis key; only ``alcove_normalize`` builds one, so every weight is in
+alcove form and its betas are computed once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import MalformedInput, NotAlcoveForm, NotInIH, RankMismatch
+from .errors import MalformedInput, NotInIH, RankMismatch
 from .scalars import signed_mod1
 
 MAX_MODEL_SIZE = 4
@@ -100,9 +102,10 @@ class GroupModel:
         return f"GroupModel({self.kind}, r={self.size})"
 
 
-class WeightVector(namedtuple("WeightVector", "model entries")):
+class WeightVector(namedtuple("WeightVector", "model entries beta")):
     """An alcove representative: one Fraction weight per diagonal slot, in
-    model.weight_convention(), block-sorted."""
+    model.weight_convention(), block-sorted; beta maps each key (i, j) of
+    model.basis, in basis order, to signed_mod1(alpha_i - alpha_j)."""
 
     __slots__ = ()
 
@@ -122,9 +125,10 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
     """The canonical alcove representative of a multiset of Fraction exponents.
 
     Reduce mod 1 into [0,1) and sort descending within each block; for sl,
-    shift to the zero-sum representative by subtracting 1 from the S smallest
-    entries, where S is the integer entry sum.  Idempotent and invariant
-    under permutations within a block.
+    shift to the zero-sum representative by subtracting 1 from the S largest
+    entries, where S is the integer entry sum, and rotating them to the end:
+    [2/3, 1/3] goes to [1/3, -1/3].  Idempotent and invariant under
+    permutations within a block.
     """
     if len(exponents) != model.size:
         raise RankMismatch(f"need {model.size} exponents, got {len(exponents)}")
@@ -143,35 +147,22 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
         # subtract 1 from the `shift` largest entries: the result is the
         # zero-sum representative inside the affine wall, first - last <= 1
         out = out[shift:] + [v - 1 for v in out[:shift]]
-    return WeightVector(model, tuple(out))
+    beta = {(i, j): signed_mod1(out[i] - out[j]) for i, j in model.basis}
+    return WeightVector(model, tuple(out), beta)
 
 
-def check_alcove(model: GroupModel, weight: WeightVector):
-    if weight.model != model:
-        raise NotAlcoveForm("weight vector belongs to a different model")
-    if alcove_normalize(model, weight.entries).entries != weight.entries:
-        raise NotAlcoveForm(f"{weight.entries} is not in alcove form")
-
-
-def isotropy_eigenspaces(model: GroupModel, weight: WeightVector):
+def isotropy_eigenspaces(weight: WeightVector):
     """Split m^C into Ad(e^{2 pi i alpha}) eigenspaces.
 
     The basis element with key (i, j) is an eigenvector with exponent
-    alpha_i - alpha_j (signed representative), so the diagonal keys, sl's
-    H_i among them, sit in the zero eigenspace.  Returns [(beta, [keys])],
-    beta descending, keys in model.basis order.
+    weight.beta[(i, j)], so the diagonal keys, sl's H_i among them, sit in
+    the zero eigenspace.  Returns [(beta, [keys])], beta descending, keys in
+    model.basis order.
     """
-    check_alcove(model, weight)
-    vals = weight.entries
     by_beta = {}
-    for i, j in model.basis:
-        by_beta.setdefault(signed_mod1(vals[i] - vals[j]), []).append((i, j))
+    for key, beta in weight.beta.items():
+        by_beta.setdefault(beta, []).append(key)
     return sorted(by_beta.items(), key=lambda kv: kv[0], reverse=True)
-
-
-def beta_of_basis(model: GroupModel, weight: WeightVector) -> dict:
-    """The exponent beta of each basis key."""
-    return {key: beta for beta, keys in isotropy_eigenspaces(model, weight) for key in keys}
 
 
 class ParabolicData:

@@ -38,8 +38,7 @@ from math import lcm
 
 from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
                      NonIntegralGauge, TwistDenominator, WeightOnWall)
-from .liemodel import (GroupModel, WeightVector, beta_of_basis, check_alcove,
-                       parabolic_from_s)
+from .liemodel import WeightVector, parabolic_from_s
 from .matrices import CycMatrix
 from .scalars import Cyclotomic, check_order
 
@@ -52,13 +51,13 @@ class GradedSeries:
 
     Upstairs (variable z) series are holomorphic: exponents k >= 0.
     Downstairs (variable w) series may carry a simple pole: k >= -1.
-    Terms map (basis key, k) to a Cyclotomic; zero terms are dropped, and
-    beta maps each basis key to its exponent.
+    Terms map (basis key, k) to a Cyclotomic; zero terms are dropped.  The
+    model is the weight's, and beta, the weight's map from each basis key to
+    its exponent, is shared by every series derived from this one.
     """
 
-    def __init__(self, model: GroupModel, weight: WeightVector, N: int,
-                 variable: str, trunc: int, terms):
-        check_alcove(model, weight)
+    def __init__(self, weight: WeightVector, N: int, variable: str, trunc: int, terms):
+        model = weight.model
         if not weight.is_interior():
             raise WeightOnWall(f"{weight.entries} lies on an alcove wall")
         if N < 1:
@@ -88,14 +87,13 @@ class GradedSeries:
         self.trunc = trunc
         self.terms = clean
         check_order(self.working_field_order())
-        self.beta = beta_of_basis(model, weight)
+        self.beta = weight.beta
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def with_terms(self, terms) -> "GradedSeries":
-        return GradedSeries(self.model, self.weight, self.N, self.variable,
-                            self.trunc, terms)
+        return GradedSeries(self.weight, self.N, self.variable, self.trunc, terms)
 
     def working_field_order(self) -> int:
         """The lcm of N, the weight denominators and the coefficient orders.
@@ -255,7 +253,7 @@ def descend(series: GradedSeries):
         if j > out_trunc:
             continue
         terms[(key, j)] = coeff * Fraction(1, N)
-    down = GradedSeries(series.model, series.weight, N, DOWNSTAIRS, out_trunc, terms)
+    down = GradedSeries(series.weight, N, DOWNSTAIRS, out_trunc, terms)
     return down, residue_report(down)
 
 
@@ -281,7 +279,7 @@ def ascend(series: GradedSeries) -> GradedSeries:
         if k > out_trunc:
             continue
         terms[(key, k)] = coeff * N
-    up = GradedSeries(series.model, series.weight, N, UPSTAIRS, out_trunc, terms)
+    up = GradedSeries(series.weight, N, UPSTAIRS, out_trunc, terms)
     if not check_invariance(up).invariant:
         raise AssertionError("ascended series must be invariant")
     return up

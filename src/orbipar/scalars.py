@@ -1,13 +1,12 @@
 """Exact scalar arithmetic: rationals, rationals mod 1, and cyclotomic fields.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator); ``rational_parts`` reads an input rational, a ``p/q`` string
-or an int, as the ints (p, q), each below 10^MAX_RATIONAL_DIGITS.  Weights
-and exponents mod 1 are plain Fractions: ``x % 1`` is the residue in [0,1),
-and ``signed_mod1`` the signed representative in (-1,1) that eigenvalue
-exponents of Ad use.  ``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so
-every root of unity, and hence every eigenvalue of a finite-order group
-element, is represented exactly and equality is a coefficient comparison.
+denominator), read from the wire by ``jsonio``.  Weights and exponents mod 1
+are plain Fractions: ``x % 1`` is the residue in [0,1), and ``signed_mod1``
+the signed representative in (-1,1) that eigenvalue exponents of Ad use.
+``Cyclotomic`` models Q(zeta_M) as Q[x]/(Phi_M(x)), so every root of unity,
+and hence every eigenvalue of a finite-order group element, is represented
+exactly and equality is a coefficient comparison.
 
 A ``Cyclotomic`` is phi(M) int numerators over one positive int denominator
 with gcd(den, *nums) == 1, zero being all zeros over 1.  The form is unique,
@@ -15,9 +14,8 @@ so equality is a tuple comparison, and the arithmetic runs on ints alone:
 ``dot`` sums the products of any number of pairs as one unreduced integer
 polynomial over the lcm of their denominators, ``CycMatrix.__matmul__`` calls
 it once per output entry, and each result is normalised by one gcd.
-Beyond ``rational_parts``, which only ``jsonio`` reaches, nothing here
-parses or coerces, and ``Cyclotomic(order, nums, den)`` stores its arguments
-as given.
+Nothing here parses or coerces, and ``Cyclotomic(order, nums, den)``
+stores its arguments as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
@@ -36,55 +34,14 @@ coefficient list of that length is built.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 
-from .errors import (DenominatorNotDividing, IncompatibleOrders, MalformedInput,
-                     ScaleExceeded)
+from .errors import DenominatorNotDividing, IncompatibleOrders, ScaleExceeded
 
-_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 MAX_CYCLOTOMIC_ORDER = 2 ** 13  # working order of a series or a pseudorepresentation
-MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational, and one input int
-_DIGIT_BOUND = 10 ** MAX_RATIONAL_DIGITS
-
-
-@lru_cache(maxsize=1024, typed=True)
-def rational_parts(x) -> tuple[int, int]:
-    """An input rational, from an int or a 'p/q' string, as the ints (p, q) in
-    lowest terms with q > 0.  Inputs repeat a few values many times, so the
-    results are cached; an error is raised afresh on every call.
-
-    Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
-    so a short string cannot ask for a huge power of ten.  A zero denominator
-    or a part past Python's int-string limit is reported as Fraction() reports
-    it.  Numerator and denominator must stay below 10^MAX_RATIONAL_DIGITS, so
-    that sums of the few rationals a request may carry print within Python's
-    4300 digits.
-    """
-    if isinstance(x, int):
-        p, q = x.numerator, 1
-    else:
-        match = isinstance(x, str) and _RATIONAL.fullmatch(x)
-        if not match:
-            raise MalformedInput(f"bad rational {x!r}: expected p/q")
-        sign, num, den = match.groups()
-        try:
-            p, q = int(num), int(den or 1)
-        except ValueError as exc:
-            raise MalformedInput(f"bad rational {x!r}: {exc}") from None
-        if sign == "-":
-            p = -p
-        if q == 0:
-            raise MalformedInput(f"bad rational {x!r}: Fraction({p}, 0)")
-        g = gcd(p, q)
-        p, q = p // g, q // g
-    if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
-        raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
-                            f"in its numerator or denominator")
-    return p, q
 
 
 def signed_mod1(x: Fraction) -> Fraction:

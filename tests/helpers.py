@@ -43,13 +43,13 @@ from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
                               FiniteAbelianGroup, Verdict, _coboundary_form, _reduce,
                               is_cocycle, zeta)
 from orbipar.errors import DomainError, MalformedInput, NotACocycle, ScaleExceeded
-from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize, beta_of_basis
+from orbipar.jsonio import MAX_RATIONAL_DIGITS, rational_parts
+from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import StratumIndex
 from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from orbipar.scalars import (MAX_RATIONAL_DIGITS, Cyclotomic, cyclotomic_poly, dot,
-                             euler_phi, rational_parts, root_of_unity)
+from orbipar.scalars import Cyclotomic, cyclotomic_poly, dot, euler_phi, root_of_unity
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -184,25 +184,25 @@ def invariant_exponents(beta, N, trunc):
 
 
 def random_invariant_series(rng, model, weight, N, trunc, density=0.5):
-    betas = beta_of_basis(model, weight)
+    betas = weight.beta
     terms = {}
     for key in model.basis:
         for k in invariant_exponents(betas[key], N, trunc):
             if rng.random() < density:
                 terms[(key, k)] = random_nonzero_cyclotomic(rng)
-    return GradedSeries(model, weight, N, UPSTAIRS, trunc, terms)
+    return GradedSeries(weight, N, UPSTAIRS, trunc, terms)
 
 
 def random_downstairs_series(rng, model, weight, N, trunc, density=0.5):
     """A downstairs series with poles supported only on negative components."""
-    betas = beta_of_basis(model, weight)
+    betas = weight.beta
     terms = {}
     for key in model.basis:
         lo = -1 if betas[key] < 0 else 0
         for k in range(lo, trunc + 1):
             if rng.random() < density:
                 terms[(key, k)] = random_nonzero_cyclotomic(rng)
-    return GradedSeries(model, weight, N, DOWNSTAIRS, trunc, terms)
+    return GradedSeries(weight, N, DOWNSTAIRS, trunc, terms)
 
 
 # -- the cocycle API that no verb reaches; tests call it as functions and methods
@@ -794,7 +794,7 @@ def _series_add(self: GradedSeries, other: GradedSeries) -> GradedSeries:
     for (key, k), c in list(self.terms.items()) + list(other.terms.items()):
         if k <= trunc:
             terms[(key, k)] = terms.get((key, k), Cyclotomic.zero()) + c
-    return GradedSeries(self.model, self.weight, self.N, self.variable, trunc, terms)
+    return GradedSeries(self.weight, self.N, self.variable, trunc, terms)
 
 
 def _equal_on_common_range(self: GradedSeries, other: GradedSeries) -> bool:
@@ -901,20 +901,27 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational(x) -> Fraction:
-    """An input rational as scalars.rational_parts reads it."""
+    """An input rational as jsonio.rational_parts reads it."""
     return Fraction(*rational_parts(x))
 
 
 def fraction_rational(x) -> Fraction:
-    """An input rational read by Fraction(), with the errors scalars.rational_parts
-    must raise: an oracle for its int parser."""
-    if not (isinstance(x, int) or isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x)):
+    """An input rational read by Fraction(), with the errors jsonio.rational_parts
+    must raise: an oracle for its int parser.  A JSON int past the digit cap
+    meets the int cap, and a value that is neither a string nor an int (a
+    float, a boolean) is not a wire rational."""
+    bound = 10 ** MAX_RATIONAL_DIGITS
+    is_int = isinstance(x, int) and not isinstance(x, bool)
+    if is_int and abs(x) >= bound:
+        raise ScaleExceeded(f"integer with more than {MAX_RATIONAL_DIGITS} digits")
+    if not (is_int or isinstance(x, str)):
+        raise MalformedInput(f"expected a rational string, got {x!r}")
+    if not (is_int or _RATIONAL_TEXT.fullmatch(x)):
         raise MalformedInput(f"bad rational {x!r}: expected p/q")
     try:
         q = Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {x!r}: {exc}") from None
-    bound = 10 ** MAX_RATIONAL_DIGITS
     if abs(q.numerator) >= bound or q.denominator >= bound:
         raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
                             f"in its numerator or denominator")

@@ -20,8 +20,7 @@ import pytest
 from orbipar.cli import run_command
 from orbipar.cocycles import Cochain2, FiniteAbelianGroup, h2_classes, is_cocycle, zeta
 from orbipar.errors import NegativeGenus, NonIntegralGenus
-from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
-                              isotropy_eigenspaces, parabolic_from_s)
+from orbipar.liemodel import GroupModel, alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from orbipar.localseries import GradedSeries, ascend, check_invariance, descend
 from orbipar.matrices import CycMatrix
 from orbipar.moduli import CoveringData, degree_scaling_check, riemann_hurwitz
@@ -159,7 +158,7 @@ def test_criterion_05_invariance_oracle():
                     for key in model.basis:
                         for k in range(25):
                             terms[(key, k)] = random_nonzero_cyclotomic(rng)
-                    series = GradedSeries(model, w, N, "z", 24, terms)
+                    series = GradedSeries(w, N, "z", 24, terms)
                     # check_invariance computes both oracles and raises if
                     # their per-monomial verdicts differ anywhere
                     report = check_invariance(series)
@@ -244,9 +243,9 @@ def test_criterion_08_lie_closure():
                 if model.kind == "sl":
                     exps[-1] += (0 - sum(exps)) % 1
                 w = alcove_normalize(model, exps)
-                spaces = isotropy_eigenspaces(model, w)
+                spaces = isotropy_eigenspaces(w)
                 assert sum(len(ix) for _, ix in spaces) == model.dim_m
-                betas = beta_of_basis(model, w)
+                betas = w.beta
                 torus = CycMatrix.diagonal([root_of_unity(v) for v in w.entries])
                 inv = CycMatrix.diagonal([root_of_unity(-v % 1) for v in w.entries])
                 for key in model.basis:

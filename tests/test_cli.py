@@ -12,7 +12,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar.cli import HANDLERS, build_parser, main, run_command
-from orbipar import jsonio
+from orbipar import jsonio, liemodel
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER, Cochain2,
                               FiniteAbelianGroup)
 from orbipar.errors import ScaleExceeded
@@ -20,9 +20,9 @@ from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
 from orbipar.pseudoreps import PseudoRep
 from orbipar.matrices import CycMatrix
-from orbipar.jsonio import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES
+from orbipar.jsonio import MAX_FLAG_CORRECTIONS, MAX_FLAG_PIECES, MAX_RATIONAL_DIGITS
 from orbipar.moduli import MAX_STRATA_CELLS, CoveringData, enumerate_strata
-from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, MAX_RATIONAL_DIGITS, root_of_unity
+from orbipar.scalars import MAX_CYCLOTOMIC_ORDER, root_of_unity
 from fractions import Fraction
 
 import helpers  # also attaches PseudoRep.from_generator, equal_on_common_range
@@ -352,6 +352,27 @@ def test_local_pipeline(tmp_path):
     assert code == 0 and result_of(text)["support_in_negative_beta"]
 
 
+@pytest.mark.parametrize("verb,flags", [("check", []), ("residue", []), ("descend", []),
+                                         ("ascend", ["--working-order", "4"])])
+def test_a_local_request_normalizes_alpha_once(tmp_path, monkeypatch, verb, flags):
+    # the wire's weight carries its alcove form and betas; the request's
+    # series, and every series derived from them, share that weight
+    calls = []
+
+    def counted(model, exponents):
+        calls.append(exponents)
+        return alcove_normalize(model, exponents)
+
+    monkeypatch.setattr(liemodel, "alcove_normalize", counted)
+    monkeypatch.setattr(jsonio, "alcove_normalize", counted)
+    payload = make_series_payload()
+    if verb in ("residue", "ascend"):
+        payload.update(variable="w", terms=[{"basis": [1, 0], "k": -1, "coeff": "1/2"}])
+    code, text = invoke(tmp_path, ["local", verb], payload, *flags)
+    assert code == 0, text
+    assert len(calls) == 1
+
+
 def test_local_twist_flag(tmp_path):
     payload = make_series_payload()
     payload["alpha"] = ["1/3", "0"]
@@ -549,7 +570,7 @@ def test_serialization_roundtrip():
     # parse(print(x)) = x for the compound domain types
     model = GroupModel("gl", r=2)
     w = alcove_normalize(model, [Fraction(1, 2), 0])
-    series = GradedSeries(model, w, 2, "z", 6,
+    series = GradedSeries(w, 2, "z", 6,
                           {((1, 0), 0): root_of_unity(Fraction(1, 3), 3)})
     again = jsonio.series_from_json(json.loads(json.dumps(jsonio.series_to_json(series))))
     assert again.equal_on_common_range(series) and again.trunc == series.trunc

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.errors import NotAlcoveForm, NotInIH, RankMismatch
-from orbipar.liemodel import (GroupModel, alcove_normalize, beta_of_basis,
-                              isotropy_eigenspaces, parabolic_from_s)
+from orbipar.errors import NotInIH, RankMismatch
+from orbipar.liemodel import GroupModel, alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from orbipar.matrices import CycMatrix
 from orbipar.scalars import root_of_unity
 
@@ -92,19 +91,13 @@ def test_alcove_torus_order():
 
 
 def test_eigenspace_examples():
-    es = isotropy_eigenspaces(GL2, alcove_normalize(GL2, [0, 0]))
+    es = isotropy_eigenspaces(alcove_normalize(GL2, [0, 0]))
     assert len(es) == 1 and es[0][0] == 0 and len(es[0][1]) == 4
-    es2 = isotropy_eigenspaces(GL2, alcove_normalize(GL2, [Fraction(1, 3), 0]))
+    es2 = isotropy_eigenspaces(alcove_normalize(GL2, [Fraction(1, 3), 0]))
     assert {b: len(ix) for b, ix in es2} == \
         {Fraction(0): 2, Fraction(1, 3): 1, Fraction(-1, 3): 1}
-    esu = isotropy_eigenspaces(UPQ11, alcove_normalize(UPQ11, [Fraction(1, 2), 0]))
+    esu = isotropy_eigenspaces(alcove_normalize(UPQ11, [Fraction(1, 2), 0]))
     assert dict(esu) == {Fraction(1, 2): [(0, 1)], Fraction(-1, 2): [(1, 0)]}
-
-
-def test_eigenspaces_require_alcove_form():
-    w = alcove_normalize(GL2, [Fraction(1, 3), 0])
-    with pytest.raises(NotAlcoveForm):
-        isotropy_eigenspaces(GL3, w)
 
 
 def test_eigenspace_dimensions_and_exact_ad_action():
@@ -116,8 +109,8 @@ def test_eigenspace_dimensions_and_exact_ad_action():
                 s = sum(exps)
                 exps[-1] += (0 - s) % 1
             w = alcove_normalize(model, exps)
-            betas = beta_of_basis(model, w)
-            assert sum(len(ix) for _, ix in isotropy_eigenspaces(model, w)) == model.dim_m
+            betas = w.beta
+            assert sum(len(ix) for _, ix in isotropy_eigenspaces(w)) == model.dim_m
             t = CycMatrix.diagonal([root_of_unity(v) for v in w.entries])
             t_inv = CycMatrix.diagonal([root_of_unity(-v % 1) for v in w.entries])
             for key in model.basis:
@@ -133,7 +126,7 @@ def test_interior_betas_in_open_interval():
                         (GL3, [Fraction(3, 4), Fraction(1, 2), 0])]:
         w = alcove_normalize(model, exps)
         assert w.is_interior()
-        for beta in beta_of_basis(model, w).values():
+        for beta in w.beta.values():
             assert Fraction(-1) < beta < 1
 
 

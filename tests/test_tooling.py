@@ -1,8 +1,9 @@
 """Checks on the package as a whole: no runtime asserts, no except clause
-that could hide a program bug, every error code raised somewhere, no numpy
-on import, the benchmark tracer's entry points all present, the corpus
-script writing the committed corpus, and every payload of every verb,
-however hostile, ending in exit 0, 1 or 2 within a per-call time budget."""
+that could hide a program bug, every error code raised somewhere, no weight
+built outside alcove_normalize, no numpy on import, the benchmark tracer's
+entry points all present, the corpus script writing the committed corpus,
+and every payload of every verb, however hostile, ending in exit 0, 1 or 2
+within a per-call time budget."""
 
 import ast
 import importlib.util
@@ -23,8 +24,8 @@ from orbipar.cli import run_command
 from orbipar.cocycles import DEFAULT_MAX_ORDER
 from orbipar.errors import ScaleExceeded
 from orbipar.jsonio import cyclotomic_to_json
-from orbipar.liemodel import beta_of_basis
-from orbipar.scalars import MAX_RATIONAL_DIGITS, root_of_unity
+from orbipar.jsonio import MAX_RATIONAL_DIGITS
+from orbipar.scalars import root_of_unity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbipar"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -80,6 +81,20 @@ def test_every_error_code_is_raised_in_src():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(defined - {"DomainError", "MalformedInput"} - raised) == []
+
+
+def test_only_alcove_normalize_builds_a_weight():
+    # every WeightVector is then in alcove form, with its betas computed once
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builders = {id(node): function.name for function in ast.walk(tree)
+                    if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "WeightVector"
+                  and builders.get(id(node)) != "alcove_normalize"]
+    assert found == []
 
 
 def test_benchmark_tracer_installs():
@@ -278,7 +293,7 @@ def series_payloads(draw, variable):
     invariant exponents, then perhaps one field spoiled."""
     model_json, alpha, N = draw(st.sampled_from(LOCAL_MODELS))
     model = jsonio.model_from_json(model_json)
-    betas = beta_of_basis(model, jsonio.weight_vector_from_json(model, alpha))
+    betas = jsonio.weight_vector_from_json(model, alpha).beta
     terms = {}
     for key in draw(st.lists(st.sampled_from(model.basis), max_size=4)):
         invariant = (-N * betas[key] - 1) % N  # k = N l - N beta - 1

@@ -7,11 +7,10 @@ exponents; the identities below are the multiplicative ones of the glossary:
     cocycle:     c(ab, d) + c(a, b) = c(a, bd) + c(b, d)        (mod m)
     coboundary:  (df)(a, b) = f(ab) - f(a) - f(b)               (mod m)
 
-H^2 is computed by linear algebra over Z/m.  The coboundaries B^2 are the
-span of the d(e_g), put in Howell form; one cocycle per class comes from the
-universal coefficient theorem (carry cocycles and alternating bilinear
-forms), and reducing it against the Howell form gives the lexicographically
-least table of its class.
+H^2 comes from the universal coefficient theorem: one cocycle per class,
+built from carry cocycles and alternating bilinear forms.  Each of these
+cocycles is already the lexicographically least table of its class (the
+argument is in h2_classes), so no linear algebra over Z/m runs.
 
 A check returns the named tuple Verdict(ok, witness); a tuple is always
 true, so callers read .ok.
@@ -130,71 +129,6 @@ def is_cocycle(c: Cochain2) -> Verdict:
     return Verdict(True, None)
 
 
-def _gcdex(a: int, b: int):
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _howell_form(rows, m: int):
-    """Howell form of the span of `rows` over Z/m, as (pivot column, row) pairs.
-
-    The rows are in echelon form, each pivot d divides m, and (m/d) * row lies
-    in the span of the rows after it (Howell 1986; Storjohann 2000).  So the
-    members of the span that vanish before column k are spanned by the rows
-    pivoting at or after k, which is what makes `_reduce` lexicographic.
-    """
-    work = [r for r in ([x % m for x in r] for r in rows) if any(r)]
-    form = []
-    while work:
-        col = min(next(i for i, x in enumerate(r) if x) for r in work)
-        piv, rest = None, []
-        for r in work:
-            if not r[col]:
-                rest.append(r)
-            elif piv is None:
-                piv = r
-            else:  # a unimodular pair of combinations: gcd pivot, zero below
-                a, b = piv[col], r[col]
-                g, s, t = _gcdex(a, b)
-                piv, r = _combine(s, piv, t, r, m), _combine(b // g, piv, -(a // g), r, m)
-                rest.append(r)
-        # s*piv has pivot d = gcd(a, m); it and (m/d)*piv span what piv did
-        d, s, _ = _gcdex(piv[col], m)
-        form.append((col, [s * x % m for x in piv]))
-        rest.append([m // d * x % m for x in piv])
-        work = [r for r in rest if any(r)]
-    return form
-
-
-def _combine(s: int, u, t: int, v, m: int):
-    return [(s * x + t * y) % m for x, y in zip(u, v)]
-
-
-def _reduce(vector, form, m: int):
-    """The lexicographically least member of the vector's coset of the span."""
-    for col, row in form:
-        q = vector[col] // row[col]
-        if q:
-            vector = _combine(1, vector, -q, row, m)
-    return vector
-
-
-def _coboundary_form(group: FiniteAbelianGroup, m: int):
-    """Howell form of the rows [d(e_g) | e_g], g != 1: a table, then its f."""
-    n, prod = group.order, group.prod
-    rows = []
-    for g in range(1, n):
-        # d(e_g)(a, b) = [ab = g] - [a = g] - [b = g]
-        table = [(p == g) - (a == g) - (b == g)
-                 for a, row in enumerate(prod) for b, p in enumerate(row)]
-        rows.append(table + [int(h == g) for h in range(1, n)])
-    return _howell_form(rows, m)
-
-
 def h2_count(group: FiniteAbelianGroup, m: int) -> int:
     """|H^2(G, Z/m)| = prod gcd(n_i, m) * prod_{i<j} gcd(n_i, n_j, m) (UCT)."""
     count = 1
@@ -206,34 +140,50 @@ def h2_count(group: FiniteAbelianGroup, m: int) -> int:
 
 
 def h2_classes(group: FiniteAbelianGroup, m: int,
-               max_candidates: int = DEFAULT_SCALE_BOUND) -> list[Cochain2]:
+               scale_bound: int = DEFAULT_SCALE_BOUND) -> list[Cochain2]:
     """Lexicographically least representatives of H^2(G, Z/m), sorted.
 
-    One cocycle per class, by the universal coefficient theorem: k * carry_i
-    with k < gcd(n_i, m), plus (m/g) * l * a_i b_j with l < g = gcd(n_i, n_j, m)
-    for i < j.  `max_candidates` bounds the number of classes; below 1 it is
+    One cocycle per class, by the universal coefficient theorem: k_i * carry_i
+    with k_i < gcd(n_i, m), plus (m/g) * l * a_i b_j with l < g = gcd(n_i, n_j, m)
+    for i < j.  `scale_bound` bounds the number of classes; below 1 it is
     malformed.
+
+    Each such cocycle c is already the least table of its class.  Let f be a
+    normalized 1-cochain with c + df <=_lex c, and H_i the elements whose
+    first i coordinates are 0: the first |H_i| rows, followed by row e_i
+    (when n_i > 1).  The rows where df vanishes form a subgroup, as
+    df(a + b, d) = df(a, b + d) + df(b, d) - df(a, b), and contain H_t = {1}.
+    Suppose they contain H_i:
+      - df is symmetric, so df(e_i, b + h) = df(e_i, b) for h in H_i: on row
+        e_i, df depends only on the coordinates <= i of b, and its first
+        nonzero cell, if any, has b_j = 0 for j > i.
+      - There c(e_i, b) is k_i if b_i = n_i - 1 and 0 otherwise.  Where c is
+        0, a first nonzero df would raise the table.
+      - So that cell is b = x + (n_i - 1) e_i, after the cells x + j e_i,
+        j < n_i - 1, where df is 0.  Summing those, f(x + j e_i) =
+        f(x) + j f(e_i), so df = -n_i f(e_i) there, a multiple of gcd(n_i, m),
+        and c + df = k_i mod gcd(n_i, m): it cannot go below k_i, and it
+        equals k_i only if df = 0 there.
+      - So row e_i vanishes, and with it every row j e_i + h, h in H_i.
+    At H_0 = G, df = 0: no other table of the class is at or below c.
     """
-    if max_candidates < 1:
-        raise MalformedInput(f"scale bound {max_candidates} is below 1")
+    if scale_bound < 1:
+        raise MalformedInput(f"scale bound {scale_bound} is below 1")
     count = h2_count(group, m)
-    if count > max_candidates:
-        raise ScaleExceeded(f"{count} classes exceed bound {max_candidates}")
-    form = _coboundary_form(group, m)
+    if count > scale_bound:
+        raise ScaleExceeded(f"{count} classes exceed bound {scale_bound}")
     n, factors, el = group.order, group.factors, group.elements
-    orders, tables = [], []
+    gens = []  # (order in H^2, flattened table) per UCT generator
     for i, ni in enumerate(factors):
-        orders.append(gcd(ni, m))
-        tables.append([(a[i] + b[i]) // ni for a in el for b in el])
+        gens.append((gcd(ni, m), [(a[i] + b[i]) // ni for a in el for b in el]))
         for j in range(i + 1, len(factors)):
             g = gcd(ni, factors[j], m)
-            orders.append(g)
-            tables.append([m // g * a[i] * b[j] for a in el for b in el])
+            gens.append((g, [m // g * a[i] * b[j] for a in el for b in el]))
     rows = [[0] * (n * n)]
-    for order, t in zip(orders, tables):
+    for order, t in gens:
         rows = [[(x + k * y) % m for x, y in zip(row, t)] for row in rows for k in range(order)]
-    reps = sorted(_reduce(row + [0] * (n - 1), form, m)[:n * n] for row in rows)
-    return [Cochain2(group, m, [row[i:i + n] for i in range(0, n * n, n)]) for row in reps]
+    return [Cochain2(group, m, [row[i:i + n] for i in range(0, n * n, n)])
+            for row in sorted(rows)]
 
 
 def _power_sum(c: Cochain2, a: int):

@@ -107,12 +107,12 @@ class Strata(Sequence):
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
                      covering: CoveringData, model: GroupModel,
-                     max_candidates: int = DEFAULT_SCALE_BOUND) -> Strata:
+                     scale_bound: int = DEFAULT_SCALE_BOUND) -> Strata:
     """Cartesian product of H^2 class representatives with, per branch orbit,
     the center-projected classes of order-N_j diagonal pseudorepresentations,
     kept as its factors.
 
-    `max_candidates` bounds the number of strata, and MAX_STRATA_CELLS the
+    `scale_bound` bounds the number of strata, and MAX_STRATA_CELLS the
     table rows and exponents they carry in all.  The classes are computed
     once per distinct orbit order, and the strata count is checked against
     the bound as each orbit multiplies it."""
@@ -122,15 +122,15 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
         raise MalformedInput("deck group order disagrees with the covering data")
     if model.kind not in ("gl", "sl"):
         raise UnsupportedModel("class enumeration is defined for gl and sl models")
-    cocycle_reps = h2_classes(group, coeff_order, max_candidates)
+    cocycle_reps = h2_classes(group, coeff_order, scale_bound)
     classes = {nj: quotient_classes(nj, model.size, Fraction(0), coeff_order, model.kind)
                for nj in dict.fromkeys(covering.orbit_orders)}
     total = len(cocycle_reps)
     for count, nj in enumerate(covering.orbit_orders, 1):
         total *= len(classes[nj])
-        if total > max_candidates:
+        if total > scale_bound:
             raise ScaleExceeded(f"the first {count} orbits already give {total} strata, "
-                                f"above the bound {max_candidates}")
+                                f"above the bound {scale_bound}")
     per_stratum = group.order ** 2 + len(covering.orbit_orders) * model.size
     if total * per_stratum > MAX_STRATA_CELLS:
         raise ScaleExceeded(f"{total} strata carry {per_stratum} table rows and exponents "

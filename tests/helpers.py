@@ -1,20 +1,22 @@
 """Shared generators for randomized suites: cocycles, pseudoreps, series.
 
-Also the brute-force oracles the tests compare against: the
-exhaustive enumeration of cocycles and coboundaries, H^2 by striking out
-coboundary cosets, element orders and cyclicity by repeated addition,
-central extensions as Cayley tables with every group axiom scanned and
-element orders by repeated multiplication, an exhaustive isomorphism search
-between Cayley tables, the order of a root of unity by trial
-exponentiation, cyclotomic and matrix products computed with a Fraction for
-every term, the composition rule of a pseudorepresentation checked on all
-n^2 pairs, pseudorep classes enumerated, projected and checked with a
-Fraction for every exponent, eigenvalues by a trial search over the roots
-of the characteristic polynomial, the parabolic masks checked by brackets
-of basis pairs, invariance by substituting roots of unity into each basis
-matrix, the basis matrix of a key read from the README's definition (not
-from GroupModel.entries), input rationals read by Fraction(), and the
-strata encoded as one dict per stratum.
+Also the brute-force oracles the tests compare against: the exhaustive
+enumeration of cocycles and coboundaries, H^2 by striking out coboundary
+cosets, the Howell form of the coboundaries over Z/m (_gcdex, _howell_form,
+_combine, _reduce, _coboundary_form), which reduces a cocycle to the least
+table of its class and so certifies h2_classes, element orders and
+cyclicity by repeated addition, central extensions as Cayley tables with
+every group axiom scanned and element orders by repeated multiplication, an
+exhaustive isomorphism search between Cayley tables, the order of a root of
+unity by trial exponentiation, cyclotomic and matrix products computed with
+a Fraction for every term, the composition rule of a pseudorepresentation
+checked on all n^2 pairs, pseudorep classes enumerated, projected and
+checked with a Fraction for every exponent, eigenvalues by a trial search
+over the roots of the characteristic polynomial, the parabolic masks
+checked by brackets of basis pairs, invariance by substituting roots of
+unity into each basis matrix, the basis matrix of a key read from the
+README's definition (not from GroupModel.entries), input rationals read by
+Fraction(), and the strata encoded as one dict per stratum.
 
 And the conveniences that only tests call, attached to the library classes
 as methods: the Fraction coefficients, subtraction, powers, division and
@@ -23,11 +25,11 @@ matrix powers and scalar multiples, the generators of a group, a cochain's
 value at a pair of elements, its key and products, pseudorepresentations
 from a generator image, their images by element and their conjugates, and
 series sums and comparisons.  coboundary builds df, are_cohomologous finds
-an f with c2 = df * c1, and restrict pulls a cocycle back to a subgroup;
-decompose_by_beta splits a series into its eigencomponents, and
-induced_cocycle pushes a cocycle's values along mu_m -> mu_m'.  restrict
-raises NotASubgroup and induced_cocycle NotAHomomorphism, DomainErrors with
-a code like the library's.
+an f with c2 = df * c1 by the Howell reduction, and restrict pulls a
+cocycle back to a subgroup; decompose_by_beta splits a series into its
+eigencomponents, and induced_cocycle pushes a cocycle's values along
+mu_m -> mu_m'.  restrict raises NotASubgroup and induced_cocycle
+NotAHomomorphism, DomainErrors with a code like the library's.
 """
 
 import operator
@@ -40,8 +42,7 @@ import numpy as np
 
 from orbipar import jsonio
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, Cochain2, Extension,
-                              FiniteAbelianGroup, Verdict, _coboundary_form, _reduce,
-                              is_cocycle, zeta)
+                              FiniteAbelianGroup, Verdict, is_cocycle, zeta)
 from orbipar.errors import DomainError, MalformedInput, NotACocycle, ScaleExceeded
 from orbipar.jsonio import MAX_RATIONAL_DIGITS, rational_parts
 from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize
@@ -240,6 +241,71 @@ def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
         raise MalformedInput("f(1) must equal 1")
     table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
     return Cochain2(group, m, table)
+
+
+def _gcdex(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _howell_form(rows, m: int):
+    """Howell form of the span of `rows` over Z/m, as (pivot column, row) pairs.
+
+    The rows are in echelon form, each pivot d divides m, and (m/d) * row lies
+    in the span of the rows after it (Howell 1986; Storjohann 2000).  So the
+    members of the span that vanish before column k are spanned by the rows
+    pivoting at or after k, which is what makes `_reduce` lexicographic.
+    """
+    work = [r for r in ([x % m for x in r] for r in rows) if any(r)]
+    form = []
+    while work:
+        col = min(next(i for i, x in enumerate(r) if x) for r in work)
+        piv, rest = None, []
+        for r in work:
+            if not r[col]:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:  # a unimodular pair of combinations: gcd pivot, zero below
+                a, b = piv[col], r[col]
+                g, s, t = _gcdex(a, b)
+                piv, r = _combine(s, piv, t, r, m), _combine(b // g, piv, -(a // g), r, m)
+                rest.append(r)
+        # s*piv has pivot d = gcd(a, m); it and (m/d)*piv span what piv did
+        d, s, _ = _gcdex(piv[col], m)
+        form.append((col, [s * x % m for x in piv]))
+        rest.append([m // d * x % m for x in piv])
+        work = [r for r in rest if any(r)]
+    return form
+
+
+def _combine(s: int, u, t: int, v, m: int):
+    return [(s * x + t * y) % m for x, y in zip(u, v)]
+
+
+def _reduce(vector, form, m: int):
+    """The lexicographically least member of the vector's coset of the span."""
+    for col, row in form:
+        q = vector[col] // row[col]
+        if q:
+            vector = _combine(1, vector, -q, row, m)
+    return vector
+
+
+def _coboundary_form(group: FiniteAbelianGroup, m: int):
+    """Howell form of the rows [d(e_g) | e_g], g != 1: a table, then its f."""
+    n, prod = group.order, group.prod
+    rows = []
+    for g in range(1, n):
+        # d(e_g)(a, b) = [ab = g] - [a = g] - [b = g]
+        table = [(p == g) - (a == g) - (b == g)
+                 for a, row in enumerate(prod) for b, p in enumerate(row)]
+        rows.append(table + [int(h == g) for h in range(1, n)])
+    return _howell_form(rows, m)
 
 
 def are_cohomologous(c1: Cochain2, c2: Cochain2):

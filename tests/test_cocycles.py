@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -10,9 +10,10 @@ from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, FiniteAbelianGroup,
                               central_extension, h2_classes, is_cocycle, zeta)
 from orbipar.errors import NotACocycle, NotNormalized, ScaleExceeded
 
-from helpers import (ExtensionGroup, NotASubgroup, _coboundary_batches, are_cohomologous,
-                     brute_force_element_order, brute_force_extension, brute_force_h2,
-                     brute_force_is_cyclic, coboundary, extension_table,
+from helpers import (ExtensionGroup, NotASubgroup, _coboundary_batches, _coboundary_form,
+                     _reduce, are_cohomologous, brute_force_element_order,
+                     brute_force_extension, brute_force_h2, brute_force_is_cyclic,
+                     coboundary, extension_table,
                      random_cyclic_cochain, random_cyclic_cocycle, restrict,
                      table_is_associative)
 
@@ -112,8 +113,8 @@ def test_h2_representatives_are_cocycles_and_inequivalent():
 def test_scale_bound():
     # the bound is on the output: Z/8 with m = 8 has 8 classes
     with pytest.raises(ScaleExceeded):
-        h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=4)
-    assert len(h2_classes(FiniteAbelianGroup([8]), 8, max_candidates=8)) == 8
+        h2_classes(FiniteAbelianGroup([8]), 8, scale_bound=4)
+    assert len(h2_classes(FiniteAbelianGroup([8]), 8, scale_bound=8)) == 8
     # no cap on the coefficient order: residues are Python ints
     assert len(h2_classes(Z2, 2 ** 40)) == 2
 
@@ -176,6 +177,29 @@ def test_h2_sweep_matches_uct():
             assert len({r.key() for r in reps}) == uct_count(factors, m), (factors, m)
             if m == 24:  # checking every m triples the sweep's time
                 assert all(is_cocycle(r).ok for r in reps), factors
+
+
+CERTIFIED_MODULI = list(range(1, 13)) + [16, 24, 36, 48, 2 ** 40, 10 ** 12 + 39]
+
+
+def test_h2_representatives_are_least_in_their_class():
+    # The Howell reduction returns the least table of a class, so it must fix
+    # every representative.  The argument in h2_classes reads m only through
+    # gcd(n_i, m), which gcd(m, exponent of G) fixes: each group takes the first
+    # modulus of each such gcd, and the two large moduli always.
+    groups = ordered_factors(24) + [(1, 4), (2, 1, 2)]
+    assert {(3, 2), (4, 2), (2, 6), (6, 2), (2, 2, 2, 2)} <= set(groups)
+    for factors in groups:
+        g, seen = FiniteAbelianGroup(factors), set()
+        for m in CERTIFIED_MODULI:
+            key = gcd(m, lcm(*factors))
+            if key in seen and m < 2 ** 40:
+                continue
+            seen.add(key)
+            form = _coboundary_form(g, m)
+            for r in h2_classes(g, m):
+                row = [x for t in r.table for x in t] + [0] * (g.order - 1)
+                assert _reduce(row, form, m) == row, (factors, m, r.table)
 
 
 COHOMOLOGY_GROUPS = [[2], [3], [4], [6], [8], [12], [2, 2], [2, 4], [3, 3], [2, 2, 2]]

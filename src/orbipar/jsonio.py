@@ -7,9 +7,10 @@ the library below them takes ints, Fractions and Cyclotomics as given.
 All encoders emit canonically ordered structures (sorted term lists, sorted
 table entries) so that rendering with sorted keys is byte-deterministic.
 dumps renders exactly as the stdlib does; the one value it does not walk is
-a Splice, which appends its own text.  strata_to_json returns one, so that a
+a Splice, which appends its own text.  dumps splices in two places: a
 strata list is rendered from the product's factors, each cocycle and class
-once, and not from one object per stratum.
+once, and a cochain table straight from its int rows, two cached pieces
+per cell.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
 from .cocycles import Cochain2, Extension, FiniteAbelianGroup
@@ -239,10 +240,25 @@ def cyclotomic_from_json(data) -> Cyclotomic:
 # -- cohomology ---------------------------------------------------------------
 
 def cochain_to_json(c: Cochain2) -> dict:
-    m = c.coeff_order
-    text = {k: _ratio_text(k, m) for k in set().union(*c.table)}  # not range(m): m may be 2^40
-    table = [[i, j, text[k]] for i, row in enumerate(c.table) for j, k in enumerate(row)]
-    return {"group": list(c.group.factors), "coeff_order": m, "table": table}
+    """The cochain; dumps renders its table of [i, j, "k/m"] cells by _render_table."""
+    return {"group": list(c.group.factors), "coeff_order": c.coeff_order,
+            "table": Splice(lambda out, depth, rows: _render_table(c, out, depth, rows))}
+
+
+def _render_table(c: Cochain2, out, depth, rows):
+    """Append c's table at depth, two pieces per cell: its text up to the value,
+    kept in rows under (depth, n) for all n^2 cells, and its value's text."""
+    n, m, start = c.group.order, c.coeff_order, len(out)
+    sep, ind = ",\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    heads = rows.get((depth, n))  # dumps' own keys hold at least three items
+    if heads is None:
+        heads = rows[depth, n] = [f'{sep}[{ind}{i},{ind}{j},{ind}"'
+                                  for i in range(n) for j in range(n)]
+    cells = list(chain.from_iterable(c.table))
+    values = {k: f'{_ratio_text(k, m)}"{sep[1:]}]' for k in set(cells)}
+    out += chain.from_iterable(zip(heads, map(values.__getitem__, cells)))
+    out[start] = "[" + out[start][1:]
+    out.append(f"\n{'  ' * depth}]")
 
 
 def coeff_order_from_json(data) -> int:
@@ -261,26 +277,31 @@ def int_list_from_json(data, key) -> list:
 
 
 def cochain_from_json(data) -> Cochain2:
+    """A cell [i, j, text] with new in-range int indices and a value text read
+    before is stored at once; any other cell runs every check, in order."""
     factors = int_list_from_json(data, "group")
     m = coeff_order_from_json(data)
     group = FiniteAbelianGroup(factors)
     n = group.order
-    table = [[0] * n for _ in range(n)]
-    seen = set()
+    table = [[None] * n for _ in range(n)]  # None: no cell read yet
+    exponent = {}  # value -> its exponent k, for the values read so far
     for row in _need(data, "table", list):
         if not isinstance(row, list) or len(row) != 3:
             raise MalformedInput(f"bad table entry {row!r}")
         i, j, value = row
+        if (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n
+                and type(value) is str and value in exponent and table[i][j] is None):
+            table[i][j] = exponent[value]
+            continue
         if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
             raise MalformedInput(f"bad table index in {row!r}")
         p, q = rational_parts(value)
         if m % q:  # p/q mod 1 times m is the int k with p*m = k*q (mod q*m)
             raise MalformedInput(f"value {value!r} is not an m-th root of unity exponent")
-        if (i, j) in seen:
+        if table[i][j] is not None:
             raise MalformedInput(f"duplicate table entry ({i}, {j})")
-        seen.add((i, j))
-        table[i][j] = p * (m // q) % m
-    return Cochain2(group, m, table)
+        table[i][j] = exponent[value] = p * (m // q) % m
+    return Cochain2(group, m, [[k or 0 for k in row] for row in table])
 
 
 def extension_to_json(ext: Extension) -> dict:

@@ -4,7 +4,9 @@ Also the brute-force oracles the tests compare against: the exhaustive
 enumeration of cocycles and coboundaries, H^2 by striking out coboundary
 cosets, the Howell form of the coboundaries over Z/m (_gcdex, _howell_form,
 _combine, _reduce, _coboundary_form), which reduces a cocycle to the least
-table of its class and so certifies h2_classes, element orders and
+table of its class and so certifies h2_classes, the cocycle identity
+scanned on every triple (for is_cocycle), the product table by adding
+exponent tuples (for FiniteAbelianGroup.prod), element orders and
 cyclicity by repeated addition, central extensions as Cayley tables with
 every group axiom scanned and element orders by repeated multiplication, an
 exhaustive isomorphism search between Cayley tables, the order of a root of
@@ -16,20 +18,23 @@ over the roots of the characteristic polynomial, the parabolic masks
 checked by brackets of basis pairs, invariance by substituting roots of
 unity into each basis matrix, the basis matrix of a key read from the
 README's definition (not from GroupModel.entries), input rationals read by
-Fraction(), and the strata encoded as one dict per stratum.
+Fraction(), and the strata, cochains and pseudoreps encoded with every
+cochain table a list of [i, j, "k/m"] cells, the strata as one dict per
+stratum.
 
 And the conveniences that only tests call, attached to the library classes
 as methods: the Fraction coefficients, subtraction, powers, division and
 is_one on cyclotomics, identity, diagonal and scalar matrices, is_identity,
-matrix powers and scalar multiples, the generators of a group, a cochain's
-value at a pair of elements, its key and products, pseudorepresentations
-from a generator image, their images by element and their conjugates, and
-series sums and comparisons.  coboundary builds df, are_cohomologous finds
-an f with c2 = df * c1 by the Howell reduction, and restrict pulls a
-cocycle back to a subgroup; decompose_by_beta splits a series into its
-eigencomponents, and induced_cocycle pushes a cocycle's values along
-mu_m -> mu_m'.  restrict raises NotASubgroup and induced_cocycle
-NotAHomomorphism, DomainErrors with a code like the library's.
+matrix powers and scalar multiples, the generators of a group and the sum
+of two of its elements, a cochain's value at a pair of elements, its key
+and products, pseudorepresentations from a generator image, their images by
+element and their conjugates, and series sums and comparisons.  coboundary
+builds df, are_cohomologous finds an f with c2 = df * c1 by the Howell
+reduction, and restrict pulls a cocycle back to a subgroup;
+decompose_by_beta splits a series into its eigencomponents, and
+induced_cocycle pushes a cocycle's values along mu_m -> mu_m'.  restrict
+raises NotASubgroup and induced_cocycle NotAHomomorphism, DomainErrors with
+a code like the library's.
 """
 
 import operator
@@ -226,7 +231,29 @@ def _generators(self: FiniteAbelianGroup):
 
 
 FiniteAbelianGroup.generators = _generators
+FiniteAbelianGroup.add = lambda self, a, b: tuple(
+    (x + y) % n for x, y, n in zip(a, b, self.factors))
 Cochain2.value = lambda self, a, b: self.table[self.group.index[a]][self.group.index[b]]
+
+
+def tuple_add_table(group: FiniteAbelianGroup):
+    """The product table by adding exponent tuples and looking the sum up:
+    the oracle for FiniteAbelianGroup.prod."""
+    return tuple(tuple(group.index[group.add(a, b)] for b in group.elements)
+                 for a in group.elements)
+
+
+def scan_is_cocycle(c: Cochain2) -> Verdict:
+    """The cocycle identity checked on every triple in row-major order, the
+    first failing triple its witness: the oracle for is_cocycle."""
+    g, t, m = c.group, c.table, c.coeff_order
+    p, span = g.prod, range(1, g.order)
+    for a in span:
+        for b in span:
+            for d in span:
+                if (t[p[a][b]][d] + t[a][b] - t[a][p[b][d]] - t[b][d]) % m:
+                    return Verdict(False, (g.elements[a], g.elements[b], g.elements[d]))
+    return Verdict(True, None)
 
 
 def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
@@ -239,7 +266,8 @@ def coboundary(group: FiniteAbelianGroup, m: int, f) -> Cochain2:
         raise MalformedInput(f"need {group.order} values for f")
     if f[0] != 0:
         raise MalformedInput("f(1) must equal 1")
-    table = [[f[p] - fa - fb for p, fb in zip(row, f)] for row, fa in zip(group.prod, f)]
+    table = [[(f[p] - fa - fb) % m for p, fb in zip(row, f)]
+             for row, fa in zip(group.prod, f)]
     return Cochain2(group, m, table)
 
 
@@ -801,7 +829,7 @@ def induced_cocycle(c: Cochain2, target_order: int, generator_image: int) -> Coc
     if m2 < 1 or (t * m) % m2 != 0:
         raise NotAHomomorphism(
             f"zeta_{m} -> zeta_{m2}^{t} does not define a homomorphism")
-    out = Cochain2(c.group, m2, [[x * t for x in row] for row in c.table])
+    out = Cochain2(c.group, m2, [[x * t % m2 for x in row] for row in c.table])
     verdict = is_cocycle(out)
     if not verdict.ok:
         raise AssertionError("homomorphic image of a cocycle must be a cocycle")
@@ -816,7 +844,8 @@ def _cochain_mul(self: Cochain2, other: Cochain2) -> Cochain2:
     if self.group != other.group or self.coeff_order != other.coeff_order:
         raise MalformedInput("cochains live over different (group, coefficients)")
     return Cochain2(self.group, self.coeff_order,
-                    [[x + y for x, y in zip(r, s)] for r, s in zip(self.table, other.table)])
+                    [[(x + y) % self.coeff_order for x, y in zip(r, s)]
+                     for r, s in zip(self.table, other.table)])
 
 
 Cochain2.trivial = classmethod(
@@ -825,6 +854,21 @@ Cochain2.key = _cochain_key
 Cochain2.mul = _cochain_mul
 StratumIndex.canonical_key = lambda self: (
     self.cocycle.key(), tuple(c.exponents for c in self.orbit_classes))
+
+
+def cochain_to_json(c: Cochain2) -> dict:
+    """The cochain with its table as a list of [i, j, "k/m"] cells, one per
+    cell in row-major order: the oracle for jsonio.cochain_to_json, whose
+    rendering must equal the stdlib's of this."""
+    m = c.coeff_order
+    return {"group": list(c.group.factors), "coeff_order": m,
+            "table": [[i, j, str(Fraction(k, m))] for i, row in enumerate(c.table)
+                      for j, k in enumerate(row)]}
+
+
+def pseudorep_to_json(sigma: PseudoRep) -> dict:
+    """jsonio.pseudorep_to_json with the cocycle in the oracle's list form."""
+    return {**jsonio.pseudorep_to_json(sigma), "cocycle": cochain_to_json(sigma.cochain)}
 
 
 def strata_to_json(strata) -> list:
@@ -842,7 +886,7 @@ def strata_to_json(strata) -> list:
     def classes(cs):
         return [once(id(c), jsonio.quotient_class_to_json, c) for c in cs]
 
-    return [{"cocycle": once(id(s.cocycle), jsonio.cochain_to_json, s.cocycle),
+    return [{"cocycle": once(id(s.cocycle), cochain_to_json, s.cocycle),
              "orbit_classes": once(tuple(map(id, s.orbit_classes)), classes, s.orbit_classes)}
             for s in strata]
 

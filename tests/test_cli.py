@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orbipar.cli import HANDLERS, build_parser, main, run_command
 from orbipar import jsonio, liemodel
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER, Cochain2,
-                              FiniteAbelianGroup)
+                              FiniteAbelianGroup, h2_classes)
 from orbipar.errors import ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
@@ -241,7 +242,7 @@ def test_pseudorep_roundtrip(tmp_path):
     i4 = root_of_unity(Fraction(1, 4), 4)
     mi4 = root_of_unity(Fraction(3, 4), 4)
     sigma = PseudoRep.from_generator(c, CycMatrix.diagonal([i4, mi4]))
-    payload = jsonio.pseudorep_to_json(sigma)
+    payload = json.loads(jsonio.dumps(jsonio.pseudorep_to_json(sigma)))
     code, text = invoke(tmp_path, ["pseudorep", "verify"], payload)
     assert code == 0 and result_of(text)["valid"]
     code, text = invoke(tmp_path, ["pseudorep", "classify"], payload)
@@ -576,7 +577,7 @@ def test_serialization_roundtrip():
     assert again.equal_on_common_range(series) and again.trunc == series.trunc
     c = Cochain2(FiniteAbelianGroup([4]), 2,
                  [[0] * 4, [0, 1, 0, 1], [0] * 4, [0, 1, 0, 1]])
-    assert jsonio.cochain_from_json(jsonio.cochain_to_json(c)) == c
+    assert jsonio.cochain_from_json(json.loads(jsonio.dumps(jsonio.cochain_to_json(c)))) == c
 
 
 def test_determinism(tmp_path):
@@ -645,6 +646,67 @@ def test_large_outputs_are_the_stdlib_rendering(tmp_path, command, payload, coun
     code, text = invoke(tmp_path, command, payload)
     assert code == 0 and result_of(text)[count[0]] == count[1]
     assert text == stdlib_dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("factors,m", [([1], 3), ([2], 2 ** 40), ([6], 6), ([2, 4], 2),
+                                        ([4, 2], 4), ([1, 4], 2), ([2, 1, 2], 2), ([2, 2, 2], 2)])
+def test_h2_tables_are_the_rendering_of_their_cells(tmp_path, factors, m):
+    code, text = invoke(tmp_path, ["cocycle", "h2"], {"group": factors, "coeff_order": m})
+    reps = h2_classes(FiniteAbelianGroup(factors), m)
+    expected = {"classes": len(reps), "representatives": list(map(helpers.cochain_to_json, reps))}
+    assert code == 0
+    assert text == stdlib_dumps({"result": expected, "audit": json.loads(text)["audit"]})
+
+
+@pytest.mark.parametrize("n,m,r", [(1, 3, 1), (2, 4, 2), (4, 6, 2), (6, 3, 1)])
+def test_transport_tables_are_the_rendering_of_their_cells(tmp_path, n, m, r):
+    sigma = helpers.random_pseudorep(random.Random(n * m * r), n, m, r)
+    payload = {"ambient_group": [n], "gamma0": [0], "generator_image": [1 % n],
+               "pseudorep": helpers.pseudorep_to_json(sigma)}
+    code, text = invoke(tmp_path, ["pseudorep", "transport"], payload)
+    assert code == 0
+    assert text == stdlib_dumps({"result": payload["pseudorep"],
+                                 "audit": json.loads(text)["audit"]})
+
+
+def test_tables_of_two_moduli_render_apart_in_one_output():
+    # cells with equal (i, j, k) but another m, or another depth, render apart,
+    # also in two groups of one order; the oracle's own [i, j, "k/m"] lists go
+    # through dumps' row cache alongside
+    g, cyclic = FiniteAbelianGroup([2, 2]), FiniteAbelianGroup([4])
+    tables = [h2_classes(g, 2)[-1], h2_classes(g, 4)[-1], h2_classes(cyclic, 4)[-1],
+              h2_classes(g, 6)[-1]]
+    encoded = [jsonio.cochain_to_json(c) for c in tables]
+    oracle = [helpers.cochain_to_json(c) for c in tables]
+    obj = [encoded, {"deeper": [encoded[::-1]], "oracle": oracle}, encoded[0]]
+    expected = [oracle, {"deeper": [oracle[::-1]], "oracle": oracle}, oracle[0]]
+    assert jsonio.dumps(obj) == stdlib_dumps(expected)
+
+
+V = "1/3"  # a value the table has read before the hostile cell, so that it is cached
+
+
+@pytest.mark.parametrize("table,code,body", [
+    ([[1, 2, V], [True, 1, V]], 2,
+     {"detail": "bad table index in [True, 1, '1/3']", "error": "malformed_input"}),
+    ([[1, 2, V], [10 ** 70, 1, V]], 1,
+     {"detail": "integer with more than 64 digits", "error": "scale_exceeded"}),
+    ([[1, 2, V], [1, 1, 0.5]], 2,
+     {"detail": "expected a rational string, got 0.5", "error": "malformed_input"}),
+    ([[1, 2, V], [1, 1]], 2, {"detail": "bad table entry [1, 1]", "error": "malformed_input"}),
+    ([[1, 2, V], [2, 1, V], [1, 2, V]], 2,
+     {"detail": "duplicate table entry (1, 2)", "error": "malformed_input"}),
+    ([[1, 2, V], [1, 1, "1/2"]], 2,
+     {"detail": "value '1/2' is not an m-th root of unity exponent", "error": "malformed_input"}),
+    ([[1, 2, V], [1, 1, "1/" + "3" * 65]], 1,
+     {"detail": "rational with more than 64 digits in its numerator or denominator",
+      "error": "scale_exceeded"}),
+])
+def test_hostile_table_cells_keep_their_errors(tmp_path, table, code, body):
+    # each (exit, stdout) pair is the one the decoder gave before cells it had
+    # read a value for were stored without the per-cell checks
+    out = invoke(tmp_path, ["cocycle", "verify"], {"group": [3], "coeff_order": 3, "table": table})
+    assert out == (code, stdlib_dumps(body))
 
 
 def test_strata_encode_each_cocycle_and_class_once(monkeypatch):

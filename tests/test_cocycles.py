@@ -15,7 +15,7 @@ from helpers import (ExtensionGroup, NotASubgroup, _coboundary_batches, _cobound
                      brute_force_extension, brute_force_h2, brute_force_is_cyclic,
                      coboundary, extension_table,
                      random_cyclic_cochain, random_cyclic_cocycle, restrict,
-                     table_is_associative)
+                     scan_is_cocycle, table_is_associative, tuple_add_table)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -268,6 +268,47 @@ def test_cyclic_and_element_orders_match_the_scan_on_every_small_group():
         assert g.is_cyclic() == brute_force_is_cyclic(g), factors
         assert [g.element_order(a) for a in g.elements] == \
             [brute_force_element_order(g, a) for a in g.elements], factors
+
+
+def test_prod_is_the_tuple_add_table_on_every_small_group():
+    groups = ordered_factors(24)
+    for factors in groups + [(1,) + t for t in groups] + [t + (1, 1) for t in groups] + \
+            [(1, 4), (2, 1, 2)]:
+        g = FiniteAbelianGroup(factors)
+        assert g.prod == tuple_add_table(g), factors
+
+
+VERDICT_GROUPS = [[1], [2], [5], [6], [2, 2], [2, 3], [3, 2], [2, 4], [4, 2], [3, 3],
+                  [2, 6], [6, 2], [2, 2, 2], [1, 4], [2, 1, 2], [2, 2, 3], [4, 4]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(VERDICT_GROUPS), st.integers(1, 6),
+       st.sampled_from(["random", "cell", "factor"]), st.data())
+def test_is_cocycle_matches_the_full_scan(factors, m, kind, data):
+    # a random cochain, or a UCT cocycle times a random coboundary perturbed
+    # at one cell or by u(a_k, b), which vanishes on every row with a_k = 0:
+    # then the identity holds on every generator row but that of factor k
+    g = FiniteAbelianGroup(factors)
+    n = g.order
+    cells = st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1)
+    if kind == "random":
+        table = [[0] * n] + [[0] + data.draw(cells) for _ in range(n - 1)]
+    else:
+        reps = h2_classes(g, m)
+        f = [0] + data.draw(cells)
+        table = [list(row) for row in
+                 reps[data.draw(st.integers(0, len(reps) - 1))].mul(coboundary(g, m, f)).table]
+    if kind == "cell" and n > 1:
+        a, b = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        table[a][b] = (table[a][b] + data.draw(st.integers(0, m - 1))) % m
+    if kind == "factor" and n > 1:
+        k = data.draw(st.sampled_from([i for i, ni in enumerate(factors) if ni > 1]))
+        u = [[0] * n] + [[0] + data.draw(cells) for _ in range(factors[k] - 1)]
+        table = [[(x + u[a[k]][b]) % m for b, x in enumerate(row)]
+                 for a, row in zip(g.elements, table)]
+    c = Cochain2(g, m, table)
+    assert is_cocycle(c) == scan_is_cocycle(c)
 
 
 def test_central_extension_rejects_noncocycles():

@@ -31,17 +31,12 @@ from .scalars import check_order
 
 # -- command handlers ---------------------------------------------------------
 
-def _audit(command, **params):
-    return {"command": command, **params}
-
-
 def cmd_cocycle_verify(payload, args):
     c = jsonio.cochain_from_json(payload)
     verdict = is_cocycle(c)
     witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
     return ({"is_cocycle": verdict.ok, "witness": witness},
-            _audit("cocycle verify", group=list(c.group.factors),
-                   coeff_order=c.coeff_order))
+            dict(group=list(c.group.factors), coeff_order=c.coeff_order))
 
 
 def cmd_cocycle_h2(payload, args):
@@ -50,16 +45,14 @@ def cmd_cocycle_h2(payload, args):
     reps = h2_classes(group, m, args.scale_bound)
     return ({"classes": len(reps),
              "representatives": [jsonio.cochain_to_json(r) for r in reps]},
-            _audit("cocycle h2", group=list(group.factors), coeff_order=m,
-                   scale_bound=args.scale_bound))
+            dict(group=list(group.factors), coeff_order=m, scale_bound=args.scale_bound))
 
 
 def cmd_cocycle_extend(payload, args):
     c = jsonio.cochain_from_json(payload)
     ext = central_extension(c)
     return (jsonio.extension_to_json(ext),
-            _audit("cocycle extend", group=list(c.group.factors),
-                   coeff_order=c.coeff_order))
+            dict(group=list(c.group.factors), coeff_order=c.coeff_order))
 
 
 def cmd_cocycle_zeta(payload, args):
@@ -69,8 +62,7 @@ def cmd_cocycle_zeta(payload, args):
         raise MalformedInput(f"{list(element)} is not an element of the group")
     value = zeta(c, element)
     return ({"zeta": str(value), "element_order": c.group.element_order(element)},
-            _audit("cocycle zeta", group=list(c.group.factors),
-                   coeff_order=c.coeff_order))
+            dict(group=list(c.group.factors), coeff_order=c.coeff_order))
 
 
 def cmd_pseudorep_verify(payload, args):
@@ -78,16 +70,14 @@ def cmd_pseudorep_verify(payload, args):
     verdict = verify_pseudorep(sigma)
     witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
     return ({"valid": verdict.ok, "witness": witness},
-            _audit("pseudorep verify", order=sigma.order,
-                   coeff_order=sigma.cochain.coeff_order, rank=sigma.size))
+            dict(order=sigma.order, coeff_order=sigma.cochain.coeff_order, rank=sigma.size))
 
 
 def cmd_pseudorep_classify(payload, args):
     sigma = jsonio.pseudorep_from_json(payload)
     cls = classify(sigma)
     return (jsonio.rep_class_to_json(cls),
-            _audit("pseudorep classify", order=sigma.order, rank=sigma.size,
-                   convention="zero_one"))
+            dict(order=sigma.order, rank=sigma.size, convention="zero_one"))
 
 
 def cmd_pseudorep_enumerate(payload, args):
@@ -98,8 +88,7 @@ def cmd_pseudorep_enumerate(payload, args):
     classes = enumerate_classes(n, r, z, model)
     return ({"count": len(classes),
              "classes": [jsonio.rep_class_to_json(c) for c in classes]},
-            _audit("pseudorep enumerate", order=n, rank=r, zeta=str(z % 1),
-                   model=model))
+            dict(order=n, rank=r, zeta=str(z % 1), model=model))
 
 
 def cmd_pseudorep_transport(payload, args):
@@ -109,16 +98,14 @@ def cmd_pseudorep_transport(payload, args):
     gen_image = tuple(jsonio.int_list_from_json(payload, "generator_image"))
     out = deck_transport(sigma, gamma0, ambient, gen_image)
     return (jsonio.pseudorep_to_json(out),
-            _audit("pseudorep transport", order=sigma.order,
-                   ambient=list(ambient.factors), gamma0=list(gamma0)))
+            dict(order=sigma.order, ambient=list(ambient.factors), gamma0=list(gamma0)))
 
 
 def cmd_pseudorep_project(payload, args):
     cls = jsonio.rep_class_from_json(jsonio._need(payload, "class"))
     m = jsonio._need(payload, "scalar_order", int)
     out = project_mod_center(cls, m)
-    return (jsonio.quotient_class_to_json(out),
-            _audit("pseudorep project", order=cls.order, scalar_order=m))
+    return jsonio.quotient_class_to_json(out), dict(order=cls.order, scalar_order=m)
 
 
 def cmd_lie_alcove(payload, args):
@@ -128,8 +115,7 @@ def cmd_lie_alcove(payload, args):
     weight = alcove_normalize(model, exponents)
     return ({"alpha": jsonio.weights_to_json(weight),
              "interior": weight.is_interior()},
-            _audit("lie alcove", model=jsonio.model_to_json(model),
-                   convention=model.weight_convention()))
+            dict(model=jsonio.model_to_json(model), convention=model.weight_convention()))
 
 
 def cmd_lie_eigenspaces(payload, args):
@@ -139,8 +125,8 @@ def cmd_lie_eigenspaces(payload, args):
     out = [{"beta": str(beta), "dimension": len(keys),
             "basis": [list(key) for key in sorted(keys)]} for beta, keys in spaces]
     return ({"dim_m": model.dim_m, "eigenspaces": out},
-            _audit("lie eigenspaces", model=jsonio.model_to_json(model),
-                   alpha=jsonio.weights_to_json(weight), convention="signed"))
+            dict(model=jsonio.model_to_json(model), alpha=jsonio.weights_to_json(weight),
+                 convention="signed"))
 
 
 def cmd_lie_parabolic(payload, args):
@@ -149,7 +135,7 @@ def cmd_lie_parabolic(payload, args):
     data = parabolic_from_s(model, s)
     result = jsonio.parabolic_to_json(data)
     result["verified"] = data.verify()
-    return (result, _audit("lie parabolic", model=jsonio.model_to_json(model)))
+    return result, dict(model=jsonio.model_to_json(model))
 
 
 def _resolve_order(native: int, override) -> int:
@@ -171,10 +157,9 @@ def _series_with_order(series, override):
     return series.with_terms(terms), M
 
 
-def _local_audit(command, series, M, twist=None):
-    audit = _audit(command, M=M, N=series.N,
-                   alpha=jsonio.weights_to_json(series.weight),
-                   convention=series.model.weight_convention())
+def _local_audit(series, M, twist=None):
+    audit = dict(M=M, N=series.N, alpha=jsonio.weights_to_json(series.weight),
+                 convention=series.model.weight_convention())
     if twist is not None:
         audit["twist"] = str(twist)
     return audit
@@ -186,7 +171,7 @@ def cmd_local_check(payload, args):
     report = check_invariance(series, twist)
     M = _resolve_order(series.working_field_order(), args.working_order)
     return (jsonio.invariance_to_json(report),
-            _local_audit("local check", series, M, twist=report.twist))
+            _local_audit(series, M, twist=report.twist))
 
 
 def cmd_local_descend(payload, args):
@@ -195,28 +180,26 @@ def cmd_local_descend(payload, args):
     down, M = _series_with_order(down, args.working_order)
     return ({"series": jsonio.series_to_json(down),
              "residue": jsonio.residue_to_json(residue)},
-            _local_audit("local descend", series, M))
+            _local_audit(series, M))
 
 
 def cmd_local_ascend(payload, args):
     series = jsonio.series_from_json(payload)
     up = ascend(series)
     up, M = _series_with_order(up, args.working_order)
-    return ({"series": jsonio.series_to_json(up)},
-            _local_audit("local ascend", series, M))
+    return {"series": jsonio.series_to_json(up)}, _local_audit(series, M)
 
 
 def cmd_local_residue(payload, args):
     series = jsonio.series_from_json(payload)
     report = residue_report(series)
     return (jsonio.residue_to_json(report),
-            _local_audit("local residue", series, series.working_field_order()))
+            _local_audit(series, series.working_field_order()))
 
 
 def cmd_moduli_rh(payload, args):
     data = jsonio.covering_from_json(payload)
-    return ({"genus_y": riemann_hurwitz(data)},
-            _audit("moduli rh", **jsonio.covering_to_json(data)))
+    return {"genus_y": riemann_hurwitz(data)}, jsonio.covering_to_json(data)
 
 
 def cmd_moduli_strata(payload, args):
@@ -227,15 +210,13 @@ def cmd_moduli_strata(payload, args):
     strata = enumerate_strata(group, m, covering, model, args.scale_bound)
     return ({"count": len(strata),
              "strata": jsonio.strata_to_json(strata)},
-            _audit("moduli strata", group=list(group.factors), coeff_order=m,
-                   model=jsonio.model_to_json(model),
-                   scale_bound=args.scale_bound))
+            dict(group=list(group.factors), coeff_order=m,
+                 model=jsonio.model_to_json(model), scale_bound=args.scale_bound))
 
 
 def cmd_moduli_degree(payload, args):
     flag = jsonio.flag_from_json(payload)
-    return ({"pairing": str(degree_pairing(flag))},
-            _audit("moduli degree", rank=flag.rank))
+    return {"pairing": str(degree_pairing(flag))}, dict(rank=flag.rank)
 
 
 def cmd_moduli_stability(payload, args):
@@ -246,7 +227,7 @@ def cmd_moduli_stability(payload, args):
     return ({"mode": mode, "ok": verdict.ok,
              "violator": verdict.violator,
              "pairing": None if verdict.pairing is None else str(verdict.pairing)},
-            _audit("moduli stability", mode=mode, candidates=len(candidates)))
+            dict(mode=mode, candidates=len(candidates)))
 
 
 def cmd_moduli_scale(payload, args):
@@ -255,31 +236,41 @@ def cmd_moduli_scale(payload, args):
     claimed = jsonio.rational_from_json(jsonio._need(payload, "claimed_degree_x"))
     report = degree_scaling_check(par, n, claimed)
     return ({"scaling_ok": report.scaling_ok, "integral": report.integral},
-            _audit("moduli scale", group_order=n))
+            dict(group_order=n))
 
 
-HANDLERS = {
-    ("cocycle", "verify"): cmd_cocycle_verify,
-    ("cocycle", "h2"): cmd_cocycle_h2,
-    ("cocycle", "extend"): cmd_cocycle_extend,
-    ("cocycle", "zeta"): cmd_cocycle_zeta,
-    ("pseudorep", "verify"): cmd_pseudorep_verify,
-    ("pseudorep", "classify"): cmd_pseudorep_classify,
-    ("pseudorep", "enumerate"): cmd_pseudorep_enumerate,
-    ("pseudorep", "transport"): cmd_pseudorep_transport,
-    ("pseudorep", "project"): cmd_pseudorep_project,
-    ("lie", "alcove"): cmd_lie_alcove,
-    ("lie", "eigenspaces"): cmd_lie_eigenspaces,
-    ("lie", "parabolic"): cmd_lie_parabolic,
-    ("local", "check"): cmd_local_check,
-    ("local", "descend"): cmd_local_descend,
-    ("local", "ascend"): cmd_local_ascend,
-    ("local", "residue"): cmd_local_residue,
-    ("moduli", "rh"): cmd_moduli_rh,
-    ("moduli", "strata"): cmd_moduli_strata,
-    ("moduli", "degree"): cmd_moduli_degree,
-    ("moduli", "stability"): cmd_moduli_stability,
-    ("moduli", "scale"): cmd_moduli_scale,
+# each flag's argparse spec; a verb has only the flags its handler reads
+FLAGS = {
+    "--scale-bound": dict(type=int, default=DEFAULT_SCALE_BOUND,
+                          help="bound on the output size: classes or strata"),
+    "--working-order": dict(type=int, default=None,
+                            help="embed output cyclotomics in Q(zeta_M)"),
+    "--twist": dict(default=None, help="character twist as a rational p/q"),
+}
+
+# (noun, verb) -> (handler, the flags it reads), in the order help lists them
+VERBS = {
+    ("cocycle", "verify"): (cmd_cocycle_verify, ()),
+    ("cocycle", "h2"): (cmd_cocycle_h2, ("--scale-bound",)),
+    ("cocycle", "extend"): (cmd_cocycle_extend, ()),
+    ("cocycle", "zeta"): (cmd_cocycle_zeta, ()),
+    ("pseudorep", "verify"): (cmd_pseudorep_verify, ()),
+    ("pseudorep", "classify"): (cmd_pseudorep_classify, ()),
+    ("pseudorep", "enumerate"): (cmd_pseudorep_enumerate, ()),
+    ("pseudorep", "transport"): (cmd_pseudorep_transport, ()),
+    ("pseudorep", "project"): (cmd_pseudorep_project, ()),
+    ("lie", "alcove"): (cmd_lie_alcove, ()),
+    ("lie", "eigenspaces"): (cmd_lie_eigenspaces, ()),
+    ("lie", "parabolic"): (cmd_lie_parabolic, ()),
+    ("local", "check"): (cmd_local_check, ("--working-order", "--twist")),
+    ("local", "descend"): (cmd_local_descend, ("--working-order",)),
+    ("local", "ascend"): (cmd_local_ascend, ("--working-order",)),
+    ("local", "residue"): (cmd_local_residue, ()),
+    ("moduli", "rh"): (cmd_moduli_rh, ()),
+    ("moduli", "strata"): (cmd_moduli_strata, ("--scale-bound",)),
+    ("moduli", "degree"): (cmd_moduli_degree, ()),
+    ("moduli", "stability"): (cmd_moduli_stability, ()),
+    ("moduli", "scale"): (cmd_moduli_scale, ()),
 }
 
 
@@ -292,25 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact local models for equivariant Higgs fields: cocycles, "
                     "pseudorepresentations, parabolic masks, and descent.")
     nouns = parser.add_subparsers(dest="noun", required=True)
-    for noun in ("cocycle", "pseudorep", "lie", "local", "moduli"):
-        sub = nouns.add_parser(noun)
-        verbs = sub.add_subparsers(dest="verb", required=True)
-        for (n, v) in HANDLERS:
-            if n != noun:
-                continue
-            leaf = verbs.add_parser(v)
-            leaf.add_argument("input", help="input JSON file")
-            leaf.add_argument("-o", "--out", help="output file (default stdout)")
-            # every other flag exists only on the verbs whose handlers read it
-            if (n, v) in (("cocycle", "h2"), ("moduli", "strata")):
-                leaf.add_argument("--scale-bound", type=int, default=DEFAULT_SCALE_BOUND,
-                                  help="bound on the output size: classes or strata")
-            if n == "local" and v != "residue":
-                leaf.add_argument("--working-order", type=int, default=None,
-                                  help="embed output cyclotomics in Q(zeta_M)")
-            if (n, v) == ("local", "check"):
-                leaf.add_argument("--twist", default=None,
-                                  help="character twist as a rational p/q")
+    verbs = {}
+    for (noun, verb), (_, flags) in VERBS.items():
+        if noun not in verbs:
+            verbs[noun] = nouns.add_parser(noun).add_subparsers(dest="verb", required=True)
+        leaf = verbs[noun].add_parser(verb)
+        leaf.add_argument("input", help="input JSON file")
+        leaf.add_argument("-o", "--out", help="output file (default stdout)")
+        for flag in flags:
+            leaf.add_argument(flag, **FLAGS[flag])
     corpus = nouns.add_parser("corpus")
     cverbs = corpus.add_subparsers(dest="verb", required=True)
     run = cverbs.add_parser("run")
@@ -338,11 +319,12 @@ def _execute(args) -> tuple[int, str]:
 def _dispatch(args, payload) -> tuple[int, str]:
     """Run the verb that args names on its loaded input: (exit code, output text)."""
     try:
-        result, audit = HANDLERS[(args.noun, args.verb)](payload, args)
+        result, audit = VERBS[args.noun, args.verb][0](payload, args)
     except MalformedInput as exc:
         return 2, jsonio.dumps({"error": exc.code, "detail": exc.detail})
     except DomainError as exc:
         return 1, jsonio.dumps({"error": exc.code, "detail": exc.detail})
+    audit = {"command": f"{args.noun} {args.verb}", **audit}
     return 0, jsonio.dumps({"result": result, "audit": audit})
 
 
@@ -377,7 +359,7 @@ def run_corpus(directory) -> tuple[int, str]:
             lines.append(f"FAIL {name} (bad args {extra})")
             continue
         # `corpus run` reads a directory, not an input: a case of it fails with exit 2
-        code, text = (_dispatch(args, payload) if (args.noun, args.verb) in HANDLERS
+        code, text = (_dispatch(args, payload) if (args.noun, args.verb) in VERBS
                       else (2, None))
         if code == expected_code and text == expected:
             lines.append(f"ok {name}")

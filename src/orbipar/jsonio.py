@@ -9,8 +9,7 @@ table entries) so that rendering with sorted keys is byte-deterministic.
 dumps renders exactly as the stdlib does; the one value it does not walk is
 a Splice, which appends its own text.  dumps splices in two places: a
 strata list is rendered from the product's factors, each cocycle and class
-once, and a cochain table straight from its int rows, two cached pieces
-per cell.
+once, and a cochain table straight from its int rows, two pieces per cell.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
 
@@ -52,41 +52,34 @@ def dumps(obj) -> str:
     With an indent the stdlib encodes in pure Python, token by token.  This
     appends the text's pieces (brackets with their indents, separators, keys,
     scalars) to one list and joins that list once, at the end, so no nesting
-    level copies the text below it.  A row of scalars renders once per
-    (depth, values, types) -- 1 == True, yet they render differently.  One
-    rule splices: a Splice value appends its own pieces for the depth it is
-    met at, as strata_to_json's does."""
+    level copies the text below it; a row of scalars is one piece.  One rule
+    splices: a Splice value appends its own pieces for the depth it is met
+    at, as strata_to_json's does."""
     out = []
-    _emit(obj, 0, out, {})
+    _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
 
 class Splice(namedtuple("Splice", "render")):
-    """A value that dumps does not walk: render(out, depth, rows) appends its
-    text at that depth to out, sharing dumps' row cache."""
+    """A value that dumps does not walk: render(out, depth) appends its text
+    at that depth to out."""
 
     __slots__ = ()
 
 
-def _emit(o, depth, out, rows):
-    """Append the pieces of o's text at depth to out; rows caches row texts."""
+def _emit(o, depth, out):
+    """Append the pieces of o's text at depth to out."""
     kind = type(o)
     if kind in _SCALARS:
         return out.append(_SCALARS[kind](o))
     if kind is Splice:
-        return o.render(out, depth, rows)
+        return o.render(out, depth)
     if isinstance(o, (list, tuple)):
         if not o:
             return out.append("[]")
-        types = tuple(map(type, o))
-        if _SCALAR_TYPES.issuperset(types):
-            key = (depth, types, *o)
-            text = rows.get(key)
-            if text is None:
-                text = rows[key] = _wrap(
-                    "[", [_SCALARS[t](v) for t, v in zip(types, o)], depth, "]")
-            return out.append(text)
+        if _SCALAR_TYPES.issuperset(map(type, o)):
+            return out.append(_wrap("[", [_SCALARS[type(v)](v) for v in o], depth, "]"))
     elif isinstance(o, dict):
         if not o:
             return out.append("{}")
@@ -106,20 +99,20 @@ def _emit(o, depth, out, rows):
         for k in sorted(o):
             append(f"{lead}{_encode_str(k)}: ")
             lead = sep
-            _emit(o[k], depth + 1, out, rows)
+            _emit(o[k], depth + 1, out)
     else:
         lead, close = "[" + inner, "]"
         for v in o:
             append(lead)
             lead = sep
-            _emit(v, depth + 1, out, rows)
+            _emit(v, depth + 1, out)
     append(f"\n{'  ' * depth}{close}")
 
 
-def _text(o, depth, rows) -> str:
+def _text(o, depth) -> str:
     """o's text at depth, as _emit renders it."""
     out = []
-    _emit(o, depth, out, rows)
+    _emit(o, depth, out)
     return "".join(out)
 
 
@@ -242,21 +235,25 @@ def cyclotomic_from_json(data) -> Cyclotomic:
 def cochain_to_json(c: Cochain2) -> dict:
     """The cochain; dumps renders its table of [i, j, "k/m"] cells by _render_table."""
     return {"group": list(c.group.factors), "coeff_order": c.coeff_order,
-            "table": Splice(lambda out, depth, rows: _render_table(c, out, depth, rows))}
+            "table": Splice(lambda out, depth: _render_table(c, out, depth))}
 
 
-def _render_table(c: Cochain2, out, depth, rows):
-    """Append c's table at depth, two pieces per cell: its text up to the value,
-    kept in rows under (depth, n) for all n^2 cells, and its value's text."""
-    n, m, start = c.group.order, c.coeff_order, len(out)
+@lru_cache(maxsize=32)
+def _cell_heads(depth: int, n: int) -> tuple:
+    """The text of each cell of an n x n table at depth up to its value,
+    each cell led by the separator before it."""
     sep, ind = ",\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    heads = rows.get((depth, n))  # dumps' own keys hold at least three items
-    if heads is None:
-        heads = rows[depth, n] = [f'{sep}[{ind}{i},{ind}{j},{ind}"'
-                                  for i in range(n) for j in range(n)]
+    return tuple(f'{sep}[{ind}{i},{ind}{j},{ind}"' for i in range(n) for j in range(n))
+
+
+def _render_table(c: Cochain2, out, depth):
+    """Append c's table at depth, two pieces per cell: its head and its value's text."""
+    m, start = c.coeff_order, len(out)
+    close = "\n" + "  " * (depth + 1) + "]"
     cells = list(chain.from_iterable(c.table))
-    values = {k: f'{_ratio_text(k, m)}"{sep[1:]}]' for k in set(cells)}
-    out += chain.from_iterable(zip(heads, map(values.__getitem__, cells)))
+    values = {k: f'{_ratio_text(k, m)}"{close}' for k in set(cells)}
+    out += chain.from_iterable(zip(_cell_heads(depth, c.group.order),
+                                   map(values.__getitem__, cells)))
     out[start] = "[" + out[start][1:]
     out.append(f"\n{'  ' * depth}]")
 
@@ -309,7 +306,7 @@ def extension_to_json(ext: Extension) -> dict:
         "order": ext.order,
         "is_abelian": ext.is_abelian,
         "order_profile": list(ext.order_profile),
-        "table": [list(row) for row in ext.table],
+        "table": ext.table,
     }
 
 
@@ -501,10 +498,10 @@ def flag_from_json(data) -> FlagDegreeData:
 
 def strata_to_json(strata: Strata) -> Splice:
     """The strata list, rendered by dumps from the product's factors."""
-    return Splice(lambda out, depth, rows: _render_strata(strata, out, depth, rows))
+    return Splice(lambda out, depth: _render_strata(strata, out, depth))
 
 
-def _render_strata(strata: Strata, out, depth, rows):
+def _render_strata(strata: Strata, out, depth):
     """Append the text of the list of {"cocycle", "orbit_classes"} objects,
     one per stratum in order, at depth.  Each cocycle and each quotient class
     is encoded and rendered once; each orbit-class list is joined from the
@@ -523,13 +520,13 @@ def _render_strata(strata: Strata, out, depth, rows):
             for classes in per_orbit:
                 for c in classes:
                     if id(c) not in class_texts:
-                        class_texts[id(c)] = _text(quotient_class_to_json(c), depth + 3, rows)
+                        class_texts[id(c)] = _text(quotient_class_to_json(c), depth + 3)
                 texts.append([class_texts[id(c)] for c in classes])
             tails[id(per_orbit)] = [
                 f"[{cls_ind}{(',' + cls_ind).join(combo)}{list_end}{close}" if combo
                 else "[]" + close for combo in product(*texts)]
         head = (f",{ind}{{{key_ind}\"cocycle\": "
-                f"{_text(cochain_to_json(cocycle), depth + 2, rows)},"
+                f"{_text(cochain_to_json(cocycle), depth + 2)},"
                 f"{key_ind}\"orbit_classes\": ")
         for tail in tails[id(per_orbit)]:
             out += (head, tail)

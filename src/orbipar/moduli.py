@@ -1,25 +1,22 @@
-"""Bookkeeping around the moduli statements: covering arithmetic, stratum
-indices, combinatorial degree pairings, and the quotient degree scaling.
+"""Bookkeeping around the moduli statements: covering arithmetic, strata,
+combinatorial degree pairings, and the quotient degree scaling.
 
 The stratum enumeration indexes fixed-point components by a cohomology class
 together with one pseudorepresentation quotient class per branch orbit (one
 per orbit, not per point: deck transport identifies the classes at points of
 a single orbit).  No nonemptiness claim is attached to an index.
 
-Covering data, stratum indices, flag pieces and the verdicts are named
+Covering data, strata blocks, flag pieces and the verdicts are named
 tuples; a verdict is read by its field, never by its truth value.  The
-strata of one enumeration are a Strata sequence that keeps the product's
-factors, one block per cocycle class, and builds a stratum only on demand.
+strata of one enumeration are a Strata that keeps the product's factors,
+one block per cocycle class, and builds no stratum.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import product
 from math import prod
-from operator import index
 
 from .cocycles import DEFAULT_SCALE_BOUND, FiniteAbelianGroup, h2_classes
 from .errors import (MalformedInput, NegativeGenus, NonIntegralGenus,
@@ -61,48 +58,23 @@ def riemann_hurwitz(data: CoveringData) -> int:
     return int(g_y)
 
 
-# one fixed-point stratum label: a cocycle class representative plus a tuple
-# of quotient pseudorep classes, one per branch orbit
-StratumIndex = namedtuple("StratumIndex", "cocycle orbit_classes")
-
 # the strata over one cocycle class representative: the cocycle and, per
 # branch orbit, the list of quotient classes it pairs with
 StrataBlock = namedtuple("StrataBlock", "cocycle orbit_classes")
 
 
-class Strata(Sequence):
+class Strata:
     """The strata as the product they are, one StrataBlock per H^2 class
-    representative.  Stratum i is read off by mixed radix: block by block,
-    and within a block in the order of itertools.product over the orbits, the
-    last orbit fastest.  No stratum is built until it is asked for."""
+    representative: block by block, and within a block the product over the
+    orbits, the last orbit fastest.  Its length is the number of strata."""
 
-    __slots__ = ("blocks", "_sizes")
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-        self._sizes = tuple(prod(map(len, b.orbit_classes)) for b in self.blocks)
 
     def __len__(self) -> int:
-        return sum(self._sizes)
-
-    def __iter__(self):
-        for cocycle, per_orbit in self.blocks:
-            for combo in product(*per_orbit):
-                yield StratumIndex(cocycle, combo)
-
-    def __getitem__(self, i) -> StratumIndex:
-        i = index(i)
-        if i < 0:
-            i += len(self)
-        for (cocycle, per_orbit), size in zip(self.blocks, self._sizes):
-            if 0 <= i < size:
-                picks = []
-                for classes in reversed(per_orbit):
-                    i, k = divmod(i, len(classes))
-                    picks.append(classes[k])
-                return StratumIndex(cocycle, tuple(reversed(picks)))
-            i -= size
-        raise IndexError("stratum index out of range")
+        return sum(prod(map(len, b.orbit_classes)) for b in self.blocks)
 
 
 def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,

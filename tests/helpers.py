@@ -20,7 +20,8 @@ unity into each basis matrix, the basis matrix of a key read from the
 README's definition (not from GroupModel.entries), input rationals read by
 Fraction(), and the strata, cochains and pseudoreps encoded with every
 cochain table a list of [i, j, "k/m"] cells, the strata as one dict per
-stratum.
+stratum.  strata_list lists the strata one StratumIndex each, in the order
+jsonio renders them.
 
 And the conveniences that only tests call, attached to the library classes
 as methods: the Fraction coefficients, subtraction, powers, division and
@@ -39,6 +40,7 @@ a code like the library's.
 
 import operator
 import re
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
@@ -53,7 +55,6 @@ from orbipar.jsonio import MAX_RATIONAL_DIGITS, rational_parts
 from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
-from orbipar.moduli import StratumIndex
 from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
 from orbipar.scalars import Cyclotomic, cyclotomic_poly, dot, euler_phi, root_of_unity
 
@@ -852,8 +853,23 @@ Cochain2.trivial = classmethod(
     lambda cls, group, m: cls(group, m, [[0] * group.order] * group.order))
 Cochain2.key = _cochain_key
 Cochain2.mul = _cochain_mul
-StratumIndex.canonical_key = lambda self: (
-    self.cocycle.key(), tuple(c.exponents for c in self.orbit_classes))
+
+
+class StratumIndex(namedtuple("StratumIndex", "cocycle orbit_classes")):
+    """One fixed-point stratum label: a cocycle class representative plus a
+    tuple of quotient pseudorep classes, one per branch orbit."""
+
+    __slots__ = ()
+
+    def canonical_key(self):
+        return self.cocycle.key(), tuple(c.exponents for c in self.orbit_classes)
+
+
+def strata_list(strata) -> list:
+    """One StratumIndex per stratum: block by block, and within a block in
+    the order of itertools.product over the orbits, the last orbit fastest."""
+    return [StratumIndex(cocycle, combo) for cocycle, per_orbit in strata.blocks
+            for combo in product(*per_orbit)]
 
 
 def cochain_to_json(c: Cochain2) -> dict:
@@ -888,7 +904,7 @@ def strata_to_json(strata) -> list:
 
     return [{"cocycle": once(id(s.cocycle), cochain_to_json, s.cocycle),
              "orbit_classes": once(tuple(map(id, s.orbit_classes)), classes, s.orbit_classes)}
-            for s in strata]
+            for s in strata_list(strata)]
 
 
 def _series_scale(self: GradedSeries, c) -> GradedSeries:

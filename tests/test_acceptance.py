@@ -283,9 +283,9 @@ def test_criterion_10_corpus_determinism():
         covered = set()
         for path in cases:
             covered.add(tuple(json.loads(path.read_text())["command"]))
-        from orbipar.cli import HANDLERS
-        assert covered == set(HANDLERS), \
-            f"missing {set(HANDLERS) - covered}"
+        from orbipar.cli import VERBS
+        assert covered == set(VERBS), \
+            f"missing {set(VERBS) - covered}"
         first = run_command(["corpus", "run", str(CORPUS_DIR)])
         second = run_command(["corpus", "run", str(CORPUS_DIR)])
         assert first == second

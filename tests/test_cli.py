@@ -12,10 +12,10 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orbipar.cli import HANDLERS, build_parser, main, run_command
+from orbipar.cli import VERBS, build_parser, main, run_command
 from orbipar import jsonio, liemodel
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER, Cochain2,
-                              FiniteAbelianGroup, h2_classes)
+                              FiniteAbelianGroup, central_extension, h2_classes)
 from orbipar.errors import ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
@@ -671,8 +671,8 @@ def test_transport_tables_are_the_rendering_of_their_cells(tmp_path, n, m, r):
 
 def test_tables_of_two_moduli_render_apart_in_one_output():
     # cells with equal (i, j, k) but another m, or another depth, render apart,
-    # also in two groups of one order; the oracle's own [i, j, "k/m"] lists go
-    # through dumps' row cache alongside
+    # also in two groups of one order; the oracle's own [i, j, "k/m"] lists are
+    # rendered as scalar rows alongside
     g, cyclic = FiniteAbelianGroup([2, 2]), FiniteAbelianGroup([4])
     tables = [h2_classes(g, 2)[-1], h2_classes(g, 4)[-1], h2_classes(cyclic, 4)[-1],
               h2_classes(g, 6)[-1]]
@@ -681,6 +681,33 @@ def test_tables_of_two_moduli_render_apart_in_one_output():
     obj = [encoded, {"deeper": [encoded[::-1]], "oracle": oracle}, encoded[0]]
     expected = [oracle, {"deeper": [oracle[::-1]], "oracle": oracle}, oracle[0]]
     assert jsonio.dumps(obj) == stdlib_dumps(expected)
+
+
+def test_tables_of_one_shape_render_alike_across_dumps_calls():
+    # the cell heads of a table are kept per (depth, n) from one dumps call to
+    # the next: tables of one order and depth over other moduli, in separate calls
+    g, cyclic = FiniteAbelianGroup([2, 2]), FiniteAbelianGroup([4])
+    tables = [h2_classes(g, 2)[-1], h2_classes(cyclic, 4)[-1], h2_classes(g, 6)[-1],
+              h2_classes(cyclic, 2)[-1], h2_classes(g, 2)[0]]
+    for wrap in (lambda c: {"c": c}, lambda c: [[c]], lambda c: {"c": c}):
+        for c in tables:
+            assert (jsonio.dumps(wrap(jsonio.cochain_to_json(c)))
+                    == stdlib_dumps(wrap(helpers.cochain_to_json(c))))
+
+
+@pytest.mark.parametrize("factors,m", [([1], 2), ([2], 2), ([3], 3), ([4], 2), ([2, 2], 2),
+                                        ([2, 2], 4), ([2, 4], 2), ([3, 3], 3), ([6], 6)])
+def test_extension_tables_are_the_rendering_of_their_rows(factors, m):
+    kinds = set()
+    for c in h2_classes(FiniteAbelianGroup(factors), m):
+        ext = central_extension(c)
+        encoded = jsonio.extension_to_json(ext)
+        kinds.add(ext.is_abelian)
+        assert encoded["table"] is ext.table  # the rows go to dumps as they are
+        assert jsonio.dumps(encoded) == stdlib_dumps(
+            {**encoded, "table": [list(row) for row in ext.table]})
+    # a group with two cyclic factors has classes with a non-abelian extension
+    assert kinds == ({True, False} if len(factors) > 1 else {True})
 
 
 V = "1/3"  # a value the table has read before the hostile cell, so that it is cached
@@ -995,7 +1022,7 @@ def test_flags_exist_only_on_the_verbs_that_read_them():
     assert verbs_accepting("--working-order") == ["local ascend", "local check",
                                                   "local descend"]
     assert verbs_accepting("--twist") == ["local check"]
-    assert len(verbs_accepting("--out")) == len(HANDLERS) + 1  # corpus run too
+    assert len(verbs_accepting("--out")) == len(VERBS) + 1  # corpus run too
 
 
 def test_corpus_run_reports_a_case_with_bad_args(tmp_path):

@@ -157,12 +157,9 @@ def _series_with_order(series, override):
     return series.with_terms(terms), M
 
 
-def _local_audit(series, M, twist=None):
-    audit = dict(M=M, N=series.N, alpha=jsonio.weights_to_json(series.weight),
-                 convention=series.model.weight_convention())
-    if twist is not None:
-        audit["twist"] = str(twist)
-    return audit
+def _local_audit(series, M):
+    return dict(M=M, N=series.N, alpha=jsonio.weights_to_json(series.weight),
+                convention=series.model.weight_convention())
 
 
 def cmd_local_check(payload, args):
@@ -171,7 +168,7 @@ def cmd_local_check(payload, args):
     report = check_invariance(series, twist)
     M = _resolve_order(series.working_field_order(), args.working_order)
     return (jsonio.invariance_to_json(report),
-            _local_audit(series, M, twist=report.twist))
+            dict(_local_audit(series, M), twist=str(report.twist)))
 
 
 def cmd_local_descend(payload, args):

@@ -418,7 +418,7 @@ def parabolic_to_json(p: ParabolicData) -> dict:
 
 def series_to_json(s: GradedSeries) -> dict:
     terms = [{"basis": list(key), "k": k, "coeff": cyclotomic_to_json(coeff)}
-             for (key, k), coeff in s.sorted_terms()]
+             for (key, k), coeff in s.terms.items()]
     return {
         "model": model_to_json(s.model),
         "alpha": weights_to_json(s.weight),

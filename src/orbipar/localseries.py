@@ -21,11 +21,13 @@ pick up the factor 1/N from dw = N z^{N-1} dz.  Ascent is the exact
 inverse, multiplying by N.
 
 Truncation is a valid-through exponent: absent exponents at or below it are
-exactly zero, larger ones are unknown.  Descent and ascent compute the exact
-valid-through exponent of their output as one below the image of the first
-unknown slot, minimized over eigencomponents; terms landing above that are
-dropped rather than overclaimed.  This is what makes round trips exact on
-the common range.
+exactly zero, larger ones are unknown.  Descent and ascent give their output
+the exact valid-through exponent, one below the image of the first unknown
+slot minimized over eigencomponents, in closed form: for input truncation T,
+descent gives max(floor((T + 1 + N*beta_min)/N) - 1, -2) and ascent gives
+max(N*(T + 2) - 2 - N*beta_max, -1).  Terms landing above it are dropped
+rather than overclaimed, which is what makes round trips exact on the common
+range.  sl(1) has m^C = 0 and so no local series.
 
 The invariance and residue reports are named tuples, read by field.
 """
@@ -36,8 +38,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import (BadResidueSupport, MalformedInput, NotInvariant,
-                     NonIntegralGauge, TwistDenominator, WeightOnWall)
+from .errors import (BadResidueSupport, MalformedInput, NotInvariant, NonIntegralGauge,
+                     TwistDenominator, UnsupportedModel, WeightOnWall)
 from .liemodel import WeightVector, parabolic_from_s
 from .matrices import CycMatrix
 from .scalars import Cyclotomic, check_order
@@ -51,13 +53,16 @@ class GradedSeries:
 
     Upstairs (variable z) series are holomorphic: exponents k >= 0.
     Downstairs (variable w) series may carry a simple pole: k >= -1.
-    Terms map (basis key, k) to a Cyclotomic; zero terms are dropped.  The
-    model is the weight's, and beta, the weight's map from each basis key to
-    its exponent, is shared by every series derived from this one.
+    Terms map (basis key, k) to a Cyclotomic, in (key, k) order; zero terms
+    are dropped.  The model is the weight's and has m^C nonzero; beta, the
+    weight's map from each basis key to its exponent, is shared by every
+    series derived from this one.
     """
 
     def __init__(self, weight: WeightVector, N: int, variable: str, trunc: int, terms):
         model = weight.model
+        if not model.basis:
+            raise UnsupportedModel(f"{model!r} has m^C = 0 and no local series")
         if not weight.is_interior():
             raise WeightOnWall(f"{weight.entries} lies on an alcove wall")
         if N < 1:
@@ -85,12 +90,9 @@ class GradedSeries:
         self.N = N
         self.variable = variable
         self.trunc = trunc
-        self.terms = clean
+        self.terms = dict(sorted(clean.items()))  # distinct keys: no coefficient compared
         check_order(self.working_field_order())
         self.beta = weight.beta
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def with_terms(self, terms) -> "GradedSeries":
         return GradedSeries(self.weight, self.N, self.variable, self.trunc, terms)
@@ -120,42 +122,36 @@ def _twist_fraction(twist, N: int) -> Fraction:
 def check_invariance(series: GradedSeries, twist=None) -> InvarianceReport:
     """Invariance of the local field under the order-N isotropy action.
 
-    Two independent verdicts are computed and must agree: the index criterion
-    k + 1 + N*beta = N*twist (mod N), and direct substitution, which acts on
-    each nonzero entry (i, j) of the term's basis element by t_i / t_j and
-    e^{2 pi i (k+1)/N}, that is alpha_i - alpha_j + (k+1)/N - twist in Z.
-    The substitution reads t_i = e^{2 pi i alpha_i} from the weight and
-    never beta.
+    Two independent verdicts are computed for each term in one pass and must
+    agree: the index criterion k + 1 + N*beta = N*twist (mod N), and direct
+    substitution, which acts on each nonzero entry (i, j) of the term's basis
+    element by t_i / t_j and e^{2 pi i (k+1)/N}, that is
+    alpha_i - alpha_j + (k+1)/N - twist in Z.  The substitution reads
+    t_i = e^{2 pi i alpha_i} from the weight and never beta.
     """
     if series.variable != UPSTAIRS:
         raise MalformedInput("invariance is defined for upstairs (z) series")
     t = _twist_fraction(twist, series.N)
     N = series.N
-
-    index_violations = []
-    for (key, k), _ in series.sorted_terms():
-        beta = series.beta[key]
-        if (k + 1 + N * beta - N * t) % N != 0:
-            index_violations.append((beta, k, key))
-    by_index = not index_violations
-
     alpha = series.weight.entries
-    subst_violations = []
-    for (key, k), _ in series.sorted_terms():
+    violations = []
+    for key, k in series.terms:
+        beta = series.beta[key]
+        by_index = (k + 1 + N * beta - N * t) % N == 0
         # t_i e_ij c t_j^-1 zeta_N^(k+1) = e_ij c e^{2 pi i twist} on each entry,
         # as exponents mod 1; the coefficient c cancels because GradedSeries
         # drops zero terms
         shift = Fraction(k + 1, N) - t
-        if any((alpha[i] - alpha[j] + shift) % 1 for i, j, _ in series.model.entries(key)):
-            subst_violations.append((series.beta[key], k, key))
-    by_substitution = not subst_violations
-
-    if by_index != by_substitution or index_violations != subst_violations:
-        raise AssertionError(
-            f"invariance oracles disagree: index={index_violations} "
-            f"substitution={subst_violations}")
-    return InvarianceReport(by_index, by_index, by_substitution, t,
-                            tuple(index_violations))
+        by_substitution = not any((alpha[i] - alpha[j] + shift) % 1
+                                  for i, j, _ in series.model.entries(key))
+        if by_index != by_substitution:
+            raise AssertionError(
+                f"invariance oracles disagree at basis {key}, k={k}: "
+                f"index={by_index} substitution={by_substitution}")
+        if not by_index:
+            violations.append((beta, k, key))
+    invariant = not violations
+    return InvarianceReport(invariant, invariant, invariant, t, tuple(violations))
 
 
 # nilpotency_index is the least p with residue^p = 0, or None
@@ -200,37 +196,6 @@ def residue_report(series: GradedSeries) -> ResidueReport:
                          nilpotency_index, levi_zero)
 
 
-def _descend_trunc(series: GradedSeries) -> int:
-    """Largest downstairs exponent determined in every eigencomponent.
-
-    Component beta has upstairs slots k = -N*beta - 1 (mod N); its first slot
-    above the input truncation maps to the first unknown downstairs exponent.
-    """
-    N, T = series.N, series.trunc
-    best = None
-    for beta in set(series.beta.values()):
-        nb = int(N * beta)
-        r = (-nb - 1) % N
-        k_star = T + 1 + ((r - (T + 1)) % N)  # least k > T with k = r (mod N)
-        j_unknown = (k_star + 1 + nb) // N - 1
-        best = j_unknown - 1 if best is None else min(best, j_unknown - 1)
-    return max(best, -2)
-
-
-def _ascend_trunc(series: GradedSeries) -> int:
-    """Largest upstairs exponent determined in every eigencomponent.
-
-    Downstairs every exponent above the truncation is unknown, so component
-    beta is unknown upstairs from k = N*(T_w + 2) - N*beta - 1 on.
-    """
-    N, Tw = series.N, series.trunc
-    best = None
-    for beta in set(series.beta.values()):
-        k_unknown = N * (Tw + 2) - int(N * beta) - 1
-        best = k_unknown - 1 if best is None else min(best, k_unknown - 1)
-    return max(best, -1)
-
-
 def descend(series: GradedSeries):
     """Push an invariant upstairs field to the quotient: returns (series, residue).
 
@@ -242,8 +207,11 @@ def descend(series: GradedSeries):
     report = check_invariance(series, twist=None)
     if not report.invariant:
         raise NotInvariant(f"series is not invariant: violations {report.violations}")
-    N = series.N
-    out_trunc = _descend_trunc(series)
+    N, T = series.N, series.trunc
+    # component beta's first unknown slot is the least k > T with N | k + 1 + N*beta,
+    # so (k + 1 + N*beta)/N = ceil((T + 2 + N*beta)/N) = floor((T + 1 + N*beta)/N) + 1
+    # and it lands on w^floor((T + 1 + N*beta)/N); the least beta bounds every component
+    out_trunc = max((T + 1 + int(N * min(series.beta.values()))) // N - 1, -2)
     terms = {}
     for (key, k), coeff in series.terms.items():
         nl = k + 1 + N * series.beta[key]  # = N*l, integral by invariance
@@ -265,12 +233,14 @@ def ascend(series: GradedSeries) -> GradedSeries:
     """
     if series.variable != DOWNSTAIRS:
         raise MalformedInput("ascend expects a downstairs (w) series")
-    N = series.N
-    for (key, k), _ in series.sorted_terms():
+    N, T = series.N, series.trunc
+    for key, k in series.terms:
         if k == -1 and series.beta[key] >= 0:
             raise BadResidueSupport(
                 f"pole coefficient at basis {key} has beta = {series.beta[key]} >= 0")
-    out_trunc = _ascend_trunc(series)
+    # every downstairs exponent above T is unknown, so component beta is unknown
+    # upstairs from k = N*(T + 2) - N*beta - 1 on; the greatest beta bounds them all
+    out_trunc = max(N * (T + 2) - 2 - int(N * max(series.beta.values())), -1)
     terms = {}
     for (key, j), coeff in series.terms.items():
         k = N * (j + 1) - int(N * series.beta[key]) - 1

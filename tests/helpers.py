@@ -704,7 +704,7 @@ def cyclotomic_substitution(series: GradedSeries, twist=None):
     torus = [root_of_unity(v) for v in series.weight.entries]
     twist_scalar = root_of_unity(t)
     violations = []
-    for (key, k), _ in series.sorted_terms():
+    for key, k in series.terms:
         phase = root_of_unity(Fraction((k + 1) % N, N), N)
         rows = basis_matrix(series.model, key).rows
         if any(torus[i] * phase != torus[j] * twist_scalar
@@ -948,6 +948,39 @@ GradedSeries.is_zero = lambda self: not self.terms
 GradedSeries.scale = _series_scale
 GradedSeries.add = _series_add
 GradedSeries.equal_on_common_range = _equal_on_common_range
+
+
+# -- truncation by slot search: an oracle for descend's and ascend's closed forms
+
+def _descend_trunc(series: GradedSeries) -> int:
+    """Largest downstairs exponent determined in every eigencomponent.
+
+    Component beta has upstairs slots k = -N*beta - 1 (mod N); its first slot
+    above the input truncation maps to the first unknown downstairs exponent.
+    """
+    N, T = series.N, series.trunc
+    best = None
+    for beta in set(series.beta.values()):
+        nb = int(N * beta)
+        r = (-nb - 1) % N
+        k_star = T + 1 + ((r - (T + 1)) % N)  # least k > T with k = r (mod N)
+        j_unknown = (k_star + 1 + nb) // N - 1
+        best = j_unknown - 1 if best is None else min(best, j_unknown - 1)
+    return max(best, -2)
+
+
+def _ascend_trunc(series: GradedSeries) -> int:
+    """Largest upstairs exponent determined in every eigencomponent.
+
+    Downstairs every exponent above the truncation is unknown, so component
+    beta is unknown upstairs from k = N*(T_w + 2) - N*beta - 1 on.
+    """
+    N, Tw = series.N, series.trunc
+    best = None
+    for beta in set(series.beta.values()):
+        k_unknown = N * (Tw + 2) - int(N * beta) - 1
+        best = k_unknown - 1 if best is None else min(best, k_unknown - 1)
+    return max(best, -1)
 
 
 # -- the per-term Fraction product: an oracle for the integer-numerator kernel --

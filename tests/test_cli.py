@@ -462,6 +462,55 @@ def test_local_on_sl3_keeps_signed_weights(tmp_path):
                                              {"basis": [2, 0], "beta": "-2/3", "k": 0}]
 
 
+@pytest.mark.parametrize("verb,variable", [("check", "z"), ("descend", "z"),
+                                           ("ascend", "w"), ("residue", "w")])
+def test_local_verbs_refuse_sl1(tmp_path, verb, variable):
+    # sl(1) has m^C = 0, so no basis key and no eigencomponent to truncate by
+    payload = {"model": {"kind": "sl", "r": 1}, "alpha": ["0"], "N": 2,
+               "variable": variable, "trunc": 4, "terms": []}
+    code, text = invoke(tmp_path, ["local", verb], payload)
+    assert code == 1
+    assert json.loads(text)["error"] == "unsupported_model"
+
+
+# an invariant series, the same with two terms off their invariant slots, a
+# downstairs series with poles on the negative components and, for residue,
+# the same with poles on two overlapping sl diagonals
+SL3_INVARIANT = {**SL3_SERIES, "terms": SL3_SERIES["terms"] + [
+    {"basis": [2, 1], "k": 3, "coeff": "5"}, {"basis": [0, 2], "k": 0, "coeff": "-1"},
+    {"basis": [1, 1], "k": 5, "coeff": _cyclotomic_json(4, [0, 1])}]}
+SL3_MIXED = {**SL3_INVARIANT, "terms": SL3_INVARIANT["terms"] + [
+    {"basis": [1, 0], "k": 1, "coeff": "1"}, {"basis": [0, 2], "k": 2, "coeff": "-2"}]}
+SL3_DOWN = {**SL3_SERIES, "variable": "w", "trunc": 2,
+            "terms": [{"basis": [0, 0], "k": 0, "coeff": "1"},
+                      {"basis": [0, 1], "k": 1, "coeff": "1/2"},
+                      {"basis": [1, 0], "k": -1, "coeff": "1"},
+                      {"basis": [1, 0], "k": 2, "coeff": "3"},
+                      {"basis": [2, 0], "k": -1, "coeff": _cyclotomic_json(3, [1, 2])},
+                      {"basis": [2, 1], "k": -1, "coeff": "-1"}]}
+SL3_DIAGONAL_POLES = {**SL3_DOWN, "terms": [{"basis": [0, 0], "k": -1, "coeff": "2"},
+                                            {"basis": [1, 1], "k": -1, "coeff": "1/3"}]
+                      + SL3_DOWN["terms"]}
+
+
+@pytest.mark.parametrize("verb,payload,flags", [
+    ("check", SL3_MIXED, []), ("check", SL3_MIXED, ["--twist", "1/3"]),
+    ("descend", SL3_INVARIANT, []), ("ascend", SL3_DOWN, []),
+    ("residue", SL3_DIAGONAL_POLES, [])])
+def test_local_output_does_not_depend_on_the_term_order(tmp_path, verb, payload, flags):
+    terms = sorted(payload["terms"], key=lambda t: (t["basis"], t["k"]))
+    shuffled = terms[:]
+    random.Random(27).shuffle(shuffled)
+    assert shuffled not in (terms, terms[::-1])
+    code, text = invoke(tmp_path, ["local", verb], {**payload, "terms": terms}, *flags)
+    assert code == 0, text
+    if verb == "check":
+        assert result_of(text)["violations"]
+    for order in (terms[::-1], shuffled):
+        assert invoke(tmp_path, ["local", verb], {**payload, "terms": order}, *flags) \
+            == (code, text)
+
+
 @pytest.mark.parametrize("model,exponents,alpha,convention", [
     ({"kind": "sl", "r": 3}, ["1/3", "2/3", "0"], ["1/3", "0", "-1/3"], "signed"),
     ({"kind": "upq", "p": 1, "q": 1}, ["4/3", "-3/4"], ["1/3", "1/4"], "zero_one"),

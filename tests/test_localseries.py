@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import (BadResidueSupport, MalformedInput, NotInvariant,
-                            TwistDenominator, WeightOnWall)
+                            TwistDenominator, UnsupportedModel, WeightOnWall)
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import (GradedSeries, ascend, check_invariance, descend,
                                  residue_report)
 from orbipar.scalars import Cyclotomic
 
-from helpers import (MODELS_GRID, N_GRID, cyclotomic_substitution, decompose_by_beta,
-                     interior_weights, random_downstairs_series, random_invariant_series,
+from helpers import (MODELS_GRID, N_GRID, _ascend_trunc, _descend_trunc,
+                     cyclotomic_substitution, decompose_by_beta, interior_weights,
+                     random_downstairs_series, random_invariant_series,
                      random_nonzero_cyclotomic)
 
+GL1 = GroupModel("gl", r=1)
 GL2 = GroupModel("gl", r=2)
 W_THIRD = alcove_normalize(GL2, [Fraction(1, 3), 0])
 W_HALF = alcove_normalize(GL2, [Fraction(1, 2), 0])
@@ -35,6 +37,11 @@ def test_constructor_validation():
     from orbipar.errors import NonIntegralGauge
     with pytest.raises(NonIntegralGauge):
         GradedSeries(W_THIRD, 2, "z", 4, {})
+    # sl(1) has m^C = 0: no basis key, so no local series
+    sl1 = alcove_normalize(GroupModel("sl", r=1), [0])
+    for variable in ("z", "w"):
+        with pytest.raises(UnsupportedModel, match="m\\^C = 0"):
+            GradedSeries(sl1, 2, variable, 4, {})
 
 
 def test_decompose_by_beta():
@@ -223,3 +230,22 @@ def test_truncation_rules():
     up = ascend(down)
     # beta = 1/2 component unknown from k = 2*(11+2) - 1 - 1 = 24 upstairs
     assert up.trunc == 23
+
+
+# gl(1) has the one component beta = 0, here at prime orders
+TRUNC_LOCALS = LOCAL_MODELS + [(GL1, p, alcove_normalize(GL1, [Fraction(1, p)]))
+                               for p in (7, 4001)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TRUNC_LOCALS), st.data())
+def test_truncations_match_the_slot_search(local, data):
+    # the output truncation depends on the weight, N and T alone, so the series
+    # are empty; -2 is a valid truncation downstairs only
+    _, N, weight = local
+    T = data.draw(st.sampled_from([-2, -1, 10 ** 9]) | st.integers(0, 4 * N))
+    if T >= -1:
+        up = GradedSeries(weight, N, "z", T, {})
+        assert descend(up)[0].trunc == _descend_trunc(up)
+    down = GradedSeries(weight, N, "w", T, {})
+    assert ascend(down).trunc == _ascend_trunc(down)

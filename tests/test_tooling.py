@@ -258,7 +258,8 @@ LOCAL_MODELS = [({"kind": "gl", "r": 1}, ["0"], 4001),
                 ({"kind": "gl", "r": 3}, ["2/3", "1/3", "0"], 6),
                 ({"kind": "sl", "r": 2}, ["1/4", "-1/4"], 4),
                 ({"kind": "sl", "r": 3}, ["1/3", "0", "-1/3"], 3),
-                ({"kind": "upq", "p": 1, "q": 1}, ["1/3", "1/4"], 12)]
+                ({"kind": "upq", "p": 1, "q": 1}, ["1/3", "1/4"], 12),
+                ({"kind": "sl", "r": 1}, ["0"], 2)]  # m^C = 0: no basis keys
 MODEL = st.one_of(st.sampled_from([m for m, _, _ in LOCAL_MODELS]), st.none(),
                   st.fixed_dictionaries({"kind": st.sampled_from(["gl", "sl", "upq", "x"]),
                                          "r": st.one_of(st.integers(-1, 6), st.booleans()),
@@ -295,7 +296,8 @@ def series_payloads(draw, variable):
     model = jsonio.model_from_json(model_json)
     betas = jsonio.weight_vector_from_json(model, alpha).beta
     terms = {}
-    for key in draw(st.lists(st.sampled_from(model.basis), max_size=4)):
+    keys = st.lists(st.sampled_from(model.basis), max_size=4) if model.basis else st.just([])
+    for key in draw(keys):
         invariant = (-N * betas[key] - 1) % N  # k = N l - N beta - 1
         k = draw(st.one_of(st.integers(-1 if variable == "w" else 0, 2 * N),
                            st.integers(0, 2).map(lambda t: int(invariant) + N * t)))

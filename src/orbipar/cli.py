@@ -34,8 +34,7 @@ from .scalars import check_order
 def cmd_cocycle_verify(payload, args):
     c = jsonio.cochain_from_json(payload)
     verdict = is_cocycle(c)
-    witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
-    return ({"is_cocycle": verdict.ok, "witness": witness},
+    return ({"is_cocycle": verdict.ok, "witness": verdict.witness},
             dict(group=list(c.group.factors), coeff_order=c.coeff_order))
 
 
@@ -68,8 +67,7 @@ def cmd_cocycle_zeta(payload, args):
 def cmd_pseudorep_verify(payload, args):
     sigma = jsonio.pseudorep_from_json(payload)
     verdict = verify_pseudorep(sigma)
-    witness = None if verdict.witness is None else [list(e) for e in verdict.witness]
-    return ({"valid": verdict.ok, "witness": witness},
+    return ({"valid": verdict.ok, "witness": verdict.witness},
             dict(order=sigma.order, coeff_order=sigma.cochain.coeff_order, rank=sigma.size))
 
 

@@ -204,15 +204,14 @@ def h2_classes(group: FiniteAbelianGroup, m: int,
             for row in sorted(rows)]
 
 
-def _power_sum(c: Cochain2, a: int):
-    """(k, T) for the element of index a: its order k and T = sum_{0<i<k} c(a, a^i)."""
+def power_sums(c: Cochain2, a: int) -> list[int]:
+    """T_j = sum_{i<j} c(a, a^i) for j = 0..ord(a), a an element index: zeta's power sums."""
     t, p = c.table[a], c.group.prod[a]
-    k, total, cur = 1, 0, a
+    sums, cur = [0, 0], a  # T_0, and T_1 = c(a, 1) = 0
     while cur:
-        total += t[cur]
+        sums.append(sums[-1] + t[cur])
         cur = p[cur]
-        k += 1
-    return k, total
+    return sums
 
 
 def zeta(c: Cochain2, gamma) -> Fraction:
@@ -220,8 +219,7 @@ def zeta(c: Cochain2, gamma) -> Fraction:
     v = is_cocycle(c)
     if not v.ok:
         raise NotACocycle(f"cocycle condition fails at {v.witness}")
-    _, total = _power_sum(c, c.group.index[gamma])
-    return Fraction(total % c.coeff_order, c.coeff_order)
+    return Fraction(power_sums(c, c.group.index[gamma])[-1] % c.coeff_order, c.coeff_order)
 
 
 # -- central extensions ------------------------------------------------------
@@ -235,9 +233,9 @@ def central_extension(c: Cochain2) -> Extension:
     """The central extension of G by Z/m that a cocycle defines, read off the cocycle.
 
     It is abelian iff c is symmetric, since G is.  For a of order k,
-    (z, a)^k = (kz + T, 1) with T = sum_{0<i<k} c(a, a^i), the power sum of
-    zeta, so (z, a) has order k m / gcd(m, kz + T).  The order is capped
-    before the cocycle condition is checked.
+    (z, a)^k = (kz + T_k, 1) with T_k the last of power_sums(c, a), so (z, a)
+    has order k m / gcd(m, kz + T_k).  The order is capped before the
+    cocycle condition is checked.
     """
     m, n = c.coeff_order, c.group.order
     if m * n > MAX_EXTENSION_ORDER:
@@ -250,6 +248,7 @@ def central_extension(c: Cochain2) -> Extension:
                   for z1 in range(m) for a in range(n))
     orders = []
     for a in range(n):
-        k, total = _power_sum(c, a)
-        orders += [k * m // gcd(m, k * z + total) for z in range(m)]
+        T = power_sums(c, a)
+        k = len(T) - 1
+        orders += [k * m // gcd(m, k * z + T[k]) for z in range(m)]
     return Extension(m * n, t == tuple(zip(*t)), tuple(sorted(orders)), table)

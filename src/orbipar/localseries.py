@@ -29,7 +29,8 @@ max(N*(T + 2) - 2 - N*beta_max, -1).  Terms landing above it are dropped
 rather than overclaimed, which is what makes round trips exact on the common
 range.  sl(1) has m^C = 0 and so no local series.
 
-The invariance and residue reports are named tuples, read by field.
+The invariance and residue reports are named tuples, read by field; the
+residue's support and Levi verdicts are read off the poles' beta.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import lcm
 
 from .errors import (BadResidueSupport, MalformedInput, NotInvariant, NonIntegralGauge,
                      TwistDenominator, UnsupportedModel, WeightOnWall)
-from .liemodel import WeightVector, parabolic_from_s
+from .liemodel import WeightVector
 from .matrices import CycMatrix
 from .scalars import Cyclotomic, check_order
 
@@ -165,6 +166,14 @@ def residue_report(series: GradedSeries) -> ResidueReport:
     Each pole coefficient is added into the entries of its basis element.
     Every entry, zeros included, lies in Q(zeta_L) for L the lcm of the pole
     coefficients' orders; without poles every entry is the order-1 zero.
+
+    The verdicts are read off the poles' beta: the support lies in beta < 0
+    when every pole does, and the Levi part (on m_s^0, s = alpha) is zero
+    when no pole has beta = 0.  An interior weight has |alpha_i - alpha_j| < 1,
+    so beta = 0 exactly on m_s^0; distinct off-diagonal keys fill distinct
+    entries, and the diagonal keys (sl's H_i among them) map injectively
+    onto the diagonal, so no (nonzero) pole cancels.  Pole values can cancel
+    in a power, so the nilpotency index comes from the residue's powers.
     """
     if series.variable != DOWNSTAIRS:
         raise MalformedInput("residues live downstairs (variable w)")
@@ -176,24 +185,15 @@ def residue_report(series: GradedSeries) -> ResidueReport:
         for i, j, sign in series.model.entries(key):
             rows[i][j] = rows[i][j] + coeff * sign
     residue = CycMatrix(rows)
-    support_ok = all(series.beta[key] < 0 for key, _ in poles)
-
-    nilpotency_index = None
-    power = residue
+    betas = [series.beta[key] for key, _ in poles]
+    power, nilpotency_index = residue, None
     for p in range(1, n + 1):
         if power.is_zero():
             nilpotency_index = p
             break
         power = power @ residue
-
-    para = parabolic_from_s(series.model, series.weight.entries)
-    levi_zero = True
-    for i in range(n):
-        for j in range(n):
-            if para.m0_mask[i][j] and not residue.entry(i, j).is_zero():
-                levi_zero = False
-    return ResidueReport(residue, support_ok, nilpotency_index is not None,
-                         nilpotency_index, levi_zero)
+    return ResidueReport(residue, all(b < 0 for b in betas), nilpotency_index is not None,
+                         nilpotency_index, 0 not in betas)
 
 
 def descend(series: GradedSeries):
@@ -214,10 +214,10 @@ def descend(series: GradedSeries):
     out_trunc = max((T + 1 + int(N * min(series.beta.values()))) // N - 1, -2)
     terms = {}
     for (key, k), coeff in series.terms.items():
-        nl = k + 1 + N * series.beta[key]  # = N*l, integral by invariance
-        if nl.denominator != 1 or int(nl) % N:
+        nl = k + 1 + int(N * series.beta[key])  # = N*l by invariance
+        if nl % N:
             raise AssertionError(f"k + 1 + N*beta = {nl} is not a multiple of N")
-        j = int(nl) // N - 1
+        j = nl // N - 1
         if j > out_trunc:
             continue
         terms[(key, j)] = coeff * Fraction(1, N)

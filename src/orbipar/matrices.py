@@ -44,9 +44,6 @@ class CycMatrix:
     def __setattr__(self, name, val):
         raise AttributeError("CycMatrix is immutable")
 
-    def entry(self, i: int, j: int) -> Cyclotomic:
-        return self.rows[i][j]
-
     def _check(self, other):
         if not isinstance(other, CycMatrix):
             raise SizeMismatch("expected a matrix")

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
-from .cocycles import Cochain2, FiniteAbelianGroup, Verdict
+from .cocycles import Cochain2, FiniteAbelianGroup, Verdict, power_sums
 from .errors import (IsotropyMismatch, MalformedInput, NotAPseudoRep, ScaleExceeded,
                      SizeMismatch)
 from .matrices import root_of_unity_eigenvalues
@@ -55,11 +55,6 @@ class PseudoRep:
     @property
     def order(self) -> int:
         return self.group.order
-
-
-def _generator_sums(sigma: PseudoRep) -> list[int]:
-    """T_j = sum_{i<j} c(g, g^i) for j = 0..n, g the canonical generator."""
-    return list(accumulate(sigma.cochain.table[1 % sigma.order], initial=0))
 
 
 def _in_field(image, L: int, cache: dict):
@@ -113,7 +108,7 @@ def verify_pseudorep(sigma: PseudoRep) -> Verdict:
                     acc[i + s] -= c * f
                 if any(acc) and any(_reduce(L, acc)):
                     return Verdict(False, (g.elements[gen], g.elements[j]))
-    T = _generator_sums(sigma)
+    T = power_sums(sigma.cochain, gen)
     for a in range(n):
         for b in range(n):
             d = T[(a + b) % n] + (T[n] if a + b >= n else 0) - T[a] - T[b]
@@ -154,7 +149,7 @@ def classify(sigma: PseudoRep) -> PseudoRepClass:
     if not verdict.ok:
         raise NotAPseudoRep(f"composition rule fails at {verdict.witness}")
     m = sigma.cochain.coeff_order
-    T = _generator_sums(sigma)
+    T = power_sums(sigma.cochain, 1 % sigma.order)
     z = Fraction(T[-1] % m, m)
     traces = [im.trace() * root_of_unity(Fraction(t, m), m) for im, t in zip(sigma.images, T)]
     exps = root_of_unity_eigenvalues(traces, z, sigma.size)

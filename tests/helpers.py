@@ -16,8 +16,10 @@ checked on all n^2 pairs, pseudorep classes enumerated, projected and
 checked with a Fraction for every exponent, eigenvalues by a trial search
 over the roots of the characteristic polynomial, the parabolic masks
 checked by brackets of basis pairs, invariance by substituting roots of
-unity into each basis matrix, the basis matrix of a key read from the
-README's definition (not from GroupModel.entries), input rationals read by
+unity into each basis matrix, the residue's support and Levi verdicts by
+scanning its entries against the masks of s = alpha, the basis matrix of a
+key read from the README's definition (not from GroupModel.entries), the
+power sums of zeta by adding exponent tuples, input rationals read by
 Fraction(), and the strata, cochains and pseudoreps encoded with every
 cochain table a list of [i, j, "k/m"] cells, the strata as one dict per
 stratum.  strata_list lists the strata one StratumIndex each, in the order
@@ -590,6 +592,15 @@ def brute_force_element_order(group: FiniteAbelianGroup, a) -> int:
     return k
 
 
+def brute_force_power_sums(c: Cochain2, a) -> list:
+    """T_j = sum_{i<j} c(a, a^i) for j = 0..ord(a), the powers a^i by adding
+    exponent tuples: the oracle for cocycles.power_sums."""
+    powers = [c.group.identity]
+    for _ in range(brute_force_element_order(c.group, a) - 1):
+        powers.append(c.group.add(powers[-1], a))
+    return [sum(c.value(a, x) for x in powers[:j]) for j in range(len(powers) + 1)]
+
+
 def brute_force_is_cyclic(group: FiniteAbelianGroup) -> bool:
     return any(brute_force_element_order(group, e) == group.order for e in group.elements)
 
@@ -711,6 +722,28 @@ def cyclotomic_substitution(series: GradedSeries, twist=None):
                for i, row in enumerate(rows) for j, e in enumerate(row) if e):
             violations.append((series.beta[key], k, key))
     return violations
+
+
+# -- the residue's verdicts by a mask scan: an oracle for reading them off beta --
+
+def mask_scan_residue(series: GradedSeries):
+    """(residue, support_in_negative_beta, levi_projection_zero) of a
+    downstairs series.  The residue sums each pole coefficient times its
+    basis_array, and its nonzero entries are scanned against the masks of
+    s = alpha: the support lies in beta < 0 iff each of them has s_i < s_j
+    (in m_s, off m_s^0), and the Levi projection is zero iff none is on m_s^0."""
+    n = series.model.size
+    rows = [[Cyclotomic.zero()] * n for _ in range(n)]
+    for (key, k), coeff in series.terms.items():
+        if k == -1:
+            for (i, j), x in np.ndenumerate(basis_array(series.model, key)):
+                if x:
+                    rows[i][j] = rows[i][j] + coeff * int(x)
+    para = ParabolicData(series.model, series.weight.entries)
+    nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j]]
+    return (CycMatrix(rows),
+            all(para.ms_mask[i][j] and not para.m0_mask[i][j] for i, j in nonzero),
+            not any(para.m0_mask[i][j] for i, j in nonzero))
 
 
 def _multiplicative_order(self: Cyclotomic):

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.cocycles import (MAX_EXTENSION_ORDER, Cochain2, FiniteAbelianGroup,
-                              central_extension, h2_classes, is_cocycle, zeta)
+from orbipar.cocycles import (DEFAULT_MAX_ORDER, DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER,
+                              Cochain2, FiniteAbelianGroup, central_extension, h2_classes,
+                              h2_count, is_cocycle, power_sums, zeta)
 from orbipar.errors import NotACocycle, NotNormalized, ScaleExceeded
+from orbipar.moduli import MAX_STRATA_CELLS
 
 from helpers import (ExtensionGroup, NotASubgroup, _coboundary_batches, _coboundary_form,
                      _reduce, are_cohomologous, brute_force_element_order,
                      brute_force_extension, brute_force_h2, brute_force_is_cyclic,
+                     brute_force_power_sums,
                      coboundary, extension_table,
                      random_cyclic_cochain, random_cyclic_cocycle, restrict,
                      scan_is_cocycle, table_is_associative, tuple_add_table)
@@ -359,6 +363,48 @@ def test_zeta_invariant_under_homomorphic_coboundary():
         f = [(t * k) % m for k in range(n)]
         shifted = c.mul(coboundary(g, m, f))
         assert zeta(shifted, (1,)) == zeta(c, (1,))
+
+
+POWER_SUM_GROUPS = [(1,), (2,), (5,), (6,), (24,), (2, 2), (2, 4), (3, 3), (2, 12),
+                    (4, 4), (2, 2, 2), (2, 2, 6), (2, 2, 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def _h2_reps(factors, m):
+    return h2_classes(FiniteAbelianGroup(factors), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POWER_SUM_GROUPS), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_power_sums_match_their_definition(factors, m, rng):
+    # a random cocycle: a class representative times a random coboundary
+    g = FiniteAbelianGroup(factors)
+    f = [0] + [rng.randrange(m) for _ in range(g.order - 1)]
+    c = rng.choice(_h2_reps(factors, m)).mul(coboundary(g, m, f))
+    for a, e in enumerate(g.elements):
+        assert power_sums(c, a) == brute_force_power_sums(c, e)
+    assert power_sums(c, 0) == [0, 0]
+
+
+def _factorisations(bound, least=2):
+    """Every nondecreasing tuple of factors >= least with product <= bound."""
+    yield ()
+    for n in range(least, bound + 1):
+        for rest in _factorisations(bound // n, n):
+            yield (n, *rest)
+
+
+def test_largest_h2_under_the_order_cap():
+    # m = lcm(factors) attains every gcd(n_i, m) = n_i and gcd(n_i, n_j, m) =
+    # gcd(n_i, n_j), so it gives each group its largest H^2
+    counts = {f: h2_count(FiniteAbelianGroup(f), lcm(*f))
+              for f in _factorisations(DEFAULT_MAX_ORDER)}
+    assert len(counts) == 53  # the trivial group among them
+    top = max(counts.values())
+    assert top == 2 ** 10 and [f for f, k in counts.items() if k == top] == [(2, 2, 2, 2)]
+    # a moduli strata output holds at most MAX_STRATA_CELLS strata, so the
+    # default bound refuses nothing the two caps admit
+    assert max(top, MAX_STRATA_CELLS) < DEFAULT_SCALE_BOUND
 
 
 def test_restrict_examples():

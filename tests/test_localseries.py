@@ -9,11 +9,11 @@ from orbipar.errors import (BadResidueSupport, MalformedInput, NotInvariant,
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import (GradedSeries, ascend, check_invariance, descend,
                                  residue_report)
-from orbipar.scalars import Cyclotomic
+from orbipar.scalars import Cyclotomic, root_of_unity
 
 from helpers import (MODELS_GRID, N_GRID, _ascend_trunc, _descend_trunc,
                      cyclotomic_substitution, decompose_by_beta, interior_weights,
-                     random_downstairs_series, random_invariant_series,
+                     mask_scan_residue, random_downstairs_series, random_invariant_series,
                      random_nonzero_cyclotomic)
 
 GL1 = GroupModel("gl", r=1)
@@ -125,7 +125,7 @@ def test_descend_examples():
     assert down.terms == {((1, 0), -1): Cyclotomic.from_rational(Fraction(1, 2))}
     assert res.nilpotent and res.nilpotency_index == 2
     assert res.levi_projection_zero and res.support_in_negative_beta
-    assert res.residue.entry(1, 0) == Cyclotomic.from_rational(Fraction(1, 2))
+    assert res.residue.rows[1][0] == Cyclotomic.from_rational(Fraction(1, 2))
 
     s1 = GradedSeries(W_THIRD, 3, "z", 9, {((0, 1), 1): Cyclotomic.one()})
     down3, res3 = descend(s1)
@@ -168,6 +168,38 @@ def test_residue_report_mixed_pole():
     assert not report.support_in_negative_beta
     assert not report.nilpotent  # (E12 + E21)^2 = Id
     assert report.nilpotency_index is None
+
+
+RESIDUE_MODELS = ([GroupModel("gl", r=r) for r in range(1, 5)]
+                  + [GroupModel("sl", r=r) for r in range(2, 5)]
+                  + [GroupModel("upq", p=p, q=q) for p in range(1, 4) for q in range(1, 5 - p)])
+RESIDUE_LOCALS = [(model, N, weight) for model in RESIDUE_MODELS for N in (2, 3, 4, 6)
+                  for weight in interior_weights(model, N)]
+# u(p,q) weights with an entry shared across the blocks (beta = 0 off the
+# diagonal), and sl weights, whose diagonal keys H_i overlap on the diagonal
+SHARED_UPQ = [(model, N, w) for model, N, w in RESIDUE_LOCALS
+              if model.kind == "upq" and 0 in w.beta.values()]
+SL_LOCALS = [local for local in RESIDUE_LOCALS if local[0].kind == "sl"]
+POLE_VALUES = [Cyclotomic.one(), -Cyclotomic.one(), Cyclotomic.from_rational(Fraction(1, 2)),
+               root_of_unity(Fraction(1, 3)), root_of_unity(Fraction(3, 4)),
+               Cyclotomic.one() + root_of_unity(Fraction(1, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RESIDUE_LOCALS) | st.sampled_from(SHARED_UPQ)
+       | st.sampled_from(SL_LOCALS), st.data())
+def test_residue_verdicts_match_the_mask_scan(local, data):
+    # poles on any keys, equal values included (sl's H_0 + H_1 cancels an entry),
+    # and holomorphic terms, which no verdict reads
+    model, N, weight = local
+    terms = data.draw(st.dictionaries(st.tuples(st.sampled_from(model.basis),
+                                                st.integers(-1, 1)),
+                                      st.sampled_from(POLE_VALUES), max_size=8))
+    series = GradedSeries(weight, N, "w", 1, terms)
+    report = residue_report(series)
+    residue, support, levi_zero = mask_scan_residue(series)
+    assert report.residue == residue
+    assert (report.support_in_negative_beta, report.levi_projection_zero) == (support, levi_zero)
 
 
 def test_exponent_bookkeeping():

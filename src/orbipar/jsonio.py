@@ -36,11 +36,10 @@ MAX_FLAG_CORRECTIONS = 32  # MAX_RATIONAL_DIGITS they bound a pairing's digits
 MAX_RATIONAL_DIGITS = 64  # numerator and denominator of one input rational, and one input int
 _INT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
-_PARSED = {}  # rational text -> (p, q); inputs repeat a few values many times
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# exact scalar types and their JSON text; subclasses take the general path
+# exact scalar types and their JSON text; subclasses go to the stdlib
 _SCALARS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__,
             type(None): lambda _: "null"}
 _SCALAR_TYPES = frozenset(_SCALARS)
@@ -85,10 +84,6 @@ def _emit(o, depth, out):
             return out.append("{}")
         if not all(isinstance(k, str) for k in o):
             return out.append(_stdlib(o, depth))
-    elif isinstance(o, str):
-        return out.append(_encode_str(o))
-    elif isinstance(o, int):
-        return out.append(int.__repr__(o))
     else:
         return out.append(_stdlib(o, depth))
     append = out.append
@@ -159,7 +154,17 @@ def _is_int(v) -> bool:
 
 def rational_parts(data) -> tuple[int, int]:
     """A wire rational, a JSON int or a 'p/q' string, as the ints (p, q) in
-    lowest terms with q > 0.  The parts of up to 1024 strings are cached; an
+    lowest terms with q > 0."""
+    if isinstance(data, str):
+        return _string_parts(data)
+    if _is_int(data):
+        return data, 1
+    raise MalformedInput(f"expected a rational string, got {data!r}")
+
+
+@lru_cache(maxsize=1024)  # inputs repeat a few values many times
+def _string_parts(data: str) -> tuple[int, int]:
+    """The parts of a 'p/q' string.  An lru_cache stores no exception, so an
     error is raised afresh on every call.
 
     Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
@@ -169,13 +174,6 @@ def rational_parts(data) -> tuple[int, int]:
     that sums of the few rationals a request may carry print within Python's
     4300 digits.
     """
-    if not isinstance(data, str):
-        if _is_int(data):
-            return data, 1
-        raise MalformedInput(f"expected a rational string, got {data!r}")
-    parts = _PARSED.get(data)
-    if parts is not None:
-        return parts
     match = _RATIONAL.fullmatch(data)
     if not match:
         raise MalformedInput(f"bad rational {data!r}: expected p/q")
@@ -193,9 +191,6 @@ def rational_parts(data) -> tuple[int, int]:
     if abs(p) >= _INT_BOUND or q >= _INT_BOUND:
         raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
                             f"in its numerator or denominator")
-    if len(_PARSED) >= 1024:
-        _PARSED.clear()
-    _PARSED[data] = p, q
     return p, q
 
 

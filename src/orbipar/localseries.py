@@ -99,12 +99,13 @@ class GradedSeries:
         return GradedSeries(self.weight, self.N, self.variable, self.trunc, terms)
 
     def working_field_order(self) -> int:
-        """The lcm of N, the weight denominators and the coefficient orders.
+        """The lcm of N and the coefficient orders.
 
-        A twist that check_invariance accepts has a denominator dividing N.
+        N*alpha is integral (the NonIntegralGauge check), so every weight
+        denominator divides N, and a twist that check_invariance accepts has
+        a denominator dividing N too.
         """
-        return lcm(self.N, *(v.denominator for v in self.weight.entries),
-                   *(c.order for c in self.terms.values()))
+        return lcm(self.N, *(c.order for c in self.terms.values()))
 
 
 # violations are (beta, k, basis key) triples

@@ -8,10 +8,10 @@ reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz expansion) or
 
 Entries are Cyclotomics as they are given; nothing here coerces a rational.
 A product is fused: each entry already is integer numerators over one
-denominator, each nonzero entry is embedded once into the field of the
-entries it meets, each output entry sum_k a_ik b_kj is one integer
-polynomial over the lcm of its denominators, reduced and normalised once by
-``scalars.dot``, and zero entries cost nothing.  An output entry lies in the
+denominator, and each output entry sum_k a_ik b_kj is one ``scalars.dot``,
+which embeds its nonzero terms into their lcm field and sums them as one
+integer polynomial over the lcm of their denominators, reduced and
+normalised once.  Zero entries cost nothing.  An output entry lies in the
 lcm field of the orders of its nonzero terms, and is the order-1 zero when
 it has none, as if it were summed term by term from 0.
 """
@@ -53,7 +53,6 @@ class CycMatrix:
     def __matmul__(self, other):
         self._check(other)
         cols = tuple(zip(*other.rows))
-        cache = {}
         out = []
         for row in self.rows:
             new = []
@@ -63,7 +62,7 @@ class CycMatrix:
                     new.append(Cyclotomic.zero())
                     continue
                 M = lcm(*[a.order for a, _ in pairs], *[b.order for _, b in pairs])
-                new.append(dot(M, pairs, cache))
+                new.append(dot(M, pairs))
             out.append(new)
         return CycMatrix(out)
 
@@ -143,13 +142,12 @@ def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[F
     passed verification gives non-negative integers adding up to the rank.
     """
     n = len(power_traces)
-    cache = {}
     found = []
     for k in range(n):
         q = (zeta + k) / n
         M = lcm(q.denominator, *(t.order for t in power_traces))
         mult = dot(M, [(t, root_of_unity(-j * q % 1, M))
-                       for j, t in enumerate(power_traces)], cache)
+                       for j, t in enumerate(power_traces)])
         count, rest = divmod(mult.nums[0], mult.den * n)
         if any(mult.nums[1:]) or rest or count < 0:
             raise AssertionError(f"multiplicity of e^(2 pi i {q}) is not a count")

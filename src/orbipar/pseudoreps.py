@@ -57,10 +57,10 @@ class PseudoRep:
         return self.group.order
 
 
-def _in_field(image, L: int, cache: dict):
+def _in_field(image, L: int):
     """The entries of image in Q(zeta_L), as rows of nonzero (index, int) terms
     over one common denominator D, and D."""
-    entries = [[_embedded(x, L, cache) for x in row] for row in image.rows]
+    entries = [[_embedded(x, L) for x in row] for row in image.rows]
     D = lcm(*(d for row in entries for _, d in row))
     return [[[(i, a * (D // d)) for i, a in terms] for terms, d in row] for row in entries], D
 
@@ -86,8 +86,7 @@ def verify_pseudorep(sigma: PseudoRep) -> Verdict:
     table = sigma.cochain.table
     gen = 1 % n
     L = lcm(m, *(x.order for im in sigma.images for row in im.rows for x in row))
-    cache = {}
-    field = [_in_field(im, L, cache) for im in sigma.images]
+    field = [_in_field(im, L) for im in sigma.images]
     unit = [[[(0, 1)] if i == k else [] for k in range(sigma.size)] for i in range(sigma.size)]
     if field[0] != (unit, 1):
         return Verdict(False, (g.identity, g.identity))

@@ -11,18 +11,19 @@ exactly and equality is a coefficient comparison.
 A ``Cyclotomic`` is phi(M) int numerators over one positive int denominator
 with gcd(den, *nums) == 1, zero being all zeros over 1.  The form is unique,
 so equality is a tuple comparison, and the arithmetic runs on ints alone:
-``dot`` sums the products of any number of pairs as one unreduced integer
-polynomial over the lcm of their denominators, ``CycMatrix.__matmul__`` calls
-it once per output entry, and each result is normalised by one gcd.
-Nothing here parses or coerces, and ``Cyclotomic(order, nums, den)``
-stores its arguments as given.
+``dot`` embeds each operand of any number of pairs afresh and sums their
+products as one unreduced integer polynomial over the lcm of their
+denominators, ``CycMatrix.__matmul__`` calls it once per output entry, and
+each result is normalised by one gcd.  Nothing here parses or coerces, and
+``Cyclotomic(order, nums, den)`` stores its arguments as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
 ``_reduce`` brings to its phi(M) coefficients mod Phi_M.  It first folds the
 degrees at or above M/2 (M even) or M (M odd) down by the sparse relation
 x^(M/2) = -1, resp. x^M = 1, then divides by Phi_M from the top degree,
-touching only the nonzero terms.  Memory stays O(M); phi(M) comes from a
-cached factorisation.
+touching only the nonzero terms.  Memory stays O(M), and each memo table
+(phi, Phi_M, zeros, roots of unity) is an lru_cache keyed by value with a
+finite bound, so it does not grow with the orders a process has seen.
 
 Phi_M is built once per M over the ints, with no polynomial long division:
 Phi_M(x) = Phi_R(x^(M/R)) for the radical R of M, and Phi_R is the Moebius
@@ -66,7 +67,7 @@ def _prime_factors(n: int) -> tuple:
     return (*primes, n) if n > 1 else tuple(primes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def euler_phi(n: int) -> int:
     """phi(n) from the distinct primes of n, O(sqrt n); 0 for n < 1."""
     out = max(n, 0)
@@ -83,7 +84,7 @@ def check_order(M: int) -> int:
     return M
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cyclotomic_poly(M: int) -> tuple:
     """Coefficients of Phi_M, lowest degree first, as ints.
 
@@ -114,7 +115,7 @@ def cyclotomic_poly(M: int) -> tuple:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _phi_tail(M: int) -> tuple:
     """The nonzero terms (j, c) of x^phi - Phi_M, so that x^phi = sum c x^j mod Phi_M."""
     return tuple((j, -c) for j, c in enumerate(cyclotomic_poly(M)[:-1]) if c)
@@ -163,34 +164,25 @@ def _cyclotomic(M: int, nums, d: int) -> "Cyclotomic":
     return Cyclotomic(M, tuple(nums), d)
 
 
-def _embedded(x: "Cyclotomic", M: int, cache: dict):
-    """The nonzero numerators of x in Q(zeta_M) and its denominator, computed
-    once per (x, M) in cache."""
-    key = (id(x), M)
-    found = cache.get(key)
-    if found is None:
-        terms = _nonzero(x.nums)
-        if M != x.order:
-            terms = _nonzero(_spread(terms, M // x.order, M))
-        found = cache[key] = terms, x.den
-    return found
+def _embedded(x: "Cyclotomic", M: int):
+    """The nonzero numerators of x in Q(zeta_M) and its denominator."""
+    terms = _nonzero(x.nums)
+    if M != x.order:
+        terms = _nonzero(_spread(terms, M // x.order, M))
+    return terms, x.den
 
 
-def dot(M: int, pairs, cache: dict | None = None) -> "Cyclotomic":
+def dot(M: int, pairs) -> "Cyclotomic":
     """sum a*b over the (a, b) pairs, an element of Q(zeta_M).
 
-    Every order must divide M.  The products are summed as one unreduced
-    integer polynomial over the lcm of their denominators and reduced once.
-    A zero operand costs nothing.  ``cache`` keeps each operand's embedding
-    into Q(zeta_M) across calls; it is keyed by identity, so it must not
-    outlive the operands.
-    """
-    if cache is None:
-        cache = {}
+    Every order must divide M.  Each operand is embedded afresh as its
+    nonzero int terms in Q(zeta_M), and the products are summed as one
+    unreduced integer polynomial over the lcm of their denominators, reduced
+    once.  A zero operand costs nothing."""
     products = []
     for a, b in pairs:
-        at, ad = _embedded(a, M, cache)
-        bt, bd = _embedded(b, M, cache)
+        at, ad = _embedded(a, M)
+        bt, bd = _embedded(b, M)
         if at and bt:
             products.append((at, bt, ad * bd))
     if not products:
@@ -329,7 +321,9 @@ def _zero(order: int) -> Cyclotomic:
     return Cyclotomic(order, (0,) * euler_phi(order), 1)
 
 
-_ROOT_CACHE: dict[tuple, Cyclotomic] = {}
+# a pass of perfbench's reps workload asks for 90 distinct (M, k); a root of
+# order M holds phi(M) ints
+_zeta_power = lru_cache(maxsize=128)(Cyclotomic.zeta_power)
 
 
 def root_of_unity(q, M: int | None = None) -> Cyclotomic:
@@ -339,8 +333,4 @@ def root_of_unity(q, M: int | None = None) -> Cyclotomic:
         M = q.denominator
     if (M * q).denominator != 1:
         raise DenominatorNotDividing(f"{M}*{q} is not an integer")
-    k = int(M * q) % M
-    key = (M, k)
-    if key not in _ROOT_CACHE:
-        _ROOT_CACHE[key] = Cyclotomic.zeta_power(M, k)
-    return _ROOT_CACHE[key]
+    return _zeta_power(M, int(M * q) % M)

@@ -818,8 +818,7 @@ def _diagonal(cls, entries) -> CycMatrix:
 
 def _scale(self: CycMatrix, c: Cyclotomic) -> CycMatrix:
     """c times every entry, each product in the lcm field of the two orders."""
-    cache = {}
-    return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)], cache) for x in row]
+    return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)]) for x in row]
                       for row in self.rows])
 
 

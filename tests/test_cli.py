@@ -645,8 +645,19 @@ def stdlib_dumps(obj):
 
 STRINGS = st.text() | st.sampled_from(["1", "", '"', "\\", "\n\t\x00\x1f\x7f", "é ",
                                         "\U0001f600", "a, b"])
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# subclasses of str and int are rendered by the stdlib fallback
 SCALARS = st.one_of(st.integers(), st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.none(),
-                    st.floats(), STRINGS)
+                    st.floats(), STRINGS, STRINGS.map(Text), st.integers().map(Count))
 TREES = st.recursive(
     SCALARS, lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                            | st.dictionaries(STRINGS, kids, max_size=4)

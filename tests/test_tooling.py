@@ -1,8 +1,8 @@
 """Checks on the package as a whole: no runtime asserts, no except clause
 that could hide a program bug, every error code raised somewhere, no weight
-built outside alcove_normalize, no numpy on import, the benchmark tracer's
-entry points all present, the corpus script writing the committed corpus,
-and every payload of every verb, however hostile, ending in exit 0, 1 or 2
+built outside alcove_normalize, no memo table without a bound, no numpy on
+import, the benchmark tracer's entry points all present, the corpus script
+writing the committed corpus, and every payload of every verb, however hostile, ending in exit 0, 1 or 2
 within a per-call time budget."""
 
 import ast
@@ -95,6 +95,90 @@ def test_only_alcove_normalize_builds_a_weight():
                   and node.func.id == "WeightVector"
                   and builders.get(id(node)) != "alcove_normalize"]
     assert found == []
+
+
+TABLES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+TABLE_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "clear", "update", "setdefault",
+            "add", "discard", "remove", "sort", "reverse", "__setitem__", "__delitem__"}
+
+
+def _is_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+            or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+
+
+def _targets(node) -> list:
+    """The targets an assignment or del statement writes."""
+    return getattr(node, "targets", None) or [node.target]
+
+
+def _bounded(call) -> bool:
+    """The lru_cache(...) call gives an int maxsize."""
+    size = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    return bool(size) and isinstance(size[0], ast.Constant) and type(size[0].value) is int
+
+
+def _unbounded_memo_tables(source: str, name: str) -> list:
+    """Where the module's source keeps a memo table that can grow without
+    bound: an lru_cache with no int maxsize (a decorated function of no
+    parameters holds one value and passes), or a module-level dict, list or
+    set that a function writes or mutates."""
+    tree = ast.parse(source, name)
+    tables = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and (isinstance(node.value, TABLES) or isinstance(node.value, ast.Call)
+                   and getattr(node.value.func, "id", None) in TABLE_TYPES)
+              for t in _targets(node) if isinstance(t, ast.Name)}
+    found, decorators = [], set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = function.args
+        takes = a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg
+        for deco in function.decorator_list:
+            decorators.add(id(deco))
+            bare = not isinstance(deco, ast.Call)
+            if (takes and _is_lru_cache(deco if bare else deco.func)
+                    and (bare or not _bounded(deco))):
+                found.append(f"{name}:{deco.lineno} {function.name}")
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                written = [s.value for t in _targets(node) for s in ast.walk(t)
+                           if isinstance(s, ast.Subscript)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                written = [node.func.value] if node.func.attr in MUTATORS else []
+            elif isinstance(node, ast.Global):
+                written = [ast.Name(n) for n in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {w.id}" for w in written
+                      if isinstance(w, ast.Name) and w.id in tables]
+    found += [f"{name}:{node.lineno} lru_cache" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _is_lru_cache(node.func)
+              and id(node) not in decorators and not _bounded(node)]
+    return found
+
+
+def test_memo_tables_are_bounded():
+    # a long-lived process (perfbench, corpus run, a pytest run) keeps every
+    # memo table for its lifetime, so each one needs a bound it cannot pass
+    found = [f for path in sorted(SRC.glob("*.py"))
+             for f in _unbounded_memo_tables(path.read_text(), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(n):\n    return n\n",
+    "import functools\n@functools.lru_cache\ndef f(n):\n    return n\n",
+    "from functools import cache\n@cache\ndef f(*n):\n    return n\n",
+    "from functools import lru_cache\ng = lru_cache(maxsize=None)(abs)\n",
+    "SEEN = {}\ndef f(n):\n    SEEN[n] = n\n",
+    "SEEN: dict[int, int] = {}\ndef f(n):\n    SEEN.setdefault(n, n)\n",
+    "SEEN = []\nclass C:\n    def f(self, n):\n        SEEN.append(n)\n",
+    "SEEN = set()\ndef f(n):\n    global SEEN\n    SEEN = SEEN | {n}\n",
+])
+def test_unbounded_memo_tables_are_found(source):
+    assert _unbounded_memo_tables(source, "m.py") != []
 
 
 def test_benchmark_tracer_installs():

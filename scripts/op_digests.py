@@ -24,6 +24,20 @@ WORKLOADS = ("cohomology", "descent", "reps")
 SEEDS = (1, 2, 3)
 
 
+def seed_ops(tmp):
+    """(workload, seed, the argv of each op) for seeds 1-3 of every workload,
+    their inputs generated under tmp."""
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            workdir = os.path.join(tmp, f"{workload}-s{seed}")
+            subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "gen.py"),
+                            "--workload", workload, "--seed", str(seed),
+                            "--workdir", workdir], check=True)
+            with open(os.path.join(workdir, "manifest.json"), encoding="utf-8") as fh:
+                yield workload, seed, [[*op["verb"].split(), os.path.join(workdir, op["file"]),
+                                        *op["flags"]] for op in json.load(fh)["ops"]]
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -33,23 +47,14 @@ def main(argv) -> int:
 
     total, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                workdir = os.path.join(tmp, f"{workload}-s{seed}")
-                subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "gen.py"),
-                                "--workload", workload, "--seed", str(seed),
-                                "--workdir", workdir], check=True)
-                with open(os.path.join(workdir, "manifest.json"), encoding="utf-8") as fh:
-                    ops = json.load(fh)["ops"]
-                digest = hashlib.sha256()
-                for op in ops:
-                    code, text = run_command([*op["verb"].split(),
-                                              os.path.join(workdir, op["file"]), *op["flags"]])
-                    pair = json.dumps([code, text]).encode("utf-8") + b"\n"
-                    digest.update(pair)
-                    total.update(pair)
-                count += len(ops)
-                print(f"{workload} seed {seed}: {len(ops)} ops {digest.hexdigest()}")
+        for workload, seed, argvs in seed_ops(tmp):
+            digest = hashlib.sha256()
+            for op in argvs:
+                pair = json.dumps(run_command(op)).encode("utf-8") + b"\n"
+                digest.update(pair)
+                total.update(pair)
+            count += len(argvs)
+            print(f"{workload} seed {seed}: {len(argvs)} ops {digest.hexdigest()}")
     print(f"all {count} ops: {total.hexdigest()}")
     return 0
 

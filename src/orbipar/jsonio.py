@@ -24,7 +24,7 @@ from math import gcd, lcm
 
 from .cocycles import Cochain2, Extension, FiniteAbelianGroup
 from .errors import MalformedInput, ScaleExceeded
-from .liemodel import GroupModel, ParabolicData, WeightVector, alcove_normalize
+from .liemodel import KINDS, GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
 from .matrices import CycMatrix
 from .moduli import CoveringData, FlagDegreeData, FlagPiece, Strata
@@ -156,16 +156,14 @@ def rational_parts(data) -> tuple[int, int]:
     """A wire rational, a JSON int or a 'p/q' string, as the ints (p, q) in
     lowest terms with q > 0."""
     if isinstance(data, str):
-        return _string_parts(data)
+        return (_cached_parts if len(data) <= _CACHED_TEXT else _string_parts)(data)
     if _is_int(data):
         return data, 1
     raise MalformedInput(f"expected a rational string, got {data!r}")
 
 
-@lru_cache(maxsize=1024)  # inputs repeat a few values many times
 def _string_parts(data: str) -> tuple[int, int]:
-    """The parts of a 'p/q' string.  An lru_cache stores no exception, so an
-    error is raised afresh on every call.
+    """The parts of a 'p/q' string.
 
     Strings must match [+-]?digits(/digits)?: no spaces, decimals or exponents,
     so a short string cannot ask for a huge power of ten.  A zero denominator
@@ -192,6 +190,12 @@ def _string_parts(data: str) -> tuple[int, int]:
         raise ScaleExceeded(f"rational with more than {MAX_RATIONAL_DIGITS} digits "
                             f"in its numerator or denominator")
     return p, q
+
+
+# Inputs repeat a few values many times.  Only texts up to the longest canonical
+# one (sign, digits, '/', digits) are cached; an lru_cache stores no exception.
+_CACHED_TEXT = 2 * MAX_RATIONAL_DIGITS + 2
+_cached_parts = lru_cache(maxsize=1024)(_string_parts)
 
 
 def rational_from_json(data) -> Fraction:
@@ -371,16 +375,13 @@ def quotient_class_to_json(cls: QuotientClass) -> dict:
 # -- Lie structure -------------------------------------------------------------
 
 def model_to_json(model: GroupModel) -> dict:
-    if model.kind == "upq":
-        return {"kind": "upq", "p": model.p, "q": model.q}
-    return {"kind": model.kind, "r": model.size}
+    return {"kind": model.kind, **dict(zip(KINDS[model.kind][0], model.dims))}
 
 
 def model_from_json(data) -> GroupModel:
     kind = _need(data, "kind", str)
-    if kind == "upq":
-        return GroupModel("upq", p=_need(data, "p", int), q=_need(data, "q", int))
-    return GroupModel(kind, r=_need(data, "r", int))
+    names = KINDS[kind][0] if kind in KINDS else ()  # GroupModel reports the kind
+    return GroupModel(kind, **{name: _need(data, name, int) for name in names})
 
 
 def weights_to_json(weight: WeightVector) -> list:
@@ -484,7 +485,8 @@ def flag_from_json(data) -> FlagDegreeData:
     corrections = _need(data, "corrections", list)
     if len(pieces) > MAX_FLAG_PIECES or len(corrections) > MAX_FLAG_CORRECTIONS:
         raise ScaleExceeded(f"a flag carries at most {MAX_FLAG_PIECES} pieces and "
-                            f"{MAX_FLAG_CORRECTIONS} corrections")
+                            f"{MAX_FLAG_CORRECTIONS} corrections, got {len(pieces)} "
+                            f"and {len(corrections)}")
     return FlagDegreeData(
         s, [FlagPiece(rational_from_json(_need(p, "value")), _need(p, "rank", int),
                       _need(p, "degree", int)) for p in pieces],

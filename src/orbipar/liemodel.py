@@ -1,18 +1,18 @@
 """Matrix models of (H^C, m^C), Weyl alcoves, and parabolic entry masks.
 
-Three model kinds are supported, all realized on diagonal torus
-representatives:
+A model kind is one row of KINDS: the wire names of its block sizes, and
+whether m^C is traceless.  H^C is block diagonal, on diagonal torus
+representatives; m^C is the full matrix algebra on one block and the
+off-diagonal blocks on two, whose brackets are block diagonal ([m, m] in h):
 
   gl(r):    H^C = GL(r, C), m^C the full matrix algebra;
-  sl(r):    traceless variant, with weights shifted to a zero-sum
+  sl(r):    its traceless variant, weights shifted to a zero-sum
             representative in (-1, 1);
-  upq(p,q): H^C = GL(p) x GL(q) block diagonal, m^C the off-diagonal blocks
-            (the bracket of two off-block elements is block diagonal, which
-            is the Cartan relation [m, m] in h).
+  upq(p,q): H^C = GL(p) x GL(q), m^C the off-diagonal blocks.
 
 A basis element of m^C is its key (i, j), the same key the wire format
 uses: the matrix unit E_ij, Ad-eigenvector of the torus e^{2 pi i alpha}
-with exponent alpha_i - alpha_j.  For sl the diagonal units are replaced by
+with exponent alpha_i - alpha_j.  In a traceless m^C the diagonal units are
 H_i = E_ii - E_{i+1,i+1}, keyed (i, i), exponent 0; ``GroupModel.entries``
 is the one place that spells a key out as matrix entries.
 
@@ -27,49 +27,43 @@ alcove form and its betas are computed once.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import MalformedInput, NotInIH, RankMismatch
 from .scalars import signed_mod1
 
 MAX_MODEL_SIZE = 4
+# kind -> (wire names of its block sizes, whether m^C is traceless)
+KINDS = {"gl": (("r",), False), "sl": (("r",), True), "upq": (("p", "q"), False)}
 
 
 class GroupModel:
-    """A matrix model: its kind, ambient size, blocks, and basis keys of m^C."""
+    """A matrix model built from its kind's row of KINDS: the block sizes
+    `dims`, in the row's order, the ambient size, masks and basis keys of m^C."""
 
-    def __init__(self, kind: str, r: int | None = None,
-                 p: int | None = None, q: int | None = None):
-        if kind in ("gl", "sl"):
-            if not r or r < 1:
-                raise MalformedInput("gl/sl models need a positive rank r")
-            self.kind = kind
-            self.size = r
-            self.blocks = [range(0, self.size)]
-        elif kind == "upq":
-            if not p or not q or p < 1 or q < 1:
-                raise MalformedInput("upq models need positive p and q")
-            self.kind = kind
-            self.p, self.q = p, q
-            self.size = self.p + self.q
-            self.blocks = [range(0, self.p), range(self.p, self.size)]
-        else:
+    def __init__(self, kind: str, **dims):
+        if kind not in KINDS:
             raise MalformedInput(f"unknown model kind {kind!r}")
-        if self.size > MAX_MODEL_SIZE:
-            raise MalformedInput(f"model size {self.size} exceeds {MAX_MODEL_SIZE}")
+        names, self.traceless = KINDS[kind]
+        if dims.keys() != set(names) or not all(d and d >= 1 for d in dims.values()):
+            raise MalformedInput(f"{kind} models need positive {' and '.join(names)}")
+        self.kind = kind
+        self.dims = tuple(dims[name] for name in names)
+        starts = tuple(accumulate(self.dims, initial=0))
+        self.size = n = starts[-1]
+        if n > MAX_MODEL_SIZE:
+            raise MalformedInput(f"model size {n} exceeds {MAX_MODEL_SIZE}")
+        self.blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
 
-        n = self.size
-        self._block_of = tuple(bi for bi, blk in enumerate(self.blocks) for _ in blk)
-        if kind == "upq":
-            self.h_mask = tuple(tuple(x == y for y in self._block_of) for x in self._block_of)
-            self.m_mask = tuple(tuple(not x for x in row) for row in self.h_mask)
-        else:
-            self.h_mask = self.m_mask = ((True,) * n,) * n
+        block_of = tuple(bi for bi, blk in enumerate(self.blocks) for _ in blk)
+        one_block = len(self.blocks) == 1  # m^C: h^C's entries on one block, the rest on two
+        self.h_mask = tuple(tuple(x == y for y in block_of) for x in block_of)
+        self.m_mask = tuple(tuple((x == y) == one_block for y in block_of) for x in block_of)
 
-        # basis of m^C by key: matrix units row-major, then the sl diagonals
+        # basis of m^C by key: matrix units row-major, then the traceless diagonals
         self.basis = tuple((i, j) for i in range(n) for j in range(n)
-                           if self.m_mask[i][j] and not (i == j and kind == "sl"))
-        if kind == "sl":
-            self.basis += tuple((i, i) for i in range(n - 1))
+                           if self.m_mask[i][j] and not (i == j and self.traceless)) \
+            + tuple((i, i) for i in range(n - 1) if self.traceless)
 
     @property
     def dim_m(self) -> int:
@@ -77,29 +71,22 @@ class GroupModel:
 
     def entries(self, key) -> tuple:
         """The nonzero entries (i, j, sign) of the basis element with this key:
-        E_ij, or for sl and i == j the diagonal difference E_ii - E_{i+1,i+1}."""
+        E_ij, or if traceless and i == j the difference E_ii - E_{i+1,i+1}."""
         i, j = key
-        if i == j and self.kind == "sl":
+        if i == j and self.traceless:
             return ((i, i, 1), (i + 1, i + 1, -1))
         return ((i, j, 1),)
 
     def weight_convention(self) -> str:
-        """The audit name of the alcove weights' range: (-1,1) for sl, else [0,1)."""
-        return "signed" if self.kind == "sl" else "zero_one"
+        """The audit name of the alcove weights' range: (-1,1) if traceless, else [0,1)."""
+        return "signed" if self.traceless else "zero_one"
 
     def __eq__(self, other):
-        if not isinstance(other, GroupModel):
-            return False
-        if self.kind != other.kind:
-            return False
-        if self.kind == "upq":
-            return (self.p, self.q) == (other.p, other.q)
-        return self.size == other.size
+        return isinstance(other, GroupModel) and (self.kind, self.dims) == (other.kind, other.dims)
 
     def __repr__(self):
-        if self.kind == "upq":
-            return f"GroupModel(upq, p={self.p}, q={self.q})"
-        return f"GroupModel({self.kind}, r={self.size})"
+        sizes = ", ".join(f"{name}={d}" for name, d in zip(KINDS[self.kind][0], self.dims))
+        return f"GroupModel({self.kind}, {sizes})"
 
 
 class WeightVector(namedtuple("WeightVector", "model entries beta")):
@@ -124,8 +111,8 @@ class WeightVector(namedtuple("WeightVector", "model entries beta")):
 def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
     """The canonical alcove representative of a multiset of Fraction exponents.
 
-    Reduce mod 1 into [0,1) and sort descending within each block; for sl,
-    shift to the zero-sum representative by subtracting 1 from the S largest
+    Reduce mod 1 into [0,1) and sort descending within each block; for a
+    traceless m^C, shift to the zero-sum representative by subtracting 1 from the S largest
     entries, where S is the integer entry sum, and rotating them to the end:
     [2/3, 1/3] goes to [1/3, -1/3].  Idempotent and invariant under
     permutations within a block.
@@ -137,7 +124,7 @@ def alcove_normalize(model: GroupModel, exponents) -> WeightVector:
         reduced = sorted((exponents[i] % 1 for i in blk), reverse=True)
         for slot, v in zip(blk, reduced):
             out[slot] = v
-    if model.kind == "sl":
+    if model.traceless:
         total = sum(out)
         if total.denominator != 1:
             raise NotInIH(f"sl exponents must have integral sum, got {total}")
@@ -155,7 +142,7 @@ def isotropy_eigenspaces(weight: WeightVector):
     """Split m^C into Ad(e^{2 pi i alpha}) eigenspaces.
 
     The basis element with key (i, j) is an eigenvector with exponent
-    weight.beta[(i, j)], so the diagonal keys, sl's H_i among them, sit in
+    weight.beta[(i, j)], so the diagonal keys, the traceless H_i among them, sit in
     the zero eigenspace.  Returns [(beta, [keys])], beta descending, keys in
     model.basis order.
     """
@@ -172,7 +159,7 @@ class ParabolicData:
         s = tuple(s)
         if len(s) != model.size:
             raise NotInIH(f"need {model.size} diagonal entries, got {len(s)}")
-        if model.kind == "sl" and sum(s) != 0:
+        if model.traceless and sum(s) != 0:
             raise NotInIH("sl requires a traceless diagonal s")
         self.model = model
         self.s = s

@@ -92,7 +92,7 @@ def enumerate_strata(group: FiniteAbelianGroup, coeff_order: int,
         raise MalformedInput("stratum enumeration expects a cyclic deck group")
     if group.order != covering.group_order:
         raise MalformedInput("deck group order disagrees with the covering data")
-    if model.kind not in ("gl", "sl"):
+    if len(model.dims) != 1:
         raise UnsupportedModel("class enumeration is defined for gl and sl models")
     cocycle_reps = h2_classes(group, coeff_order, scale_bound)
     classes = {nj: quotient_classes(nj, model.size, Fraction(0), coeff_order, model.kind)

@@ -1148,6 +1148,9 @@ def test_flag_digits_and_sizes_capped_at_parse_time(tmp_path, payload, cap):
     out = json.loads(text)
     assert code == 1 and out["error"] == "scale_exceeded", text
     assert str(cap) in out["detail"]
+    if cap != MAX_RATIONAL_DIGITS:  # a count cap: the detail gives the counts received
+        assert out["detail"].endswith(
+            f", got {len(payload['pieces'])} and {len(payload['corrections'])}")
 
 
 def test_pairing_at_the_flag_caps_prints(tmp_path):

@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbipar.cli import run_command
 from orbipar.errors import NotInIH, RankMismatch
+from orbipar.jsonio import model_from_json, model_to_json
 from orbipar.liemodel import GroupModel, alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from orbipar.matrices import CycMatrix
 from orbipar.scalars import root_of_unity
@@ -27,6 +31,45 @@ def test_model_dimensions():
     assert GL2.dim_m == 4 and GL3.dim_m == 9
     assert SL2.dim_m == 3 and GroupModel("sl", r=3).dim_m == 8
     assert UPQ11.dim_m == 2 and GroupModel("upq", p=2, q=2).dim_m == 8
+
+
+# every valid model, with its wire fields and its repr
+VALID_MODELS = [({"kind": k, "r": r}, f"GroupModel({k}, r={r})")
+                for k in ("gl", "sl") for r in range(1, 5)] + \
+               [({"kind": "upq", "p": p, "q": q}, f"GroupModel(upq, p={p}, q={q})")
+                for p in range(1, 4) for q in range(1, 5 - p)]
+
+
+def test_every_model_round_trips_and_prints_its_fields():
+    models = [model_from_json(wire) for wire, _ in VALID_MODELS]
+    for model, (wire, text) in zip(models, VALID_MODELS):
+        assert model_to_json(model) == wire and repr(model) == text
+        assert model_from_json(model_to_json(model)) == model
+    for a, b in product(range(len(models)), repeat=2):
+        assert (models[a] == models[b]) == (a == b), (models[a], models[b])
+
+
+MISSING = object()
+SIZES = [MISSING, 0, -1, 1, 2, 5, True, "2"]
+
+
+def test_malformed_models_exit_as_pinned(tmp_path):
+    """Every kind in {gl, sl, upq, unknown, missing, an int} with every r, p
+    and q in SIZES, through `lie alcove`: a model is valid iff its kind is
+    known and each of its own size fields is the int 1 or 2; a valid one
+    exits 0, any other exits 2 with malformed_input."""
+    fields = {"gl": ("r",), "sl": ("r",), "upq": ("p", "q")}
+    path = tmp_path / "in.json"
+    for kind, r, p, q in product(["gl", "sl", "upq", "xx", MISSING, 3], SIZES, SIZES, SIZES):
+        wire = {k: v for k, v in (("kind", kind), ("r", r), ("p", p), ("q", q))
+                if v is not MISSING}
+        own = [wire.get(name) for name in fields.get(kind, ())]
+        valid = bool(own) and all(type(v) is int and v in (1, 2) for v in own)
+        size = sum(own) if valid else 2
+        path.write_text(json.dumps({"model": wire, "exponents": ["0"] * size}))
+        code, text = run_command(["lie", "alcove", str(path)])
+        assert (code, json.loads(text).get("error")) == \
+            ((0, None) if valid else (2, "malformed_input")), (wire, text)
 
 
 def test_upq_cartan_relation():

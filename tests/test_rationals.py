@@ -3,6 +3,7 @@ the same error class and message, for ints, 'p/q' strings and strings the
 grammar rejects; and the int read of a cochain table value against the old
 (Fraction % 1) * m read."""
 
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -74,6 +75,24 @@ def test_parser_error_text_examples():
     assert outcome(rational, "-7/0") == (MalformedInput, ("bad rational '-7/0': Fraction(-7, 0)",))
     assert outcome(rational, 2.5) == (MalformedInput, ("expected a rational string, got 2.5",))
     assert rational_parts("-0004/06") == (-2, 3) and rational_parts("-0") == (0, 1)
+
+
+def test_parse_cache_memory_is_bounded():
+    """1,024 distinct leading-zero texts, each a small rational under the
+    int-string limit, keep under 1 MB alive; so do 1,024 distinct texts of
+    the longest canonical length, the longest the cache keeps."""
+    batches = [lambda i: f"{'0' * 4000}{i + 1}/{'0' * 4000}1",
+               lambda i: f"-{10 ** 63 + i}/{BOUND - 1}"]
+    tracemalloc.start()
+    try:
+        for text in batches:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1024):
+                rational_parts(text(i))  # the text is dropped unless a cache keeps it
+            grown = tracemalloc.get_traced_memory()[0] - before
+            assert grown < 1 << 20, grown
+    finally:
+        tracemalloc.stop()
 
 
 def _cochain_value(value, m):

@@ -10,6 +10,13 @@ op is run through ``run_command`` of the orbipar under SRC_DIR.  One line is
 printed per (workload, seed): the sha256 over its ops' (exit, stdout) pairs,
 in op order; the last line is the sha256 over all ops.  Two trees whose
 totals are equal gave byte-identical output on every op.
+
+Each op also has three refusal twins, whose inputs are written to the same
+temporary directory: every JSON int (not a boolean) set to 10^64, the
+alphabetically first top-level key removed, and every string that starts
+with a digit or ``-`` replaced by ``"1/2"``.  Before the total, one line per
+twin kind gives the sha256 over its (exit, stdout) pairs and the count of
+each (exit, error code).
 """
 
 import hashlib
@@ -18,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("cohomology", "descent", "reps")
@@ -38,6 +46,36 @@ def seed_ops(tmp):
                                         *op["flags"]] for op in json.load(fh)["ops"]]
 
 
+def _leaves(value, leaf):
+    """The JSON value with leaf applied to every scalar in it."""
+    if isinstance(value, dict):
+        return {k: _leaves(v, leaf) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_leaves(v, leaf) for v in value]
+    return leaf(value)
+
+
+TWINS = {
+    "ints at 10^64": lambda p: _leaves(p, lambda v: 10 ** 64 if type(v) is int else v),
+    "first key removed": lambda p: {k: v for k, v in p.items() if k != min(p)},
+    "rationals at 1/2": lambda p: _leaves(
+        p, lambda v: "1/2" if isinstance(v, str) and v.startswith(tuple("-0123456789")) else v),
+}
+
+
+def twin_ops(tmp, argv):
+    """(twin kind, argv) for each refusal twin of the op argv, which reads
+    the input file argv[2]; a twin's input is written under tmp just before
+    it is yielded, so each one must be run before the next is drawn."""
+    with open(argv[2], encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for kind, twin in TWINS.items():
+        path = os.path.join(tmp, "twin.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(twin(payload), fh)
+        yield kind, [*argv[:2], path, *argv[3:]]
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -46,6 +84,7 @@ def main(argv) -> int:
     from orbipar.cli import run_command
 
     total, count = hashlib.sha256(), 0
+    twins = {kind: (hashlib.sha256(), Counter()) for kind in TWINS}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed, argvs in seed_ops(tmp):
             digest = hashlib.sha256()
@@ -53,8 +92,16 @@ def main(argv) -> int:
                 pair = json.dumps(run_command(op)).encode("utf-8") + b"\n"
                 digest.update(pair)
                 total.update(pair)
+                for kind, twin in twin_ops(tmp, op):
+                    code, out = run_command(twin)
+                    twins[kind][0].update(json.dumps([code, out]).encode("utf-8") + b"\n")
+                    twins[kind][1][code, json.loads(out)["error"] if code else "ok"] += 1
             count += len(argvs)
             print(f"{workload} seed {seed}: {len(argvs)} ops {digest.hexdigest()}")
+    for kind, (digest, outcomes) in twins.items():
+        counts = ", ".join(f"exit {code} {error} x{n}"
+                           for (code, error), n in sorted(outcomes.items()))
+        print(f"twin {kind}: {digest.hexdigest()} ({counts})")
     print(f"all {count} ops: {total.hexdigest()}")
     return 0
 

@@ -10,7 +10,9 @@ checkout).  Seeds 1-3 of each perfbench workload are generated by
 run through ``run_command`` and ``corpus run`` on this checkout's corpus
 through ``cli.main``, the one-shot entry point.  Every statement that no line
 event reached is printed as ``module:line: text``, the ``raise`` statements
-after the others, and the last line counts both.
+after the others, and the next line counts both.  Then the refusal twins of
+every op (see ``op_digests.py``) are run under the tracer too, and the last
+line counts the statements that neither the traffic nor its twins reached.
 """
 
 import ast
@@ -21,12 +23,12 @@ import sys
 import tempfile
 from collections import defaultdict
 
-from op_digests import ROOT, seed_ops
+from op_digests import ROOT, seed_ops, twin_ops
 
 
 def traced_lines(package, argvs) -> dict:
     """filename -> the line numbers that line events reached, over the import
-    of orbipar, the ops and the corpus run."""
+    of orbipar (on the first call), the ops and the corpus run."""
     hits = defaultdict(set)
 
     def local(frame, event, arg):
@@ -67,6 +69,24 @@ def statements(tree):
         yield node, range(first, max(last, node.lineno) + 1)
 
 
+def missed_statements(package, *hits) -> dict:
+    """For False and True, the statements (module, line, text) that are not
+    resp. are ``raise`` statements and that no line of any of hits reached."""
+    missed = {False: [], True: []}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(package, name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        for stmt, own in statements(ast.parse(text)):
+            if not any(h[path].intersection(own) for h in hits):
+                missed[isinstance(stmt, ast.Raise)].append(
+                    (name, stmt.lineno, lines[stmt.lineno - 1].strip()))
+    return missed
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -77,23 +97,17 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         argvs = [argv for _, _, ops in seed_ops(tmp) for argv in ops]
         hits = traced_lines(package + os.sep, argvs)
-    missed = {False: [], True: []}
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(package, name)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.splitlines()
-        for stmt, own in statements(ast.parse(text)):
-            if not hits[path].intersection(own):
-                missed[isinstance(stmt, ast.Raise)].append(
-                    (name, stmt.lineno, lines[stmt.lineno - 1].strip()))
+        twins = (twin for op in argvs for _, twin in twin_ops(tmp, op))
+        twin_hits = traced_lines(package + os.sep, twins)
+    missed = missed_statements(package, hits)
     for raises in (False, True):
         for name, line, source in sorted(missed[raises]):
             print(f"{name}:{line}: {source}")
     print(f"never executed: {len(missed[False])} statements "
           f"and {len(missed[True])} raise statements")
+    both = missed_statements(package, hits, twin_hits)
+    print(f"never executed by the traffic or its twins: {len(both[False])} statements "
+          f"and {len(both[True])} raise statements")
     return 0
 
 

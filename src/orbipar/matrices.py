@@ -8,19 +8,18 @@ reaches ``charpoly`` (Faddeev-LeVerrier), ``det`` (Leibniz expansion) or
 
 Entries are Cyclotomics as they are given; nothing here coerces a rational.
 A product is fused: each entry already is integer numerators over one
-denominator, and each output entry sum_k a_ik b_kj is one ``scalars.dot``,
-which embeds its nonzero terms into their lcm field and sums them as one
-integer polynomial over the lcm of their denominators, reduced and
-normalised once.  Zero entries cost nothing.  An output entry lies in the
-lcm field of the orders of its nonzero terms, and is the order-1 zero when
-it has none, as if it were summed term by term from 0.
+denominator, and each output entry sum_k a_ik b_kj is one ``scalars.dot``
+over its nonzero terms, which embeds them into their lcm field and sums
+them as one integer polynomial, reduced and normalised once.  Zero entries
+cost nothing.  So an output entry lies in the lcm field of the orders of
+its nonzero terms, and is the order-1 zero when it has none, as if it were
+summed term by term from 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 from .errors import MalformedInput, SizeMismatch
 from .scalars import Cyclotomic, dot, root_of_unity
@@ -53,18 +52,8 @@ class CycMatrix:
     def __matmul__(self, other):
         self._check(other)
         cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                pairs = [(a, b) for a, b in zip(row, col) if a and b]
-                if not pairs:
-                    new.append(Cyclotomic.zero())
-                    continue
-                M = lcm(*[a.order for a, _ in pairs], *[b.order for _, b in pairs])
-                new.append(dot(M, pairs))
-            out.append(new)
-        return CycMatrix(out)
+        return CycMatrix([[dot([(a, b) for a, b in zip(row, col) if a and b]) for col in cols]
+                          for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix) or other.size != self.size:
@@ -145,9 +134,7 @@ def root_of_unity_eigenvalues(power_traces, zeta: Fraction, rank: int) -> list[F
     found = []
     for k in range(n):
         q = (zeta + k) / n
-        M = lcm(q.denominator, *(t.order for t in power_traces))
-        mult = dot(M, [(t, root_of_unity(-j * q % 1, M))
-                       for j, t in enumerate(power_traces)])
+        mult = dot([(t, root_of_unity(-j * q % 1)) for j, t in enumerate(power_traces)])
         count, rest = divmod(mult.nums[0], mult.den * n)
         if any(mult.nums[1:]) or rest or count < 0:
             raise AssertionError(f"multiplicity of e^(2 pi i {q}) is not a count")

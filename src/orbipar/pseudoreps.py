@@ -57,20 +57,13 @@ class PseudoRep:
         return self.group.order
 
 
-def _in_field(image, L: int):
-    """The entries of image in Q(zeta_L), as rows of nonzero (index, int) terms
-    over one common denominator D, and D."""
-    entries = [[_embedded(x, L) for x in row] for row in image.rows]
-    D = lcm(*(d for row in entries for _, d in row))
-    return [[[(i, a * (D // d)) for i, a in terms] for terms, d in row] for row in entries], D
-
-
 def verify_pseudorep(sigma: PseudoRep) -> Verdict:
     """The composition rule on all pairs, plus sigma(1) = Id.
 
     Only the generator row is multiplied out, in the one field Q(zeta_L) with
     L = lcm(m, entry orders), and no Cyclotomic or CycMatrix is built.  Each
-    image sigma(g^j) is embedded once, as int terms over one denominator D_j.
+    image sigma(g^j) is embedded once, by ``scalars._embedded``, as rows of
+    int terms over one denominator D_j.
     With c = c(g, g^j), each entry of sigma(g) sigma(g^j) D_(j+1) minus
     zeta_m^c sigma(g^(j+1)) D_1 D_j is one int convolution, the scalar being
     the index shift s = c L / m, reduced once mod Phi_L; it must vanish.  Once
@@ -85,9 +78,13 @@ def verify_pseudorep(sigma: PseudoRep) -> Verdict:
     m = sigma.cochain.coeff_order
     table = sigma.cochain.table
     gen = 1 % n
+    r = sigma.size
     L = lcm(m, *(x.order for im in sigma.images for row in im.rows for x in row))
-    field = [_in_field(im, L) for im in sigma.images]
-    unit = [[[(0, 1)] if i == k else [] for k in range(sigma.size)] for i in range(sigma.size)]
+    field = []
+    for im in sigma.images:
+        terms, D = _embedded([x for row in im.rows for x in row], L)
+        field.append(([terms[i:i + r] for i in range(0, r * r, r)], D))
+    unit = [[[(0, 1)] if i == k else [] for k in range(r)] for i in range(r)]
     if field[0] != (unit, 1):
         return Verdict(False, (g.identity, g.identity))
     phi = euler_phi(L)

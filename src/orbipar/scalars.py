@@ -10,11 +10,13 @@ exactly and equality is a coefficient comparison.
 
 A ``Cyclotomic`` is phi(M) int numerators over one positive int denominator
 with gcd(den, *nums) == 1, zero being all zeros over 1.  The form is unique,
-so equality is a tuple comparison, and the arithmetic runs on ints alone:
-``dot`` embeds each operand of any number of pairs afresh and sums their
-products as one unreduced integer polynomial over the lcm of their
-denominators, ``CycMatrix.__matmul__`` calls it once per output entry, and
-each result is normalised by one gcd.  Nothing here parses or coerces, and
+so equality is a tuple comparison, and the arithmetic runs on ints alone.
+``_embedded`` is the one embedding: it writes a list of Cyclotomics as
+nonzero int terms in one field Q(zeta_M) over one common denominator.
+``dot`` embeds its left and its right operands into the lcm field of their
+orders and sums their products as one unreduced integer polynomial; a
+product of two Cyclotomics is one ``dot`` and a matrix product one per
+entry, each normalised by one gcd.  Nothing here parses or coerces, and
 ``Cyclotomic(order, nums, den)`` stores its arguments as given.
 
 Every product, embedding and root of unity is an unreduced polynomial that
@@ -22,7 +24,7 @@ Every product, embedding and root of unity is an unreduced polynomial that
 degrees at or above M/2 (M even) or M (M odd) down by the sparse relation
 x^(M/2) = -1, resp. x^M = 1, then divides by Phi_M from the top degree,
 touching only the nonzero terms.  Memory stays O(M), and each memo table
-(phi, Phi_M, zeros, roots of unity) is an lru_cache keyed by value with a
+(phi, Phi_M, roots of unity) is an lru_cache keyed by value with a
 finite bound, so it does not grow with the orders a process has seen.
 
 Phi_M is built once per M over the ints, with no polynomial long division:
@@ -164,39 +166,39 @@ def _cyclotomic(M: int, nums, d: int) -> "Cyclotomic":
     return Cyclotomic(M, tuple(nums), d)
 
 
-def _embedded(x: "Cyclotomic", M: int):
-    """The nonzero numerators of x in Q(zeta_M) and its denominator."""
-    terms = _nonzero(x.nums)
-    if M != x.order:
-        terms = _nonzero(_spread(terms, M // x.order, M))
-    return terms, x.den
+def _embedded(xs, M: int):
+    """The nonzero (index, int) terms of each Cyclotomic of xs in Q(zeta_M),
+    over one common denominator D, and D.  Every order must divide M."""
+    D = lcm(*[x.den for x in xs])
+    out = []
+    for x in xs:
+        terms = _nonzero(x.nums)
+        if M != x.order:
+            terms = _nonzero(_spread(terms, M // x.order, M))
+        s = D // x.den
+        out.append([(i, n * s) for i, n in terms] if s != 1 else terms)
+    return out, D
 
 
-def dot(M: int, pairs) -> "Cyclotomic":
-    """sum a*b over the (a, b) pairs, an element of Q(zeta_M).
+def dot(pairs) -> "Cyclotomic":
+    """sum a*b over the (a, b) pairs, in the lcm field of all their orders;
+    the order-1 zero when there are no pairs.
 
-    Every order must divide M.  Each operand is embedded afresh as its
-    nonzero int terms in Q(zeta_M), and the products are summed as one
-    unreduced integer polynomial over the lcm of their denominators, reduced
-    once.  A zero operand costs nothing."""
-    products = []
-    for a, b in pairs:
-        at, ad = _embedded(a, M)
-        bt, bd = _embedded(b, M)
-        if at and bt:
-            products.append((at, bt, ad * bd))
-    if not products:
-        return Cyclotomic.zero(M)
-    D = lcm(*[d for _, _, d in products])
-    acc = [0] * (max(at[-1][0] + bt[-1][0] for at, bt, _ in products) + 1)
-    for at, bt, d in products:
-        s = D // d
-        if s != 1:
-            at = [(i, a * s) for i, a in at]
+    The left and the right operands are each embedded once, as int terms
+    over one denominator, and the products are summed as one unreduced
+    integer polynomial, reduced once.  A zero operand costs nothing."""
+    if not pairs:
+        return Cyclotomic.zero()
+    M = lcm(*[x.order for pair in pairs for x in pair])
+    left, ld = _embedded([a for a, _ in pairs], M)
+    right, rd = _embedded([b for _, b in pairs], M)
+    acc = [0] * max((at[-1][0] + bt[-1][0] + 1 for at, bt in zip(left, right) if at and bt),
+                    default=0)
+    for at, bt in zip(left, right):
         for i, a in at:
             for j, b in bt:
                 acc[i + j] += a * b
-    return _cyclotomic(M, _reduce(M, acc), D)
+    return _cyclotomic(M, _reduce(M, acc), ld * rd)
 
 
 class Cyclotomic:
@@ -228,7 +230,7 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
-        return _zero(order)
+        return cls(order, (0,) * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
@@ -277,7 +279,7 @@ class Cyclotomic:
     def __mul__(self, other):
         """The product with a Cyclotomic, an int or a Fraction."""
         if isinstance(other, Cyclotomic):
-            return dot(lcm(self.order, other.order), [(self, other)])
+            return dot([(self, other)])
         return _cyclotomic(self.order, [n * other.numerator for n in self.nums],
                            self.den * other.denominator)
 
@@ -316,12 +318,7 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {[str(Fraction(n, self.den)) for n in self.nums]})"
 
 
-@lru_cache(maxsize=64)
-def _zero(order: int) -> Cyclotomic:
-    return Cyclotomic(order, (0,) * euler_phi(order), 1)
-
-
-# a pass of perfbench's reps workload asks for 90 distinct (M, k); a root of
+# a pass of perfbench's reps workload asks for 58 distinct (M, k); a root of
 # order M holds phi(M) ints
 _zeta_power = lru_cache(maxsize=128)(Cyclotomic.zeta_power)
 

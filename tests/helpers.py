@@ -58,7 +58,7 @@ from orbipar.liemodel import GroupModel, ParabolicData, alcove_normalize
 from orbipar.localseries import DOWNSTAIRS, UPSTAIRS, GradedSeries
 from orbipar.matrices import CycMatrix
 from orbipar.pseudoreps import PseudoRep, PseudoRepClass, QuotientClass
-from orbipar.scalars import Cyclotomic, cyclotomic_poly, dot, euler_phi, root_of_unity
+from orbipar.scalars import Cyclotomic, cyclotomic_poly, euler_phi, root_of_unity
 
 MODELS_GRID = [GroupModel("gl", r=2), GroupModel("gl", r=3),
                GroupModel("sl", r=2), GroupModel("upq", p=1, q=1)]
@@ -818,8 +818,7 @@ def _diagonal(cls, entries) -> CycMatrix:
 
 def _scale(self: CycMatrix, c: Cyclotomic) -> CycMatrix:
     """c times every entry, each product in the lcm field of the two orders."""
-    return CycMatrix([[dot(lcm(c.order, x.order), [(c, x)]) for x in row]
-                      for row in self.rows])
+    return CycMatrix([[c * x for x in row] for row in self.rows])
 
 
 CycMatrix.diagonal = classmethod(_diagonal)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from orbipar.cli import run_command
 from orbipar.jsonio import cyclotomic_from_json, cyclotomic_to_json
 from orbipar.matrices import CycMatrix
-from orbipar.scalars import Cyclotomic, dot, euler_phi
+from orbipar.scalars import Cyclotomic, _embedded, dot, euler_phi
 
 from helpers import cyclotomic, fraction_embed, fraction_matmul, fraction_product
 
@@ -194,7 +194,7 @@ def test_every_operation_keeps_the_canonical_form(triple, k):
         (a * k, [c * k for c in a.coeffs]),
         (k * b, [c * k for c in b.coeffs]),
         (a.embed(M), fraction_embed(a, M)),
-        (dot(M, [(a, b), (extra, a)]),
+        (dot([(a, b), (extra, a)]),
          [u + v for u, v in zip(fraction_embed(fraction_product(a, b), M),
                                 fraction_embed(fraction_product(extra, a), M))]),
     ]
@@ -209,6 +209,44 @@ def test_every_operation_keeps_the_canonical_form(triple, k):
     for x, y in [(a, b), (a + b - b, a), (a * k, k * a), (a.embed(M), a), (a, extra)]:
         N = lcm(x.order, y.order)
         assert (x == y) == (fraction_embed(x, N) == fraction_embed(y, N))
+
+
+@st.composite
+def field_lists(draw, elements):
+    """A field M of ORDERS and a list drawn from the elements strategy over
+    cyclotomics of its subfields, sparse past phi = 12."""
+    M = draw(st.sampled_from(ORDERS))
+    x = cyclotomics(SUBFIELDS[M], dense_up_to=12)
+    return M, draw(elements(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=field_lists(lambda x: st.lists(x, max_size=6)))
+def test_one_embedding_writes_a_list_over_one_denominator(field):
+    M, xs = field
+    phi = euler_phi(M)
+    terms, D = _embedded(xs, M)
+    assert D == lcm(*[x.den for x in xs]) and len(terms) == len(xs)
+    for x, t in zip(xs, terms):
+        indices = [i for i, _ in t]
+        assert indices == sorted(set(indices)) and all(0 <= i < phi for i in indices)
+        assert all(type(n) is int and n for _, n in t)
+        coeffs = [Fraction(0)] * phi
+        for i, n in t:
+            coeffs[i] = Fraction(n, D)
+        assert coeffs == fraction_embed(x, M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=field_lists(lambda x: st.lists(st.tuples(x, x), max_size=4)))
+def test_dot_sums_in_the_lcm_field_of_its_operands(field):
+    _, pairs = field
+    L = lcm(*[x.order for pair in pairs for x in pair])
+    expected = [Fraction(0)] * euler_phi(L)
+    for a, b in pairs:
+        expected = [u + v for u, v in zip(expected, fraction_embed(fraction_product(a, b), L))]
+    got = dot(pairs)
+    assert canonical(got) and got.order == L and list(got.coeffs) == expected
 
 
 def test_int_paths_build_no_fractions(monkeypatch):

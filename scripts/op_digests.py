@@ -11,12 +11,14 @@ printed per (workload, seed): the sha256 over its ops' (exit, stdout) pairs,
 in op order; the last line is the sha256 over all ops.  Two trees whose
 totals are equal gave byte-identical output on every op.
 
-Each op also has three refusal twins, whose inputs are written to the same
+Each op also has five refusal twins, whose inputs are written to the same
 temporary directory: every JSON int (not a boolean) set to 10^64, the
-alphabetically first top-level key removed, and every string that starts
-with a digit or ``-`` replaced by ``"1/2"``.  Before the total, one line per
-twin kind gives the sha256 over its (exit, stdout) pairs and the count of
-each (exit, error code).
+alphabetically first top-level key removed, every string that starts with a
+digit or ``-`` replaced by ``"1/2"``, every list under a ``table`` key
+reversed (so no cochain table is in row-major order), and 1/m added to the
+value of the last cell of every such table, m being the ``coeff_order``
+beside it.  Before the total, one line per twin kind gives the sha256 over
+its (exit, stdout) pairs and the count of each (exit, error code).
 """
 
 import hashlib
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("cohomology", "descent", "reps")
@@ -55,11 +58,32 @@ def _leaves(value, leaf):
     return leaf(value)
 
 
+def _tables(value, cells):
+    """The JSON value with every list under a "table" key replaced by
+    cells(that list, the coeff_order of the object holding it)."""
+    if isinstance(value, dict):
+        return {k: cells(v, value.get("coeff_order")) if k == "table" and isinstance(v, list)
+                else _tables(v, cells) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_tables(v, cells) for v in value]
+    return value
+
+
+def _last_cell_up(cells, m):
+    """The cells with 1/m added to the value of the last one."""
+    if not cells or type(m) is not int or m < 1:
+        return cells
+    i, j, value = cells[-1]
+    return [*cells[:-1], [i, j, str(Fraction(value) + Fraction(1, m))]]
+
+
 TWINS = {
     "ints at 10^64": lambda p: _leaves(p, lambda v: 10 ** 64 if type(v) is int else v),
     "first key removed": lambda p: {k: v for k, v in p.items() if k != min(p)},
     "rationals at 1/2": lambda p: _leaves(
         p, lambda v: "1/2" if isinstance(v, str) and v.startswith(tuple("-0123456789")) else v),
+    "table cells reversed": lambda p: _tables(p, lambda cells, m: cells[::-1]),
+    "last cell one step up": lambda p: _tables(p, _last_cell_up),
 }
 
 

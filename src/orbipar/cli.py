@@ -4,7 +4,8 @@ corpus runner.
 Exit codes: 0 success, 1 precondition/domain error (machine-readable
 {"error": code, "detail": ...}), 2 malformed input.  Outputs are
 byte-deterministic: canonical key order, canonically sorted lists, no
-timestamps.
+timestamps.  A well-formed argv is read off the verb table (parse_argv);
+argparse is built only for help, usage errors and other spellings.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 from functools import lru_cache
 
 from . import jsonio
-from .cocycles import (DEFAULT_SCALE_BOUND, FiniteAbelianGroup,
-                       central_extension, h2_classes, is_cocycle, zeta)
+from .cocycles import (DEFAULT_SCALE_BOUND, abelian_group, central_extension,
+                       h2_classes, is_cocycle, zeta)
 from .errors import DomainError, MalformedInput, ScaleExceeded
 from .liemodel import alcove_normalize, isotropy_eigenspaces, parabolic_from_s
 from .localseries import ascend, check_invariance, descend, residue_report
@@ -40,7 +41,7 @@ def cmd_cocycle_verify(payload, args):
 
 def cmd_cocycle_h2(payload, args):
     m = jsonio.coeff_order_from_json(payload)
-    group = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "group"))
+    group = abelian_group(tuple(jsonio.int_list_from_json(payload, "group")))
     reps = h2_classes(group, m, args.scale_bound)
     return ({"classes": len(reps),
              "representatives": [jsonio.cochain_to_json(r) for r in reps]},
@@ -91,7 +92,7 @@ def cmd_pseudorep_enumerate(payload, args):
 
 def cmd_pseudorep_transport(payload, args):
     sigma = jsonio.pseudorep_from_json(jsonio._need(payload, "pseudorep"))
-    ambient = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "ambient_group"))
+    ambient = abelian_group(tuple(jsonio.int_list_from_json(payload, "ambient_group")))
     gamma0 = tuple(jsonio.int_list_from_json(payload, "gamma0"))
     gen_image = tuple(jsonio.int_list_from_json(payload, "generator_image"))
     out = deck_transport(sigma, gamma0, ambient, gen_image)
@@ -199,7 +200,7 @@ def cmd_moduli_rh(payload, args):
 
 def cmd_moduli_strata(payload, args):
     m = jsonio.coeff_order_from_json(payload)
-    group = FiniteAbelianGroup(jsonio.int_list_from_json(payload, "group"))
+    group = abelian_group(tuple(jsonio.int_list_from_json(payload, "group")))
     covering = jsonio.covering_from_json(jsonio._need(payload, "covering"))
     model = jsonio.model_from_json(jsonio._need(payload, "model"))
     strata = enumerate_strata(group, m, covering, model, args.scale_bound)
@@ -295,9 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_argv(argv) -> argparse.Namespace:
+    """argv's namespace, read off the verb's VERBS row and the FLAGS specs
+    when argv is noun, verb, input, then distinct flags of the verb with
+    values: none starts with '-', and an int flag's is [0-9]+.  Any other
+    argv goes to argparse, which alone prints help and usage errors."""
+    row = VERBS.get(tuple(argv[:2]))
+    if row is None or len(argv) % 2 == 0 or argv[2].startswith("-"):
+        return build_parser().parse_args(argv)
+    dests = {"-o": "out", "--out": "out", **{f: f[2:].replace("-", "_") for f in row[1]}}
+    args = dict(noun=argv[0], verb=argv[1], input=argv[2], out=None,
+                **{dests[f]: FLAGS[f]["default"] for f in row[1]})
+    given = set()
+    for flag, value in zip(argv[3::2], argv[4::2]):
+        dest, kind = dests.get(flag), FLAGS.get(flag, {}).get("type")
+        if (dest is None or dest in given or value.startswith("-") or kind is int
+                and not (value.isascii() and value.isdigit() and len(value) <= 64)):
+            return build_parser().parse_args(argv)
+        given.add(dest)
+        args[dest] = int(value) if kind is int else value
+    return argparse.Namespace(**args)
+
+
 def run_command(argv) -> tuple[int, str]:
     """Execute one CLI invocation, returning (exit code, output text)."""
-    return _execute(build_parser().parse_args(argv))
+    return _execute(parse_argv(argv))
 
 
 def _execute(args) -> tuple[int, str]:
@@ -348,7 +371,7 @@ def run_corpus(directory) -> tuple[int, str]:
             lines.append(f"FAIL {name} (bad case file: {exc})")
             continue
         try:
-            args = build_parser().parse_args([*command, path, *extra])
+            args = parse_argv([*command, path, *extra])
         except SystemExit:  # argparse rejected the case's args and printed why to stderr
             failures += 1
             lines.append(f"FAIL {name} (bad args {extra})")
@@ -373,7 +396,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         code, text = _execute(args)
         if args.out:
             try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -54,7 +55,7 @@ class FiniteAbelianGroup:
                                 f"{DEFAULT_MAX_ORDER}")
         self.factors = factors
         self.order = order
-        self.elements = list(product(*map(range, factors)))
+        self.elements = tuple(product(*map(range, factors)))
         self.index = {e: i for i, e in enumerate(self.elements)}
         prod = [[0]]  # the table of the first factors; appending Z/n maps index a to a n + x
         for n in factors:
@@ -79,6 +80,10 @@ class FiniteAbelianGroup:
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.factors}"
+
+
+# the group of a factors tuple: built once per value, as nothing in it changes
+abelian_group = lru_cache(maxsize=64)(FiniteAbelianGroup)
 
 
 class Cochain2:

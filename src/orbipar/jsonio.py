@@ -10,6 +10,8 @@ dumps renders exactly as the stdlib does; the one value it does not walk is
 a Splice, which appends its own text.  dumps splices in two places: a
 strata list is rendered from the product's factors, each cocycle and class
 once, and a cochain table straight from its int rows, two pieces per cell.
+A cochain table in row-major order is decoded by column: one parse per
+distinct value text, one lookup per cell.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import gcd, lcm
 
-from .cocycles import Cochain2, Extension, FiniteAbelianGroup
+from .cocycles import Cochain2, Extension, abelian_group
 from .errors import MalformedInput, ScaleExceeded
 from .liemodel import KINDS, GroupModel, ParabolicData, WeightVector, alcove_normalize
 from .localseries import GradedSeries, InvarianceReport, ResidueReport
@@ -273,22 +275,21 @@ def int_list_from_json(data, key) -> list:
 
 
 def cochain_from_json(data) -> Cochain2:
-    """A cell [i, j, text] with new in-range int indices and a value text read
-    before is stored at once; any other cell runs every check, in order."""
+    """A table that _table_by_column reads is decoded by column; any other
+    runs every check on every cell, in order, and a missing cell is 0."""
     factors = int_list_from_json(data, "group")
     m = coeff_order_from_json(data)
-    group = FiniteAbelianGroup(factors)
+    group = abelian_group(tuple(factors))
     n = group.order
+    rows = _need(data, "table", list)
+    table = _table_by_column(rows, n, m)
+    if table is not None:
+        return Cochain2(group, m, table)
     table = [[None] * n for _ in range(n)]  # None: no cell read yet
-    exponent = {}  # value -> its exponent k, for the values read so far
-    for row in _need(data, "table", list):
+    for row in rows:
         if not isinstance(row, list) or len(row) != 3:
             raise MalformedInput(f"bad table entry {row!r}")
         i, j, value = row
-        if (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n
-                and type(value) is str and value in exponent and table[i][j] is None):
-            table[i][j] = exponent[value]
-            continue
         if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
             raise MalformedInput(f"bad table index in {row!r}")
         p, q = rational_parts(value)
@@ -296,8 +297,33 @@ def cochain_from_json(data) -> Cochain2:
             raise MalformedInput(f"value {value!r} is not an m-th root of unity exponent")
         if table[i][j] is not None:
             raise MalformedInput(f"duplicate table entry ({i}, {j})")
-        table[i][j] = exponent[value] = p * (m // q) % m
+        table[i][j] = p * (m // q) % m
     return Cochain2(group, m, [[k or 0 for k in row] for row in table])
+
+
+def _table_by_column(rows, n: int, m: int):
+    """The exponent rows of n^2 cells [i, j, text] in row-major order, int
+    indices and texts of m-th roots, each distinct text parsed once; None for
+    any other table, so that the cell loop names the cell a refusal names."""
+    if len(rows) != n * n or set(map(type, rows)) != {list} or set(map(len, rows)) != {3}:
+        return None
+    i, j, values = zip(*rows)
+    if ((i, j) != _row_major(n) or {*map(type, i), *map(type, j)} != {int}
+            or set(map(type, values)) != {str}):
+        return None
+    try:
+        parts = {value: rational_parts(value) for value in set(values)}
+    except (MalformedInput, ScaleExceeded):
+        return None
+    if any(m % q for _, q in parts.values()):
+        return None
+    exponent = {value: p * (m // q) % m for value, (p, q) in parts.items()}
+    cells = list(map(exponent.__getitem__, values))
+    return [cells[k:k + n] for k in range(0, n * n, n)]
+
+
+# the row and the column indices of the cells of an n x n table, in row-major order
+_row_major = lru_cache(maxsize=32)(lambda n: tuple(zip(*product(range(n), repeat=2))))
 
 
 def extension_to_json(ext: Extension) -> dict:
@@ -525,8 +551,7 @@ def _render_strata(strata: Strata, out, depth):
         head = (f",{ind}{{{key_ind}\"cocycle\": "
                 f"{_text(cochain_to_json(cocycle), depth + 2)},"
                 f"{key_ind}\"orbit_classes\": ")
-        for tail in tails[id(per_orbit)]:
-            out += (head, tail)
+        out += chain.from_iterable(zip(repeat(head), tails[id(per_orbit)]))
     if len(out) == start:
         return out.append("[]")
     out[start] = "[" + out[start][1:]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
@@ -221,18 +222,23 @@ def project_mod_center(cls: PseudoRepClass | QuotientClass, m: int) -> QuotientC
 
 
 def quotient_classes(n: int, r: int, zeta_value: Fraction, m: int,
-                     model: str) -> list[QuotientClass]:
+                     model: str) -> tuple[QuotientClass, ...]:
     """The distinct project_mod_center(cls, m) over enumerate_classes(n, r,
     zeta_value, model), sorted by exponents.  The classes are enumerated and
     projected as int residues, and Fractions are built only for the
-    quotient classes kept."""
+    quotient classes kept, once per (n, r, zeta mod 1, m, model)."""
+    return _quotient_classes(n, r, zeta_value % 1, m, model)
+
+
+@lru_cache(maxsize=32)  # n * r <= MAX_ENUMERATION: at most 504 exponents in a list
+def _quotient_classes(n: int, r: int, z: Fraction, m: int, model: str) -> tuple:
     if m < 1:
         raise MalformedInput("scalar subgroup order must be positive")
-    D, combos = _residue_classes(n, r, zeta_value % 1, model)
+    D, combos = _residue_classes(n, r, z, model)
     L = lcm(m, D)
     up = L // D
     kept = sorted({_least_shift([u * up for u in combo], L, m) for combo in combos})
-    return [QuotientClass(n, tuple(Fraction(u, L) for u in best)) for best in kept]
+    return tuple(QuotientClass(n, tuple(Fraction(u, L) for u in best)) for best in kept)
 
 
 def _least_shift(units, L: int, m: int) -> tuple:

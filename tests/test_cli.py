@@ -1,21 +1,27 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from itertools import chain
+from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbipar.cli import VERBS, build_parser, main, run_command
-from orbipar import jsonio, liemodel
+from orbipar import cli, jsonio, liemodel
 from orbipar.cocycles import (DEFAULT_SCALE_BOUND, MAX_EXTENSION_ORDER, Cochain2,
-                              FiniteAbelianGroup, central_extension, h2_classes)
+                              FiniteAbelianGroup, abelian_group, central_extension,
+                              h2_classes)
 from orbipar.errors import ScaleExceeded
 from orbipar.liemodel import GroupModel, alcove_normalize
 from orbipar.localseries import GradedSeries
@@ -1262,3 +1268,128 @@ def test_corpus_run_lets_a_program_bug_surface(tmp_path, monkeypatch):
     (tmp_path / "a.json").write_text((corpus / "moduli_rh_elliptic_quotient.json").read_text())
     with pytest.raises(TypeError, match="a program bug"):
         orbipar.cli.run_corpus(str(tmp_path))
+
+
+# argv tokens: every noun, verb and flag, other spellings argparse reads, and
+# values on which int() and a [0-9]+ reading part
+NOUN_TOKENS = sorted({noun for noun, _ in VERBS}) + ["corpus"]
+VERB_TOKENS = sorted({verb for _, verb in VERBS}) + ["run"]
+FLAG_TOKENS = ["-o", "--out", *cli.FLAGS, "--o", "--ou", "--scale", "--working", "--tw",
+               "-ox", "--out=x", "--scale-bound=7", "--working-order=12", "--twist=1/2",
+               "-h", "--help", "--"]
+VALUE_TOKENS = ["7", "+7", " 7", "1_0", "-5", "-1/2", "\u0663", "", "12", "1/2", "in.json",
+                "-in.json"]
+
+
+@st.composite
+def argvs(draw):
+    """An argv: mostly a noun and verb, an input, then flag and value pairs,
+    the flags mostly the verb's own, and now and then one stray token; else
+    any few tokens."""
+    tokens = NOUN_TOKENS + VERB_TOKENS + FLAG_TOKENS + VALUE_TOKENS
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(st.sampled_from(tokens), max_size=6))
+    head = draw(st.sampled_from(sorted(VERBS)) if draw(st.integers(0, 3))
+                else st.tuples(st.sampled_from(NOUN_TOKENS), st.sampled_from(VERB_TOKENS)))
+    own = ["-o", "--out", *VERBS[head][1]] if head in VERBS else ["-o"]
+    flag = st.sampled_from(own) if draw(st.integers(0, 3)) else st.sampled_from(FLAG_TOKENS)
+    pairs = draw(st.lists(st.tuples(flag, st.sampled_from(VALUE_TOKENS)), max_size=3))
+    stray = [] if draw(st.integers(0, 3)) else [draw(st.sampled_from(tokens))]
+    return [*head, draw(st.sampled_from(VALUE_TOKENS)), *chain(*pairs), *stray]
+
+
+def parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs())
+def test_argv_reader_gives_argparses_namespace(argv):
+    # where the reader reads argv off the table, its namespace is argparse's;
+    # every other argv reaches argparse, with its exit code, stdout and stderr
+    expected = parsed(build_parser().parse_args, argv)
+    with mock.patch.object(cli, "build_parser", wraps=build_parser) as argparse_used:
+        got = parsed(cli.parse_argv, argv)
+    assert got == expected
+    if not argparse_used.called:
+        assert isinstance(got[0], argparse.Namespace) and got[1:] == ("", "")
+
+
+@pytest.mark.parametrize("noun,verb", sorted(VERBS))
+def test_well_formed_argv_is_read_off_the_table(noun, verb):
+    flags = [token for flag in VERBS[noun, verb][1]
+             for token in (flag, "1/2" if flag == "--twist" else "12")]
+    for argv in ([noun, verb, "in.json"], [noun, verb, "in.json", *flags, "-o", "out.json"]):
+        with mock.patch.object(cli, "build_parser") as argparse_used:
+            got = cli.parse_argv(argv)
+        assert not argparse_used.called
+        assert got == build_parser().parse_args(argv)
+
+
+HOSTILE_CELLS = ["none", "bool index", "duplicate", "missing", "out of range", "not a root"]
+
+
+@st.composite
+def cochain_payloads(draw):
+    """A `cocycle verify` payload on a small group, with its cells in
+    row-major order, and one hostile change or none."""
+    factors = draw(st.sampled_from([[1], [2], [3], [4], [2, 2], [6]]))
+    m, n = draw(st.integers(1, 4)), prod(factors)
+
+    def value():  # k/m in lowest terms or not
+        k = draw(st.integers(0, m - 1))
+        return draw(st.sampled_from([str(Fraction(k, m)), f"{k}/{m}"]))
+
+    cells = [[i, j, "0" if 0 in (i, j) else value()] for i in range(n) for j in range(n)]
+    k = draw(st.integers(0, len(cells) - 1))
+    change = draw(st.sampled_from(HOSTILE_CELLS))
+    if change == "bool index":  # False or True where the index is 0 or 1: equal, not an int
+        d = draw(st.integers(0, 1))
+        cell = draw(st.sampled_from([c for c in cells if c[d] <= 1]))
+        cell[d] = bool(cell[d])
+    elif change == "duplicate":
+        cells.append([*cells[k][:2], f"{m - 1}/{m}"])
+    elif change == "missing":
+        del cells[k]
+    elif change == "out of range":
+        cells[k][1] = n
+    elif change == "not a root":
+        cells[k][2] = f"1/{m + 1}"
+    return {"group": factors, "coeff_order": m, "table": cells}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=cochain_payloads(), seed=st.integers(0, 2 ** 32))
+def test_cochain_decoding_does_not_depend_on_the_cell_order(tmp_path, payload, seed):
+    # a row-major table is decoded by column and a shuffled one cell by cell
+    shuffled = dict(payload, table=random.Random(seed).sample(payload["table"],
+                                                              len(payload["table"])))
+    assert (invoke(tmp_path, ["cocycle", "verify"], payload)
+            == invoke(tmp_path, ["cocycle", "verify"], shuffled))
+
+
+def test_shared_groups_and_classes_keep_requests_apart(tmp_path):
+    # two strata requests of one shape share their group and their quotient
+    # class lists, and a cochain on that group shares the group: every output
+    # is the one a fresh process gives
+    shape = {"group": [4], "coeff_order": 2, "model": {"kind": "gl", "r": 2}}
+    requests = [(["moduli", "strata"], dict(shape, covering={
+        "genus_x": genus, "group_order": 4, "orbit_orders": [2, 4]})) for genus in (3, 7)]
+    carry = [[a, b, "1/2" if a + b >= 4 else "0"] for a in range(4) for b in range(4)]
+    requests.append((["cocycle", "verify"], {"group": [4], "coeff_order": 2, "table": carry}))
+    for k, (command, payload) in enumerate(requests):
+        path = tmp_path / f"in{k}.json"
+        path.write_text(json.dumps(payload))
+        code, out, _, _ = fresh_cli(*command, path)
+        assert run_command([*command, str(path)]) == (code, out)
+    assert json.loads(out)["result"] == {"is_cocycle": True, "witness": None}
+    assert abelian_group((4,)) is abelian_group((4,))
+    assert type(FiniteAbelianGroup([2, 3]).elements) is tuple
